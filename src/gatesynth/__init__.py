@@ -1,8 +1,8 @@
 """gatesynth: a simulator-backed workbench for synthesizing target
 multi-qubit gates from imperfect source gates sandwiched between tunable
-single-qubit rotations, with exact parameter-shift gradients, direct
-fidelity estimation, cross-resonance device models, and two-qubit
-representation-power analysis.
+single-qubit rotations, with exact gradients, direct fidelity estimation,
+cross-resonance device models, and two-qubit representation-power
+analysis.
 """
 
 __version__ = "0.1.0"

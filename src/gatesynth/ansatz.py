@@ -1,6 +1,5 @@
 """The parametrized circuit: Euler single-qubit layers interleaved with
-fixed source gates, the infidelity cost, and its exact parameter-shift
-gradient.
+fixed source gates, the infidelity cost, and its exact gradient.
 
 Parameters live in a real tensor theta[i, j, k] with layer index
 0 <= i <= d, qubit index 0 <= j < n, and Euler axis k in {0, 1, 2}.
@@ -10,28 +9,61 @@ The circuit is
 
 where L_i is the tensor product over qubits of euler_gate(theta[i, j, :])
 and the leftmost factor acts last in time. Single-qubit gates use the
-full-angle convention exp(-i*t*sigma); under it the cost is trigonometric
-in each angle with period pi, so the exact derivative is the difference of
-two cost evaluations shifted by +/- pi/4 (no finite differencing).
+full-angle convention exp(-i*t*sigma).
+
+The cost depends on U only through tau = Tr(T^dag U), which is linear in
+each single-qubit gate. The exact backend therefore differentiates tau
+against each layer's environment (post_i @ T^dag @ pre_i), the adjoint
+method of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)). A
+measurement-driven cost has no tau to differentiate; for it the cost is
+trigonometric in each angle with period pi, so the parameter-shift rule
+gives the exact derivative as the difference of two cost evaluations
+shifted by +/- pi/4 (no finite differencing).
 """
 
 import numpy as np
 
 from .channels import agf_unitary
-from .numkit import kron_all
 
 PARAMETER_SHIFT = np.pi / 4
+_MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
+_MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
+
+
+def _euler_factors(angles):
+    """exp(-i*t0*sx), exp(-i*t1*sy) and exp(-i*t2*sx) for angles of shape
+    (..., 3), each of shape (..., 2, 2)."""
+    c, s = np.cos(angles), np.sin(angles)
+    rx = np.empty(angles.shape + (2, 2), dtype=complex)
+    rx[..., 0, 0] = rx[..., 1, 1] = c
+    rx[..., 0, 1] = rx[..., 1, 0] = -1j * s
+    ry = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
+    ry[..., 0, 0] = ry[..., 1, 1] = c[..., 1]
+    ry[..., 0, 1] = -s[..., 1]
+    ry[..., 1, 0] = s[..., 1]
+    return rx[..., 0, :, :], ry, rx[..., 2, :, :]
+
+
+def _euler_gates(angles):
+    """euler_gate over angles of shape (..., 3), stacked to (..., 2, 2)."""
+    rx0, ry1, rx2 = _euler_factors(angles)
+    return rx0 @ ry1 @ rx2
 
 
 def euler_gate(t0, t1, t2):
     """exp(-i*t0*sx) @ exp(-i*t1*sy) @ exp(-i*t2*sx)."""
-    c0, s0 = np.cos(t0), np.sin(t0)
-    c1, s1 = np.cos(t1), np.sin(t1)
-    c2, s2 = np.cos(t2), np.sin(t2)
-    rx0 = np.array([[c0, -1j * s0], [-1j * s0, c0]])
-    ry1 = np.array([[c1, -s1], [s1, c1]], dtype=complex)
-    rx2 = np.array([[c2, -1j * s2], [-1j * s2, c2]])
-    return rx0 @ ry1 @ rx2
+    return _euler_gates(np.array([t0, t1, t2], dtype=float))
+
+
+def _kron_qubits(gates):
+    """Tensor product over the qubit axis, first qubit most significant:
+    gates of shape (..., n, 2, 2) give operators of shape (..., 2^n, 2^n)."""
+    out = gates[..., 0, :, :]
+    for j in range(1, gates.shape[-3]):
+        size = 2 * out.shape[-1]
+        out = out[..., :, None, :, None] * gates[..., j, None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (size, size))
+    return out
 
 
 def wrap_angles(theta):
@@ -63,15 +95,16 @@ def _check_shapes(theta, sources, target=None):
 
 def build_layer(theta_i):
     """Tensor product of per-qubit Euler gates for one layer."""
-    return kron_all([euler_gate(*row) for row in np.asarray(theta_i, dtype=float)])
+    return _kron_qubits(_euler_gates(np.asarray(theta_i, dtype=float)))
 
 
 def build_circuit(theta, sources):
     """Full circuit unitary for a parameter tensor and source gate list."""
     theta, d, _, _ = _check_shapes(theta, sources)
-    u = build_layer(theta[0])
+    layers = _kron_qubits(_euler_gates(theta))
+    u = layers[0]
     for i in range(d):
-        u = u @ np.asarray(sources[i]) @ build_layer(theta[i + 1])
+        u = u @ np.asarray(sources[i]) @ layers[i + 1]
     return u
 
 
@@ -80,25 +113,27 @@ def agi_cost(theta, sources, target):
     return 1.0 - agf_unitary(target, build_circuit(theta, sources))
 
 
-def _agi_from_trace(tau, dim):
-    # same clamp as channels.agf_unitary so both cost paths agree exactly
-    return 1.0 - min(1.0, (abs(tau) ** 2 / dim + 1.0) / (dim + 1.0))
-
-
 def parameter_shift_gradient(theta, sources, target, shift=PARAMETER_SHIFT, cost=None):
     """Exact gradient of the infidelity cost, one entry per angle.
 
-    Each component is cost(theta_ijk + shift) - cost(theta_ijk - shift),
-    which equals the derivative exactly for the default shift of pi/4.
-    With `cost` given (a callable of the full theta tensor), the shifted
-    evaluations go through it, so measurement-driven cost backends get the
-    matching gradient. The default exact backend reuses cached circuit
-    prefixes/suffixes, so each shifted evaluation costs one small-layer
-    trace rather than a full circuit rebuild.
+    With `cost` given (a callable of the full theta tensor), each component
+    is cost(theta_ijk + shift) - cost(theta_ijk - shift), which equals the
+    derivative exactly for the default shift of pi/4; measurement-driven
+    cost backends get their matching gradient this way.
+
+    Without `cost` (the exact backend) the derivative comes from the layer
+    environments and `shift` is unused. Write U = pre_i @ L_i @ post_i and
+    W_i = post_i @ T^dag @ pre_i @ L_i, so tau = Tr(T^dag U) = Tr(W_i).
+    Replacing qubit j's gate g in L_i by its derivative dg in angle k
+    multiplies L_i on the right by h = g^dag @ dg on qubit j, which turns
+    tau into Tr(R_ij @ h), with R_ij the 2x2 reduction of W_i to qubit j.
+    The derivatives of g are -i*sx @ g, Rx @ (-i*sy) @ Ry @ Rx and
+    g @ (-i*sx). The cost 1 - (|tau|^2/D + 1)/(D + 1) then has derivative
+    -2 Re(conj(tau) d(tau)) / (D (D + 1)).
     """
     theta, d, n, dim = _check_shapes(theta, sources, target)
-    grad = np.zeros_like(theta)
     if cost is not None:
+        grad = np.zeros_like(theta)
         for idx in np.ndindex(theta.shape):
             tp = theta.copy()
             tp[idx] += shift
@@ -107,30 +142,29 @@ def parameter_shift_gradient(theta, sources, target, shift=PARAMETER_SHIFT, cost
             grad[idx] = cost(tp) - cost(tm)
         return grad
 
-    layers = [build_layer(theta[i]) for i in range(d + 1)]
-    pre = [np.eye(dim, dtype=complex)]
-    for i in range(1, d + 1):
-        pre.append(pre[-1] @ layers[i - 1] @ np.asarray(sources[i - 1]))
-    post = [None] * (d + 1)
-    post[d] = np.eye(dim, dtype=complex)
+    rx0, ry1, rx2 = _euler_factors(theta)
+    gates = rx0 @ ry1 @ rx2
+    layers = _kron_qubits(gates)
+    sources = [np.asarray(s) for s in sources]
+    ahead = [layers[0]]  # ahead[i] = pre_i @ L_i
+    for i in range(d):
+        ahead.append(ahead[-1] @ sources[i] @ layers[i + 1])
+    behind = [np.asarray(target).conj().T]  # behind[-1 - i] = post_i @ T^dag
     for i in range(d - 1, -1, -1):
-        post[i] = np.asarray(sources[i]) @ layers[i + 1] @ post[i + 1]
-    tdag = np.asarray(target).conj().T
-    for i in range(d + 1):
-        m = (post[i] @ tdag @ pre[i]).T
-        gates = [euler_gate(*theta[i, j]) for j in range(n)]
-        for j in range(n):
-            for k in range(3):
-                shifted = []
-                for s in (shift, -shift):
-                    angles = theta[i, j].copy()
-                    angles[k] += s
-                    mats = list(gates)
-                    mats[j] = euler_gate(*angles)
-                    tau = np.sum(m * kron_all(mats))
-                    shifted.append(_agi_from_trace(tau, dim))
-                grad[i, j, k] = shifted[0] - shifted[1]
-    return grad
+        behind.append(sources[i] @ layers[i + 1] @ behind[-1])
+    envs = np.stack([b @ a for b, a in zip(reversed(behind), ahead)])
+    tau = np.trace(envs[0])
+
+    reduced = np.empty((d + 1, n, 2, 2), dtype=complex)
+    for j in range(n):
+        rest = 2 ** (n - 1 - j)
+        reduced[:, j] = np.einsum("ipaqpbq->iab", envs.reshape(d + 1, 2**j, 2, rest, 2**j, 2, rest))
+    dgates = np.stack(
+        [_MINUS_I_SX @ gates, rx0 @ _MINUS_I_SY @ ry1 @ rx2, gates @ _MINUS_I_SX], axis=2
+    )
+    h = gates.conj().swapaxes(-1, -2)[:, :, None] @ dgates
+    dtau = np.einsum("ijab,ijkba->ijk", reduced, h)
+    return -2.0 * (np.conj(tau) * dtau).real / (dim * (dim + 1))
 
 
 def make_emulated_cost(sources, target, shots=None, rng=None):

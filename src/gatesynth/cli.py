@@ -44,6 +44,7 @@ from .numkit import derive_rng, derive_seed, haar_unitary
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
+    check_outer_maxiter,
     concatenated_optimize,
     minimize_derivative_free,
     vqgo,
@@ -92,20 +93,35 @@ def _fixture_path(name):
     return resources.files("gatesynth").joinpath("fixtures", name)
 
 
+def _read_json(path):
+    """Parse a JSON input file; an unreadable or malformed file is a config
+    error located at its path (and line:column)."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _inline_file(cfg, key):
+    """Replace a file path held in cfg[key] by the file's JSON contents, so
+    an artifact's config (and its hash) holds the data itself and --verify
+    needs no other file."""
+    if isinstance(cfg[key], str):
+        cfg[key] = _read_json(cfg[key])
+    return cfg[key]
+
+
 def load_config(path, defaults):
     """Merge a JSON config file over per-command defaults; unknown keys
     are config errors so typos fail loudly."""
     cfg = json.loads(json.dumps(defaults))
     if path is not None:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"{path}: {exc.strerror}") from exc
-        try:
-            user = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        user = _read_json(path)
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         for key, value in user.items():
@@ -130,6 +146,13 @@ def optimizer_from_dict(d, seed):
         return OptimizerConfig(**base)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer config: {exc}") from exc
+
+
+def _outer_maxiter(cfg, amplitudes):
+    try:
+        return check_outer_maxiter(int(cfg["outer_maxiter"]), amplitudes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _t_grid(cfg):
@@ -203,11 +226,12 @@ def cmd_cnot_sweep(cfg, workers):
     """Per crosstalk case: fix the drive amplitude by optimizing at
     t_opt_ns (echoed-CR baseline via a 1-dim amplitude search, synthesis
     via the concatenated amplitude+angle optimization), then sweep the
-    gate time with amplitudes held fixed, one row per (method, case, t)."""
-    base = cfg["pair"]
-    if isinstance(base, str):
-        with open(base) as fh:
-            base = json.load(fh)
+    gate time with amplitudes held fixed, one row per (method, case, t).
+    A `pair` given as a file path is read into cfg."""
+    base = _inline_file(cfg, "pair")
+    if not isinstance(base, dict) or not {"delta_mhz", "g_mhz"} <= base.keys():
+        raise ConfigError("pair must be an object with delta_mhz and g_mhz")
+    outer_maxiter = _outer_maxiter(cfg, 1)
     grid = _t_grid(cfg)
     t_opt = float(cfg["t_opt_ns"])
     depth = int(cfg["depth"])
@@ -237,7 +261,7 @@ def cmd_cnot_sweep(cfg, workers):
         factory = lambda w, p=pair: [cr_gate(p, DriveSpec(float(w[0]), t_opt))] * depth
         w_v, res_v, diag_v = concatenated_optimize(
             CNOT, factory, [cfg["omega0_mhz"]], bounds, t_opt, inner,
-            outer_maxiter=int(cfg["outer_maxiter"]), max_sweeps=int(cfg["max_sweeps"]),
+            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
         )
         omega_vqgo = float(w_v[0])
         meta.append((f"case{case_idx}_eps", _fmt(eps)))
@@ -287,15 +311,15 @@ SYNDROME_SWEEP_DEFAULTS = {
 
 
 def _device_from_config(cfg):
-    raw = cfg["device"]
+    raw = _inline_file(cfg, "device")
     if raw is None:
-        dev, extra = load_device(_fixture_path("syndrome_device.json"))
-    elif isinstance(raw, str):
-        dev, extra = load_device(raw)
-    else:
-        dev = FourQubitDevice(tuple(pair_from_dict(p) for p in raw["pairs"]))
-        extra = raw
-    return dev, extra
+        return load_device(_fixture_path("syndrome_device.json"))[0]
+    if not isinstance(raw, dict) or "pairs" not in raw:
+        raise ConfigError("device must be an object with a 'pairs' list")
+    try:
+        return FourQubitDevice(tuple(pair_from_dict(p) for p in raw["pairs"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"device: {exc}") from exc
 
 
 def _syndrome_sources(dev_pairs, omegas, t, depth, opposite):
@@ -317,8 +341,10 @@ def cmd_syndrome_sweep(cfg, workers):
     optimize the four drive amplitudes at t_opt_ns (outer derivative-free
     over the amplitude vector, inner angle optimization), then sweep t
     with amplitudes fixed. The eps column stores the crosstalk scale
-    applied to the device file's per-qubit eps values (0 = off)."""
-    dev_base, _ = _device_from_config(cfg)
+    applied to the device file's per-qubit eps values (0 = off). A
+    `device` given as a file path is read into cfg."""
+    dev_base = _device_from_config(cfg)
+    outer_maxiter = _outer_maxiter(cfg, np.size(cfg["omega0_mhz"]))
     grid = _t_grid(cfg)
     t_opt = float(cfg["t_opt_ns"])
     depth = int(cfg["depth"])
@@ -341,7 +367,7 @@ def cmd_syndrome_sweep(cfg, workers):
         factory = lambda w, dp=dev_pairs: _syndrome_sources(dp, w, t_opt, depth, opposite)
         w_v, res_v, diag_v = concatenated_optimize(
             target, factory, cfg["omega0_mhz"], bounds, t_opt, inner,
-            outer_maxiter=int(cfg["outer_maxiter"]), max_sweeps=int(cfg["max_sweeps"]),
+            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
         )
         meta.append((f"case{case_idx}_crosstalk_scale", _fmt(scale)))
         meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
@@ -466,13 +492,14 @@ def cmd_single_optimize(cfg, workers):
     elif cfg["mode"] == "concatenated":
         if cfg["pair"] is None:
             raise ConfigError("concatenated mode needs a 'pair' entry")
+        outer_maxiter = _outer_maxiter(cfg, 1)
         pair = pair_from_dict(cfg["pair"])
         t = float(cfg["t_ns"])
         depth = int(cfg["depth"])
         factory = lambda w: [cr_gate(pair, DriveSpec(float(w[0]), t))] * depth
         w_v, res, diag = concatenated_optimize(
             target, factory, [cfg["omega0_mhz"]], AmplitudeBounds(*cfg["omega_bounds_mhz"]),
-            t, opt, outer_maxiter=int(cfg["outer_maxiter"]), max_sweeps=int(cfg["max_sweeps"]),
+            t, opt, outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
         )
         extra = {"omega_mhz": [float(x) for x in w_v],
                  "outer_evaluations": diag["outer_evaluations"]}
@@ -518,8 +545,9 @@ def _verify_row(command, cfg, row):
     stated = float(row.get("agi", row.get("best_agf")))
     theta_flat = _parse_list(row.get("theta", ""))
     if command == "cnot_sweep":
+        base = _inline_file(cfg, "pair")
         pair = CrossResonancePair(
-            delta=float(cfg["pair"]["delta_mhz"]), g=float(cfg["pair"]["g_mhz"]),
+            delta=float(base["delta_mhz"]), g=float(base["g_mhz"]),
             eps=float(row["eps"]), phi=float(row["phi_rad"]),
         )
         omega = float(row["omega_mhz"])
@@ -531,7 +559,7 @@ def _verify_row(command, cfg, row):
         theta = theta_flat.reshape(depth + 1, 2, 3)
         return agi_cost(theta, sources, CNOT), stated
     if command == "syndrome_sweep":
-        dev_base, _ = _device_from_config(cfg)
+        dev_base = _device_from_config(cfg)
         scale = float(row["eps"])
         dev_pairs = [
             {"delta": p.delta, "g": p.g, "eps": p.eps * scale, "phi": p.phi}

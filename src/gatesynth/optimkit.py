@@ -272,6 +272,17 @@ def vqgo(target, sources, shape=None, cfg=None, backend="exact", shots=None):
     )
 
 
+def check_outer_maxiter(outer_maxiter, amplitudes):
+    """Reject an outer budget below amplitudes + 2, the least COBYLA
+    starts with (scipy would raise it without saying so)."""
+    if outer_maxiter < amplitudes + 2:
+        raise ValueError(
+            f"outer_maxiter {outer_maxiter} is below {amplitudes + 2}, "
+            f"the minimum for {amplitudes} amplitude(s)"
+        )
+    return outer_maxiter
+
+
 def concatenated_optimize(
     target,
     source_factory,
@@ -297,6 +308,7 @@ def concatenated_optimize(
     bounds = bounds or AmplitudeBounds()
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     k = omega0.size
+    check_outer_maxiter(outer_maxiter, k)
     cache = {}
 
     def outer_cost(w):

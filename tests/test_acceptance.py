@@ -356,7 +356,7 @@ def test_criterion_11_determinism(tmp_path):
     synd_cfg.write_text(json.dumps({
         "crosstalk_cases": [0.0, 1.0],
         "t_start_ns": 75.0, "t_stop_ns": 75.0, "t_step_ns": 75.0,
-        "outer_maxiter": 3, "max_sweeps": 1,
+        "outer_maxiter": 6, "max_sweeps": 1,
         "optimizer": {"restarts": 1, "max_iterations": 25,
                       "gradient_tolerance": 1e-5},
     }))

@@ -1,10 +1,15 @@
-"""Parametrized circuit, infidelity cost, and parameter-shift gradient."""
+"""Parametrized circuit, infidelity cost, and its exact gradient."""
+
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatesynth import ansatz
 from gatesynth.channels import CNOT, agf_unitary
+from gatesynth.devices import four_cr_gate, load_device, syndrome_target
 from gatesynth.numkit import derive_rng, haar_unitary, is_unitary
 
 
@@ -99,6 +104,47 @@ def test_parameter_shift_cost_callable_route():
         th, sources, target, cost=lambda t: ansatz.agi_cost(t, sources, target)
     )
     assert np.abs(fast - slow).max() < 1e-12
+
+
+def _shift_rule_gradient(theta, sources, target):
+    return ansatz.parameter_shift_gradient(
+        theta, sources, target, cost=lambda t: ansatz.agi_cost(t, sources, target)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_environment_gradient_matches_shift_rule_and_finite_differences(n, d, seed):
+    rng = derive_rng(seed)
+    dim = 2**n
+    sources = [haar_unitary(dim, rng) for _ in range(d)]
+    target = haar_unitary(dim, rng)
+    th = ansatz.random_params(n, d, rng)
+    grad = ansatz.parameter_shift_gradient(th, sources, target)
+    assert grad.shape == th.shape
+    assert np.abs(grad - _shift_rule_gradient(th, sources, target)).max() < 1e-12
+    eps = 1e-6
+    for idx in np.ndindex(th.shape):
+        tp = th.copy()
+        tp[idx] += eps
+        tm = th.copy()
+        tm[idx] -= eps
+        fd = (ansatz.agi_cost(tp, sources, target)
+              - ansatz.agi_cost(tm, sources, target)) / (2 * eps)
+        assert abs(grad[idx] - fd) < 1e-5
+
+
+def test_environment_gradient_on_syndrome_sources():
+    dev, raw = load_device(
+        resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    )
+    omegas = raw["reference_omega_mhz"]["crosstalk"]
+    sources = [four_cr_gate(dev, omegas, 75.0)] * 2
+    target = syndrome_target()
+    th = ansatz.random_params(5, 2, derive_rng(28))
+    grad = ansatz.parameter_shift_gradient(th, sources, target)
+    assert grad.shape == (3, 5, 3)
+    assert np.abs(grad - _shift_rule_gradient(th, sources, target)).max() < 1e-12
 
 
 def test_emulated_cost_matches_exact():

@@ -46,7 +46,7 @@ TINY_SYNDROME = {
     "t_start_ns": 75.0,
     "t_stop_ns": 75.0,
     "t_step_ns": 75.0,
-    "outer_maxiter": 3,
+    "outer_maxiter": 6,
     "max_sweeps": 1,
     "optimizer": {"restarts": 1, "max_iterations": 25, "gradient_tolerance": 1e-5},
 }
@@ -160,6 +160,73 @@ def test_cnot_sweep_rows_and_verify(tmp_path):
     meta = _meta(out)
     assert "case0_omega_tpcx_mhz" in meta and "case0_omega_vqgo_mhz" in meta
     assert cli.main(["--verify", out]) == 0
+
+
+def test_cnot_sweep_pair_file_is_inlined_and_verifies(tmp_path):
+    pair = {"delta_mhz": 200.0, "g_mhz": 5.0}
+    pair_path = _write(tmp_path / "pair.json", pair)
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, pair=pair_path))
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
+    stored = json.loads(_meta(out)["config"])
+    assert stored["pair"] == pair
+    assert _meta(out)["config_hash"] == cli._config_hash(stored)
+    (tmp_path / "pair.json").unlink()  # the artifact alone must suffice
+    assert cli.main(["--verify", out]) == 0
+
+
+def test_cnot_sweep_missing_pair_file_is_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, pair=missing))
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and missing in err
+    assert "Traceback" not in err
+
+
+def test_cnot_sweep_malformed_pair_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "pair.json"
+    bad.write_text('{"delta_mhz": 200.0,\n "g_mhz": }\n')
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, pair=str(bad)))
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"{bad}:2:" in err
+    assert "Traceback" not in err
+
+
+def test_syndrome_sweep_device_file_is_inlined(tmp_path):
+    from importlib import resources
+
+    fixture = resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    device = json.loads(fixture.read_text())
+    dev_path = _write(tmp_path / "device.json", device)
+    cfg = _write(tmp_path / "c.json", dict(TINY_SYNDROME, device=dev_path))
+    out = str(tmp_path / "synd.csv")
+    assert cli.main(["syndrome-sweep", "--config", cfg, "--output", out]) == 0
+    assert json.loads(_meta(out)["config"])["device"] == device
+    (tmp_path / "device.json").unlink()
+    assert cli.main(["--verify", out]) == 0
+
+
+def test_missing_or_malformed_device_is_config_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for device, located in ((missing, missing), ({"pairs": [{"g_mhz": 5.0}]}, "delta_mhz")):
+        cfg = _write(tmp_path / "c.json", dict(TINY_SYNDROME, device=device))
+        assert cli.main(["syndrome-sweep", "--config", cfg,
+                         "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and located in err
+        assert "Traceback" not in err
+
+
+def test_outer_maxiter_below_amplitudes_plus_two_is_config_error(tmp_path, capsys):
+    # four amplitudes need at least six outer evaluations
+    cfg = _write(tmp_path / "c.json", dict(TINY_SYNDROME, outer_maxiter=3))
+    out = tmp_path / "synd.csv"
+    assert cli.main(["syndrome-sweep", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "outer_maxiter 3" in err and "6" in err
+    assert not out.exists()
 
 
 def test_verify_catches_tampering(tmp_path):

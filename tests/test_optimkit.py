@@ -271,3 +271,14 @@ def test_concatenated_deterministic():
                                        outer_maxiter=8, max_sweeps=2)
     assert np.array_equal(a[0], b[0])
     assert a[1].best_cost == b[1].best_cost
+
+
+def test_concatenated_rejects_outer_budget_below_amplitudes_plus_two():
+    cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=10, seed=11)
+
+    def factory(w):
+        return [CNOT]
+
+    with pytest.raises(ValueError, match=r"outer_maxiter 4 is below 5"):
+        optimkit.concatenated_optimize(CNOT, factory, [30.0, 40.0, 50.0], cfg=cfg,
+                                       outer_maxiter=4, max_sweeps=1)
