@@ -178,7 +178,7 @@ def make_emulated_cost(sources, target, shots=None, rng=None):
     from .dfe import dfe_estimate, dfe_plan
 
     r_target = ptm(target)
-    plan = dfe_plan(r_target, mode="full")
+    plan = dfe_plan(r_target)
 
     def cost(theta):
         u = build_circuit(theta, sources)

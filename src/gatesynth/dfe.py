@@ -2,6 +2,21 @@
 gate's Pauli transfer matrix, an exact full-support estimator that
 reproduces the closed-form average gate fidelity, and a sampled
 estimator with optional single-shot noise for variance studies.
+
+A plan entry pairs an input Pauli sigma_j with an output Pauli sigma_i
+where the target's transfer matrix R_ij does not vanish. Every estimate
+starts from one exact expectation table of the channel U,
+
+    E[e, k] = <psi_jk| U^dag sigma_i U |psi_jk>,
+
+over the plan entries e = (i, j) and the D product eigenstates psi_jk of
+sigma_j. The table is built in blocks of entries as U @ S_j, with S_j the
+tensor product of per-letter eigenvector matrices, followed by one
+Pauli product and one column-wise inner product. The full-support mode
+sums its eigenvalue-weighted rows; the sampled mode draws the settings'
+entries, eigenstates and binomial shot counts as arrays and reads the
+Born probabilities (1 + E) / 2 from the table. `simulate_expectation`
+and `ptm_entry_measured` remain as per-entry references.
 """
 
 import itertools
@@ -11,9 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import PAULI_LETTERS, pauli_label, pauli_matrix
+from .ansatz import _kron_qubits
+from .channels import PAULI_LETTERS, PAULIS, pauli_label, pauli_matrix
 
 PLAN_SUPPORT_ATOL = 1e-12
+# entries per block of the expectation table: the block's eigenstate and
+# Pauli stacks take 128 * D^2 complex values each (2 MB at five qubits)
+_TABLE_BLOCK = 128
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -28,6 +47,13 @@ _LETTER_EIGENSYSTEM = {
     "Y": [(_SQ2 * (_KET0 + 1j * _KET1), 1.0), (_SQ2 * (_KET0 - 1j * _KET1), -1.0)],
     "Z": [(_KET0, 1.0), (_KET1, -1.0)],
 }
+# the same systems indexed by letter code (I, X, Y, Z = 0..3): eigenvector
+# matrices with the states as columns, their eigenvalues, and the Paulis
+_EIGENVECTORS = np.stack([
+    np.column_stack([state for state, _ in _LETTER_EIGENSYSTEM[c]]) for c in PAULI_LETTERS
+])
+_EIGENVALUES = np.array([[lam for _, lam in _LETTER_EIGENSYSTEM[c]] for c in PAULI_LETTERS])
+_PAULI_STACK = np.stack([PAULIS[c] for c in PAULI_LETTERS])
 
 
 @lru_cache(maxsize=4096)
@@ -90,18 +116,33 @@ def ptm_entry_measured(u, i_label, j_label, shots=None, rng=None):
     return total / dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfePlan:
-    """Measurement plan over PTM entries of a target gate.
+    """Measurement plan over the PTM entries of a target gate.
 
-    entries: tuples (i_label, j_label, target_value, weight) with weight
-    the importance probability target_value**2 / D**2. full-support mode
-    evaluates every entry; sampled mode draws entries by weight.
+    entries: tuples (i_label, j_label, target_value, weight), output Pauli
+    first, with weight the importance probability target_value**2 / D**2.
+    The arrays hold the same entries, row e for entries[e]:
+    out_codes and in_codes, shape (m, n), are the letters of i_label and
+    j_label as codes I, X, Y, Z = 0..3; targets, shape (m,), the target
+    values; probs, shape (m,), the weights normalised to sum to one, by
+    which the sampled mode draws entries; eigenvalues, shape (m, D), the
+    +-1 eigenvalue of each product eigenstate of the input Pauli, in the
+    order of pauli_eigenbasis(j_label). A plan whose targets include a
+    value at or below PLAN_SUPPORT_ATOL in magnitude is rejected.
     """
 
     entries: tuple
-    mode: str
     dim: int
+    out_codes: np.ndarray
+    in_codes: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
+    eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        if np.any(np.abs(self.targets) <= PLAN_SUPPORT_ATOL):
+            raise ValueError("plan contains an entry with vanishing target value")
 
 
 @dataclass(frozen=True)
@@ -126,11 +167,14 @@ class DfeSamplingConfig:
         return math.ceil(1.0 / (self.eps_fail**2 * self.delta_acc))
 
 
-def dfe_plan(r_target, mode="full"):
+def _letter_codes(indices, n):
+    """Base-4 digits of Pauli indices, first qubit first: shape (m, n)."""
+    return (indices[:, None] // 4 ** np.arange(n - 1, -1, -1)) % 4
+
+
+def dfe_plan(r_target):
     """Build the measurement plan for a target PTM: all entries with
     |R_ij| above support tolerance, weighted by R_ij^2 / D^2."""
-    if mode not in ("full", "sampled"):
-        raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
     r_target = np.asarray(r_target)
     dim = int(round(np.sqrt(r_target.shape[0])))
     n = int(round(np.log2(dim)))
@@ -144,46 +188,74 @@ def dfe_plan(r_target, mode="full"):
          float(r_target[i, j] ** 2 / dim**2))
         for i, j in zip(rows, cols)
     )
-    return DfePlan(entries=entries, mode=mode, dim=dim)
+    targets = np.array([e[2] for e in entries])
+    weights = np.array([e[3] for e in entries])
+    in_codes = _letter_codes(cols, n)
+    eigenvalues = np.ones((rows.size, 1))
+    for q in range(n):
+        eigenvalues = eigenvalues[:, :, None] * _EIGENVALUES[in_codes[:, q], None, :]
+        eigenvalues = eigenvalues.reshape(rows.size, -1)
+    return DfePlan(
+        entries=entries, dim=dim, out_codes=_letter_codes(rows, n), in_codes=in_codes,
+        targets=targets, probs=weights / weights.sum(), eigenvalues=eigenvalues,
+    )
+
+
+def _expectation_table(u, plan):
+    """Exact expectations E[e, k] of entry e's output Pauli on u applied to
+    the k-th eigenstate of its input Pauli, shape (m, D)."""
+    u = np.asarray(u, dtype=complex)
+    table = np.empty(plan.eigenvalues.shape)
+    for start in range(0, len(plan.targets), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        phi = u @ _kron_qubits(_EIGENVECTORS[plan.in_codes[block]])
+        sigma_phi = _kron_qubits(_PAULI_STACK[plan.out_codes[block]]) @ phi
+        table[block] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
+    return table
+
+
+def _shot_average(expectations, shots, rng):
+    """Mean of `shots` +-1 outcomes drawn at the Born probabilities
+    (1 + E) / 2 of the exact expectations E, elementwise."""
+    ups = rng.binomial(shots, np.clip(0.5 * (1.0 + expectations), 0.0, 1.0))
+    return (2.0 * ups - shots) / shots
 
 
 def dfe_estimate(u_actual, r_target, plan, cfg=None, shots=None, rng=None):
     """Average gate fidelity estimate of the channel u_actual against the
-    target whose PTM is r_target.
+    target whose PTM is r_target (the plan carries its entries).
 
-    Full-support mode evaluates every plan entry (exactly when shots is
-    None) and returns (D * sum_ij w_ij * R^actual_ij / R^target_ij + 1)
+    Full-support mode (cfg None) evaluates every plan entry, exactly when
+    shots is None, else each eigenstate expectation from `shots` single
+    shots, and returns (D * sum_ij w_ij * R^actual_ij / R^target_ij + 1)
     / (D + 1), which equals the closed-form fidelity in exact mode.
     With cfg given, draws cfg.num_settings() entries by weight; each
     setting prepares one uniformly chosen eigenstate of the input Pauli
-    and measures the output Pauli with cfg.shots_per_setting shots.
+    and measures the output Pauli with cfg.shots_per_setting shots, so
+    `shots` must then be None.
     """
     dim = plan.dim
-    for _, _, target_value, _ in plan.entries:
-        if abs(target_value) <= PLAN_SUPPORT_ATOL:
-            raise ValueError("plan contains an entry with vanishing target value")
-    if cfg is None:
-        acc = 0.0
-        for i_label, j_label, target_value, weight in plan.entries:
-            measured = ptm_entry_measured(u_actual, i_label, j_label, shots=shots, rng=rng)
-            acc += weight * measured / target_value
-        return (dim * acc + 1.0) / (dim + 1.0)
-
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    weights = np.array([e[3] for e in plan.entries])
-    weights = weights / weights.sum()
-    draws = rng.choice(len(plan.entries), size=cfg.num_settings(), p=weights)
-    acc = 0.0
-    for idx in draws:
-        i_label, j_label, target_value, _ = plan.entries[idx]
-        eigensystem = pauli_eigenbasis(j_label)
-        state, lam = eigensystem[rng.integers(len(eigensystem))]
-        rho = np.outer(state, state.conj())
-        obs = pauli_matrix(i_label)
-        outcome = simulate_expectation(
-            u_actual, rho, obs, shots=cfg.shots_per_setting, rng=rng
+    if cfg is not None and shots is not None:
+        raise ValueError(
+            f"sampled mode takes its shots from cfg.shots_per_setting "
+            f"({cfg.shots_per_setting}); got shots={shots} as well"
         )
-        acc += lam * outcome / target_value
-    mean_ratio = acc / len(draws)
-    return (dim * mean_ratio + 1.0) / (dim + 1.0)
+    if shots is not None and int(shots) < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if (cfg is not None or shots is not None) and rng is None:
+        raise ValueError("sampled mode needs an rng" if cfg else "shot mode needs an rng")
+    table = _expectation_table(u_actual, plan)
+
+    if cfg is None:
+        if shots is not None:
+            table = _shot_average(table, int(shots), rng)
+        measured = (plan.eigenvalues * table).sum(axis=1) / dim
+        ratio = np.sum(plan.targets * measured) / dim**2
+        return float((dim * ratio + 1.0) / (dim + 1.0))
+
+    settings = cfg.num_settings()
+    draws = rng.choice(len(plan.targets), size=settings, p=plan.probs)
+    ks = rng.integers(dim, size=settings)
+    outcomes = _shot_average(table[draws, ks], cfg.shots_per_setting, rng)
+    mean_ratio = np.mean(plan.eigenvalues[draws, ks] * outcomes / plan.targets[draws])
+    return float((dim * mean_ratio + 1.0) / (dim + 1.0))

@@ -1,10 +1,14 @@
 """Direct fidelity estimation: eigenbases, measured PTM entries, sampling
 plans, and the fidelity estimator in exact and sampled modes."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatesynth import dfe
+from gatesynth import ansatz, dfe
 from gatesynth.channels import (
     CNOT,
     HADAMARD,
@@ -13,6 +17,7 @@ from gatesynth.channels import (
     pauli_matrix,
     ptm,
 )
+from gatesynth.devices import four_cr_gate, load_device, syndrome_target
 from gatesynth.numkit import derive_rng, haar_unitary, kron
 
 
@@ -192,3 +197,121 @@ def test_identity_letter_sampling_uses_z_basis():
     cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
     est = dfe.dfe_estimate(u, r, plan, cfg=cfg, rng=derive_rng(47))
     assert np.isfinite(est)
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_expectation_table_matches_per_setting_reference(n, seed):
+    rng = derive_rng(seed)
+    target = haar_unitary(2**n, rng)
+    channel = haar_unitary(2**n, rng)
+    plan = dfe.dfe_plan(ptm(target))
+    table = dfe._expectation_table(channel, plan)
+    assert table.shape == plan.eigenvalues.shape == (len(plan.entries), 2**n)
+    for e, (i_label, j_label, target_value, weight) in enumerate(plan.entries):
+        assert plan.targets[e] == target_value
+        assert abs(plan.probs[e] - weight) < 1e-12
+        obs = pauli_matrix(i_label)
+        for k, (state, lam) in enumerate(dfe.pauli_eigenbasis(j_label)):
+            rho = np.outer(state, state.conj())
+            ref = dfe.simulate_expectation(channel, rho, obs)
+            assert abs(table[e, k] - ref) < 1e-12
+            assert plan.eigenvalues[e, k] == lam
+
+
+def test_exact_estimate_on_syndrome_circuit():
+    dev, raw = load_device(
+        resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    )
+    omegas = raw["reference_omega_mhz"]["crosstalk"]
+    sources = [four_cr_gate(dev, omegas, 75.0)] * 2
+    target = syndrome_target()
+    u = ansatz.build_circuit(ansatz.random_params(5, 2, derive_rng(48)), sources)
+    r = ptm(target)
+    est = dfe.dfe_estimate(u, r, dfe.dfe_plan(r))
+    assert type(est) is float
+    assert abs(est - agf_unitary(target, u)) < 1e-12
+
+
+def test_full_support_shots_follow_per_entry_reference():
+    # the full-support shot path draws each (entry, eigenstate) count in
+    # plan order, as per-entry measurement with the same rng does
+    rng = derive_rng(49)
+    u = haar_unitary(4, rng)
+    v = haar_unitary(4, rng)
+    r = ptm(u)
+    plan = dfe.dfe_plan(r)
+    est = dfe.dfe_estimate(v, r, plan, shots=16, rng=derive_rng(49, 1))
+    assert type(est) is float
+    assert est == dfe.dfe_estimate(v, r, plan, shots=16, rng=derive_rng(49, 1))
+    ref_rng = derive_rng(49, 1)
+    acc = sum(
+        w * dfe.ptm_entry_measured(v, li, lj, shots=16, rng=ref_rng) / t
+        for li, lj, t, w in plan.entries
+    )
+    assert abs(est - (4 * acc + 1) / 5) < 1e-12
+
+
+def test_full_support_shots_unbiased():
+    rng = derive_rng(50)
+    u = haar_unitary(4, rng)
+    v = haar_unitary(4, rng)
+    r = ptm(u)
+    plan = dfe.dfe_plan(r)
+    ests = np.array([
+        dfe.dfe_estimate(v, r, plan, shots=4, rng=derive_rng(50, trial))
+        for trial in range(200)
+    ])
+    se = ests.std(ddof=1) / np.sqrt(len(ests))
+    assert abs(ests.mean() - agf_unitary(u, v)) < 3 * se + 1e-12
+    with pytest.raises(ValueError):
+        dfe.dfe_estimate(v, r, plan, shots=4)  # rng required
+    with pytest.raises(ValueError):
+        dfe.dfe_estimate(v, r, plan, shots=0, rng=derive_rng(50))
+
+
+def test_sampled_estimate_follows_drawn_settings():
+    # one draw of entries, one of eigenstates, one of shot counts, read
+    # against the per-setting expectations of the drawn preparations
+    rng = derive_rng(51)
+    u = haar_unitary(8, rng)
+    v = haar_unitary(8, rng)
+    r = ptm(u)
+    plan = dfe.dfe_plan(r)
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2, shots_per_setting=3)
+    est = dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(51, 1))
+    assert type(est) is float
+    ref_rng = derive_rng(51, 1)
+    draws = ref_rng.choice(len(plan.entries), size=cfg.num_settings(), p=plan.probs)
+    ks = ref_rng.integers(8, size=cfg.num_settings())
+    acc = 0.0
+    for idx, k in zip(draws, ks):
+        i_label, j_label, target_value, _ = plan.entries[idx]
+        state, lam = dfe.pauli_eigenbasis(j_label)[k]
+        exact = dfe.simulate_expectation(v, np.outer(state, state.conj()),
+                                         pauli_matrix(i_label))
+        ups = ref_rng.binomial(3, min(1.0, max(0.0, 0.5 * (1.0 + exact))))
+        acc += lam * (2.0 * ups - 3) / 3 / target_value
+    assert abs(est - (8 * acc / len(draws) + 1) / 9) < 1e-12
+
+
+def test_sampled_estimate_rejects_shots_argument():
+    r = ptm(CNOT)
+    plan = dfe.dfe_plan(r)
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
+    with pytest.raises(ValueError, match="shots_per_setting.*shots=5"):
+        dfe.dfe_estimate(CNOT, r, plan, cfg=cfg, shots=5, rng=derive_rng(52))
+
+
+def test_plan_arrays_and_vanishing_target_rejected():
+    plan = dfe.dfe_plan(ptm(CNOT))
+    assert plan.out_codes.shape == plan.in_codes.shape == (16, 2)
+    for e, (li, lj, _, _) in enumerate(plan.entries):
+        assert "".join("IXYZ"[c] for c in plan.out_codes[e]) == li
+        assert "".join("IXYZ"[c] for c in plan.in_codes[e]) == lj
+    assert abs(plan.probs.sum() - 1.0) < 1e-15
+    targets = plan.targets.copy()
+    targets[3] = 0.0
+    with pytest.raises(ValueError, match="vanishing"):
+        dfe.DfePlan(plan.entries, plan.dim, plan.out_codes, plan.in_codes, targets,
+                    plan.probs, plan.eigenvalues)
