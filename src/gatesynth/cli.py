@@ -132,18 +132,10 @@ def load_config(path, defaults):
 
 
 def optimizer_from_dict(d, seed):
-    base = {
-        "max_iterations": 5000,
-        "gradient_tolerance": 1e-9,
-        "cost_tolerance": 1e-12,
-        "restarts": 8,
-        "memory_depth": 10,
-        "stop_below": None,
-    }
-    base.update(d or {})
-    base["seed"] = seed
+    """OptimizerConfig from a config's `optimizer` entries over the
+    dataclass defaults, with the given seed."""
     try:
-        return OptimizerConfig(**base)
+        return OptimizerConfig(**{**(d or {}), "seed": seed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer config: {exc}") from exc
 

@@ -78,6 +78,16 @@ class FourQubitDevice:
         )
 
 
+# Two-qubit operators of the CR Hamiltonian, built once: the driven
+# qubit's number operator, the exchange (hopping) term, the direct drive,
+# and the target qubit's lowering and raising operators.
+_CR_N1 = kron(SIGMA_PLUS @ SIGMA_MINUS, I2)
+_CR_HOP = kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS)
+_CR_DRIVE1 = kron(SIGMA_PLUS + SIGMA_MINUS, I2)
+_CR_SM2 = kron(I2, SIGMA_MINUS)
+_CR_SP2 = kron(I2, SIGMA_PLUS)
+
+
 def cr_hamiltonian(pair, omega):
     """CR drive Hamiltonian (rad/ns) on (driven qubit, target qubit):
 
@@ -85,13 +95,11 @@ def cr_hamiltonian(pair, omega):
                       + (omega/2)*((sp_1 + sm_1)
                                    + eps*(e^{-i phi} sm_2 + e^{i phi} sp_2)) ]
     """
-    n1 = SIGMA_PLUS @ SIGMA_MINUS
-    drive1 = SIGMA_PLUS + SIGMA_MINUS
-    drive2 = np.exp(-1j * pair.phi) * SIGMA_MINUS + np.exp(1j * pair.phi) * SIGMA_PLUS
+    drive2 = np.exp(-1j * pair.phi) * _CR_SM2 + np.exp(1j * pair.phi) * _CR_SP2
     h = (
-        pair.delta * kron(n1, I2)
-        + pair.g * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
-        + 0.5 * omega * (kron(drive1, I2) + pair.eps * kron(I2, drive2))
+        pair.delta * _CR_N1
+        + pair.g * _CR_HOP
+        + 0.5 * omega * (_CR_DRIVE1 + pair.eps * drive2)
     )
     return MHZ_TO_RAD_PER_NS * h
 

@@ -221,9 +221,25 @@ def _shot_average(expectations, shots, rng):
     return (2.0 * ups - shots) / shots
 
 
+def _check_target(r_target, plan):
+    """Reject a target PTM that is not the one the plan was built from:
+    its shape, or its values at the plan's (row, col) indices."""
+    r_target = np.asarray(r_target)
+    side = plan.dim**2
+    if r_target.shape != (side, side):
+        raise ValueError(
+            f"r_target has shape {r_target.shape}, the plan needs ({side}, {side})"
+        )
+    weights = 4 ** np.arange(plan.out_codes.shape[1] - 1, -1, -1)
+    values = r_target[plan.out_codes @ weights, plan.in_codes @ weights]
+    if not np.all(np.abs(values - plan.targets) <= PLAN_SUPPORT_ATOL):
+        raise ValueError("r_target differs from the target the plan was built from")
+
+
 def dfe_estimate(u_actual, r_target, plan, cfg=None, shots=None, rng=None):
     """Average gate fidelity estimate of the channel u_actual against the
-    target whose PTM is r_target (the plan carries its entries).
+    target whose PTM is r_target (the plan carries its entries; r_target
+    must match them, else ValueError).
 
     Full-support mode (cfg None) evaluates every plan entry, exactly when
     shots is None, else each eigenstate expectation from `shots` single
@@ -244,6 +260,7 @@ def dfe_estimate(u_actual, r_target, plan, cfg=None, shots=None, rng=None):
         raise ValueError(f"shots must be >= 1, got {shots}")
     if (cfg is not None or shots is not None) and rng is None:
         raise ValueError("sampled mode needs an rng" if cfg else "shot mode needs an rng")
+    _check_target(r_target, plan)
     table = _expectation_table(u_actual, plan)
 
     if cfg is None:

@@ -165,10 +165,19 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
     return x, fx, diagnostics
 
 
-def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None):
+class _TargetReached(Exception):
+    """Raised by minimize_derivative_free's objective wrapper to end the
+    COBYLA run once a value falls under stop_below."""
+
+
+def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None, stop_below=None):
     """Bounded derivative-free minimization (COBYLA); returns the best
     point seen across all evaluations, so the reported value is a
     monotone best-so-far. bounds is a list of (lower, upper) pairs.
+
+    If stop_below is set, the search ends at the first evaluation whose
+    value is under it and returns that point with converged=True; with
+    stop_below None, COBYLA runs to its own termination.
     """
     cfg = cfg or OptimizerConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -187,19 +196,25 @@ def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None):
         if val < best["f"]:
             best["f"] = val
             best["x"] = xc.copy()
+        if stop_below is not None and val < stop_below:
+            raise _TargetReached
         return val
 
     span = float(np.min(hi - lo))
     if rhobeg is None:
         rhobeg = min(10.0, 0.25 * span)
-    res = scipy.optimize.minimize(
-        wrapped,
-        np.clip(x0, lo, hi),
-        method="COBYLA",
-        bounds=list(zip(lo, hi)),
-        options={"maxiter": cfg.max_iterations, "rhobeg": rhobeg, "tol": 1e-8},
-    )
-    diagnostics = {"iterations": best["nfev"], "converged": bool(res.success)}
+    try:
+        res = scipy.optimize.minimize(
+            wrapped,
+            np.clip(x0, lo, hi),
+            method="COBYLA",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": cfg.max_iterations, "rhobeg": rhobeg, "tol": 1e-8},
+        )
+        converged = bool(res.success)
+    except _TargetReached:
+        converged = True
+    diagnostics = {"iterations": best["nfev"], "converged": converged}
     return best["x"], best["f"], diagnostics
 
 
@@ -298,11 +313,16 @@ def concatenated_optimize(
     the drive-amplitude vector whose cost is the inner vqgo best
     infidelity at that amplitude. Outer sweeps restart from the incumbent
     until the sweep-to-sweep improvement falls below cfg.cost_tolerance
-    or max_sweeps is hit. Inner runs reuse the same cfg.seed, so the
-    outer landscape is deterministic and results are cached per amplitude.
+    or max_sweeps is hit. If cfg.stop_below is set, the search ends at the
+    first amplitude whose inner cost is under it: that sweep stops there
+    and no further sweep runs (the same meaning stop_below has for vqgo's
+    restarts). Inner runs reuse the same cfg.seed, so the outer landscape
+    is deterministic and results are cached per amplitude.
 
     Returns (omega*, inner OptimizationResult at omega*, diagnostics) with
-    diagnostics = {outer_evaluations, sweeps, outer_history, t_ns}.
+    diagnostics = {outer_evaluations, sweeps, outer_history, t_ns,
+    inner_runs, cache_hits}: inner_runs counts vqgo calls, cache_hits the
+    outer evaluations answered from the per-amplitude cache.
     """
     cfg = cfg or OptimizerConfig()
     bounds = bounds or AmplitudeBounds()
@@ -310,10 +330,14 @@ def concatenated_optimize(
     k = omega0.size
     check_outer_maxiter(outer_maxiter, k)
     cache = {}
+    hits = 0
 
     def outer_cost(w):
+        nonlocal hits
         key = tuple(np.round(w, 10))
-        if key not in cache:
+        if key in cache:
+            hits += 1
+        else:
             sources = source_factory(np.asarray(w, dtype=float))
             cache[key] = vqgo(target, sources, cfg=cfg)
         return cache[key].best_cost
@@ -333,21 +357,24 @@ def concatenated_optimize(
     sweeps = 0
     box = bounds.pairs(k)
     for sweeps in range(1, max_sweeps + 1):
-        xs, fs, diag = minimize_derivative_free(outer_cost, x, box, outer_cfg, rhobeg=rhobeg)
+        xs, fs, diag = minimize_derivative_free(
+            outer_cost, x, box, outer_cfg, rhobeg=rhobeg, stop_below=cfg.stop_below
+        )
         evals += diag["iterations"]
         history.append(fs)
         x = xs
+        if cfg.stop_below is not None and fs < cfg.stop_below:
+            break
         if prev is not None and abs(prev - fs) < cfg.cost_tolerance:
             break
         prev = fs
-    key = tuple(np.round(x, 10))
-    if key not in cache:
-        outer_cost(x)
-    result = cache[key]
+    result = cache[tuple(np.round(x, 10))]
     diagnostics = {
         "outer_evaluations": evals,
         "sweeps": sweeps,
         "outer_history": history,
         "t_ns": t,
+        "inner_runs": len(cache),
+        "cache_hits": hits,
     }
     return x, result, diagnostics

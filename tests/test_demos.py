@@ -1,4 +1,4 @@
-"""Smoke tests: the fidelity-estimation demos run to completion."""
+"""Smoke tests: every demo runs to completion and prints its header."""
 
 import os
 import subprocess
@@ -13,6 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo, header", [
     ("fidelity_and_ptm.py", "fidelity of CNOT against itself and against doing nothing:"),
     ("sampled_fidelity_estimation.py", "exact AGF of the noisy channel:"),
+    ("cnot_from_cross_resonance.py", "  eps tpcx omega   tpcx AGI vqgo omega   vqgo AGI"),
+    ("syndrome_extraction.py", "device: deltas [211.0, 223.0, 236.0, 248.0] MHz"),
+    ("entangling_power_map.py", "canonical coordinates of named gates (units of pi):"),
+    ("gradient_descent_synthesis.py", "environment gradient (18 parameters)"),
 ])
 def test_demo_runs(demo, header):
     env = dict(os.environ)

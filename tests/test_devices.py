@@ -40,6 +40,27 @@ def test_cr_hamiltonian_hermitian():
         assert is_hermitian(devices.cr_hamiltonian(pair, rng.uniform(-150, 150)))
 
 
+def test_cr_hamiltonian_matches_kron_formula():
+    # the docstring formula with every operator built by kron on each call
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    i2 = np.eye(2, dtype=complex)
+    rng = derive_rng(31)
+    for k in range(200):
+        delta, g, eps, phi, omega = (
+            rng.uniform(-300, 300), rng.uniform(-10, 10), rng.uniform(0, 2),
+            rng.uniform(-2 * np.pi, 2 * np.pi), rng.uniform(-200, 200),
+        )
+        drive2 = np.exp(-1j * phi) * sm + np.exp(1j * phi) * sp
+        h = RADS * (
+            delta * kron(sp @ sm, i2)
+            + g * (kron(sp, sm) + kron(sm, sp))
+            + 0.5 * omega * (kron(sp + sm, i2) + eps * kron(i2, drive2))
+        )
+        pair = devices.CrossResonancePair(delta, g, eps, phi)
+        assert np.array_equal(devices.cr_hamiltonian(pair, omega), h)
+
+
 def test_cr_gate_time_zero_and_detuning_phase():
     pair = devices.CrossResonancePair(200.0, 0.0)
     assert np.allclose(devices.cr_gate(pair, devices.DriveSpec(40.0, 0.0)), np.eye(4))

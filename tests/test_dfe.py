@@ -163,6 +163,32 @@ def test_dfe_estimate_exact_matches_agf():
         assert abs(est - agf_unitary(u, v)) < 1e-10
 
 
+def test_dfe_estimate_checks_r_target_against_plan():
+    r_cnot = ptm(CNOT)
+    plan = dfe.dfe_plan(r_cnot)
+    # the matched target, also as a copy of the PTM, is accepted
+    assert abs(dfe.dfe_estimate(CNOT, r_cnot.copy(), plan) - 1.0) < 1e-12
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
+    assert np.isfinite(dfe.dfe_estimate(CNOT, r_cnot, plan, cfg=cfg, rng=derive_rng(53)))
+    u = haar_unitary(8, derive_rng(53))  # a PTM that is not symmetric
+    assert abs(dfe.dfe_estimate(u, ptm(u), dfe.dfe_plan(ptm(u))) - 1.0) < 1e-12
+    # another target's PTM of the same size differs at the plan's entries
+    r_other = ptm(kron(HADAMARD, np.eye(2)))
+    with pytest.raises(ValueError, match="differs from the target"):
+        dfe.dfe_estimate(CNOT, r_other, plan)
+    with pytest.raises(ValueError, match="differs from the target"):
+        dfe.dfe_estimate(CNOT, r_other, plan, cfg=cfg, rng=derive_rng(53))
+    # one changed value on the plan's support is caught
+    r_moved = r_cnot.copy()
+    i, j = np.argwhere(np.abs(r_cnot) > 0.5)[-1]
+    r_moved[i, j] = -r_moved[i, j]
+    with pytest.raises(ValueError, match="differs from the target"):
+        dfe.dfe_estimate(CNOT, r_moved, plan)
+    # a PTM of another qubit count
+    with pytest.raises(ValueError, match="shape"):
+        dfe.dfe_estimate(HADAMARD, ptm(HADAMARD), plan)
+
+
 def test_dfe_estimate_sampled_unbiased():
     rng = derive_rng(46)
     u = haar_unitary(4, rng)

@@ -282,3 +282,79 @@ def test_concatenated_rejects_outer_budget_below_amplitudes_plus_two():
     with pytest.raises(ValueError, match=r"outer_maxiter 4 is below 5"):
         optimkit.concatenated_optimize(CNOT, factory, [30.0, 40.0, 50.0], cfg=cfg,
                                        outer_maxiter=4, max_sweeps=1)
+
+
+def test_derivative_free_stops_below_target():
+    seen = []
+
+    def f(x):
+        seen.append(float(x[0]))
+        return (x[0] - 3.0) ** 2
+
+    x, fx, diag = optimkit.minimize_derivative_free(
+        f, [0.0], [(-10.0, 10.0)], stop_below=4.0
+    )
+    assert fx < 4.0 and fx == (x[0] - 3.0) ** 2
+    assert seen[-1] == x[0]  # no evaluation after the first one under the bound
+    assert all((v - 3.0) ** 2 >= 4.0 for v in seen[:-1])
+    assert diag["converged"] and diag["iterations"] == len(seen)
+    full = optimkit.minimize_derivative_free(f, [0.0], [(-10.0, 10.0)])
+    assert full[2]["iterations"] > diag["iterations"]
+
+
+def test_concatenated_stops_at_first_amplitude_under_stop_below():
+    cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=300, seed=8,
+                                   stop_below=1e-8)
+
+    def factory(w):
+        return [CNOT]
+
+    omega, res, diag = optimkit.concatenated_optimize(
+        CNOT, factory, [50.0], cfg=cfg, outer_maxiter=10, max_sweeps=6
+    )
+    assert res.best_cost < 1e-8
+    assert omega[0] == 50.0
+    assert diag["inner_runs"] == 1
+    assert diag["sweeps"] == 1
+    assert diag["outer_evaluations"] == 1
+    assert diag["cache_hits"] == 0
+
+
+def _xx_interior_case(stop_below):
+    xx = kron(SIGMA_X, SIGMA_X)
+    target = expm_hermitian(xx, np.pi / 4)
+    cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=100,
+                                   gradient_tolerance=1e-8, seed=9,
+                                   stop_below=stop_below)
+
+    def factory(w):
+        return [expm_hermitian(xx, float(w[0]) / 100.0 * np.pi / 4)]
+
+    return optimkit.concatenated_optimize(
+        target, factory, [50.0], cfg=cfg, outer_maxiter=12, max_sweeps=3
+    )
+
+
+def test_concatenated_without_stop_below_is_unchanged():
+    # values of the search before stop_below reached the outer loop; with
+    # stop_below None every sweep must run exactly as it did then
+    omega, res, diag = _xx_interior_case(None)
+    assert omega[0] == 99.97500000000001
+    assert res.best_cost == 3.084259569963166e-08
+    assert diag["sweeps"] == 3
+    assert diag["outer_evaluations"] == 36
+    assert diag["outer_history"] == [
+        1.2336942084467672e-05, 8.913453371173219e-06, 3.084259569963166e-08
+    ]
+    assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
+
+
+def test_concatenated_stop_below_ends_the_search():
+    full = _xx_interior_case(None)[2]
+    omega, res, diag = _xx_interior_case(1e-5)
+    assert res.best_cost < 1e-5
+    assert diag["outer_history"][-1] == res.best_cost
+    # the last evaluation is the first under the bound, and no sweep follows
+    assert all(v >= 1e-5 for v in diag["outer_history"][:-1])
+    assert diag["inner_runs"] < full["inner_runs"]
+    assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
