@@ -19,7 +19,7 @@ from gatesynth import (
     concatenated_optimize,
     cr_gate,
     derive_seed,
-    minimize_derivative_free,
+    minimize_on_interval,
     tpcx,
 )
 
@@ -32,11 +32,9 @@ def main():
     for case_idx, eps in enumerate([0.0, 0.1, 1.0]):
         pair = CrossResonancePair(200.0, 5.0, eps, np.pi / 4)
 
-        w_t, _, _ = minimize_derivative_free(
-            lambda x, p=pair: agi(CNOT, tpcx(p, float(x[0]), T_GATE_NS)),
-            [50.0], [(0.0, 200.0)], OptimizerConfig(max_iterations=300, seed=7),
+        w_t, agi_tpcx, _ = minimize_on_interval(
+            lambda w, p=pair: agi(CNOT, tpcx(p, w, T_GATE_NS)), 0.0, 200.0
         )
-        agi_tpcx = agi(CNOT, tpcx(pair, float(w_t[0]), T_GATE_NS))
 
         factory = lambda w, p=pair: [cr_gate(p, DriveSpec(float(w[0]),
                                                           T_GATE_NS))] * 2
@@ -47,7 +45,7 @@ def main():
             CNOT, factory, [50.0], AmplitudeBounds(), T_GATE_NS, cfg,
             outer_maxiter=20, max_sweeps=2,
         )
-        print(f"{eps:>5.1f} {float(w_t[0]):>10.1f} {agi_tpcx:>10.4f} "
+        print(f"{eps:>5.1f} {w_t:>10.1f} {agi_tpcx:>10.4f} "
               f"{float(w_v[0]):>10.1f} {res.best_cost:>10.2e}")
 
     print()

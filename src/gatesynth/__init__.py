@@ -80,6 +80,7 @@ from .optimkit import (
     OptimizerConfig,
     concatenated_optimize,
     minimize_derivative_free,
+    minimize_on_interval,
     minimize_quasi_newton,
     vqgo,
 )

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +47,7 @@ from .optimkit import (
     OptimizerConfig,
     check_outer_maxiter,
     concatenated_optimize,
-    minimize_derivative_free,
+    minimize_on_interval,
     vqgo,
 )
 
@@ -147,6 +148,32 @@ def _outer_maxiter(cfg, amplitudes):
         raise ConfigError(str(exc)) from exc
 
 
+def _finite(x):
+    """x as a float if it is a finite JSON number (not a bool), else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        v = float(x)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _drive_settings(cfg, t_key):
+    """The amplitude bounds and gate time of a config: omega_bounds_mhz must
+    be two finite numbers with 0 <= lower < upper and cfg[t_key] a finite
+    number >= 0. A bad value is a config error naming the key and value."""
+    raw = cfg["omega_bounds_mhz"]
+    lo_hi = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 2 else [None]
+    if None in lo_hi or not 0 <= lo_hi[0] < lo_hi[1]:
+        raise ConfigError("omega_bounds_mhz must be two finite numbers with "
+                          f"0 <= lower < upper, got {_canonical_json(raw)}")
+    t = _finite(cfg[t_key])
+    if t is None or t < 0:
+        raise ConfigError(f"{t_key} must be a finite number >= 0, got {_canonical_json(cfg[t_key])}")
+    return AmplitudeBounds(*lo_hi), t
+
+
 def _t_grid(cfg):
     start, stop, step = cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_step_ns"]
     if step <= 0 or stop < start:
@@ -216,18 +243,19 @@ def _cnot_point(args):
 
 def cmd_cnot_sweep(cfg, workers):
     """Per crosstalk case: fix the drive amplitude by optimizing at
-    t_opt_ns (echoed-CR baseline via a 1-dim amplitude search, synthesis
-    via the concatenated amplitude+angle optimization), then sweep the
-    gate time with amplitudes held fixed, one row per (method, case, t).
+    t_opt_ns, then sweep the gate time with amplitudes held fixed, one row
+    per (method, case, t). The echoed-CR (tpcx) baseline amplitude comes
+    from a deterministic grid + bounded Brent search over omega_bounds_mhz
+    (minimize_on_interval), so it does not depend on omega0_mhz; omega0_mhz
+    seeds only the concatenated amplitude+angle search of the synthesis.
     A `pair` given as a file path is read into cfg."""
+    bounds, t_opt = _drive_settings(cfg, "t_opt_ns")
     base = _inline_file(cfg, "pair")
     if not isinstance(base, dict) or not {"delta_mhz", "g_mhz"} <= base.keys():
         raise ConfigError("pair must be an object with delta_mhz and g_mhz")
     outer_maxiter = _outer_maxiter(cfg, 1)
     grid = _t_grid(cfg)
-    t_opt = float(cfg["t_opt_ns"])
     depth = int(cfg["depth"])
-    bounds = AmplitudeBounds(*cfg["omega_bounds_mhz"])
     seed = int(cfg["seed"])
     meta = []
     rows = []
@@ -241,13 +269,9 @@ def cmd_cnot_sweep(cfg, workers):
         }
         pair = CrossResonancePair(**pair_d)
 
-        w_t, _, _ = minimize_derivative_free(
-            lambda w: agi(CNOT, tpcx(pair, w[0], t_opt)),
-            [cfg["omega0_mhz"]],
-            bounds.pairs(1),
-            OptimizerConfig(max_iterations=200, seed=seed),
+        omega_tpcx, _, _ = minimize_on_interval(
+            lambda w: agi(CNOT, tpcx(pair, w, t_opt)), bounds.lower, bounds.upper
         )
-        omega_tpcx = float(w_t[0])
 
         inner = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, 1, case_idx))
         factory = lambda w, p=pair: [cr_gate(p, DriveSpec(float(w[0]), t_opt))] * depth
@@ -335,13 +359,12 @@ def cmd_syndrome_sweep(cfg, workers):
     with amplitudes fixed. The eps column stores the crosstalk scale
     applied to the device file's per-qubit eps values (0 = off). A
     `device` given as a file path is read into cfg."""
+    bounds, t_opt = _drive_settings(cfg, "t_opt_ns")
     dev_base = _device_from_config(cfg)
     outer_maxiter = _outer_maxiter(cfg, np.size(cfg["omega0_mhz"]))
     grid = _t_grid(cfg)
-    t_opt = float(cfg["t_opt_ns"])
     depth = int(cfg["depth"])
     opposite = bool(cfg["opposite_sign_layers"])
-    bounds = AmplitudeBounds(*cfg["omega_bounds_mhz"])
     seed = int(cfg["seed"])
     target = syndrome_target()
     meta = [("source_time_total_ns", _fmt(depth * t_opt))]
@@ -467,6 +490,7 @@ def gate_from_spec(spec):
 
 def cmd_single_optimize(cfg, workers):
     """One synthesis run (plain or concatenated); returns the report dict."""
+    bounds, t = _drive_settings(cfg, "t_ns")
     seed = int(cfg["seed"])
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     try:
@@ -486,12 +510,11 @@ def cmd_single_optimize(cfg, workers):
             raise ConfigError("concatenated mode needs a 'pair' entry")
         outer_maxiter = _outer_maxiter(cfg, 1)
         pair = pair_from_dict(cfg["pair"])
-        t = float(cfg["t_ns"])
         depth = int(cfg["depth"])
         factory = lambda w: [cr_gate(pair, DriveSpec(float(w[0]), t))] * depth
         w_v, res, diag = concatenated_optimize(
-            target, factory, [cfg["omega0_mhz"]], AmplitudeBounds(*cfg["omega_bounds_mhz"]),
-            t, opt, outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
+            target, factory, [cfg["omega0_mhz"]], bounds, t, opt,
+            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
         )
         extra = {"omega_mhz": [float(x) for x in w_v],
                  "outer_evaluations": diag["outer_evaluations"]}

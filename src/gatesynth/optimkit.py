@@ -7,6 +7,10 @@ which makes the method terminate on quadratic costs in at most
 `dimension` iterations when the memory covers the full history. A
 standard Armijo backtracking loop guards the non-quadratic case.
 
+minimize_derivative_free is a bounded COBYLA search from a start point;
+minimize_on_interval is a start-free 1-D search (a fixed grid, then
+bounded Brent around its best point).
+
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
 concatenated_optimize wraps it in an outer derivative-free search over
 source-drive amplitudes.
@@ -88,25 +92,40 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
     """Limited-memory BFGS descent; returns (x*, f*, diagnostics).
 
     Terminates when the max-abs gradient drops below gradient_tolerance,
-    an accepted step improves the cost by less than cost_tolerance, or the
-    iteration budget runs out. Raises ValueError on non-finite cost or
-    gradient values. diagnostics carries iterations, converged, and the
-    cost_history of accepted iterates (non-increasing).
+    an accepted step improves the cost by less than cost_tolerance, the
+    line search finds no step that lowers the cost, or the iteration
+    budget runs out. Raises ValueError on non-finite cost or gradient
+    values. diagnostics carries iterations, converged, reason (grad_tol,
+    cost_tol, line_search or budget), nfev and ngev (cost and gradient
+    evaluations) and the cost_history of accepted iterates
+    (non-increasing).
     """
     cfg = cfg or OptimizerConfig()
+    nfev = ngev = 0
+
+    def cost(z):
+        nonlocal nfev
+        nfev += 1
+        return float(f(z))
+
+    def gradient(z):
+        nonlocal ngev
+        ngev += 1
+        return np.asarray(grad(z), dtype=float)
+
     x = np.asarray(x0, dtype=float).copy()
-    fx = float(f(x))
-    gx = np.asarray(grad(x), dtype=float)
+    fx = cost(x)
+    gx = gradient(x)
     if not (np.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
     pairs = deque(maxlen=cfg.memory_depth)
     cost_history = [fx]
-    converged = False
+    reason = "budget"
     nit = 0
     for nit in range(1, cfg.max_iterations + 1):
         gnorm = np.abs(gx).max() if gx.size else 0.0
         if gnorm < cfg.gradient_tolerance:
-            converged = True
+            reason = "grad_tol"
             nit -= 1
             break
         # two-loop recursion for the L-BFGS direction
@@ -128,24 +147,25 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
             dphi = gx @ p
         # parabola through f(x), dphi, f(x+p); its minimizer is exact on
         # quadratic costs, giving finite termination there
-        f1 = float(f(x + p))
+        f1 = cost(x + p)
         t, ft = 1.0, f1
         b = f1 - fx - dphi
         if b > 1e-300:
             tstar = -dphi / (2.0 * b)
             if 1e-10 < tstar < 1e10 and tstar != 1.0:
-                fstar = float(f(x + tstar * p))
+                fstar = cost(x + tstar * p)
                 if fstar < ft:
                     t, ft = tstar, fstar
         n_bt = 0
         while not (np.isfinite(ft) and ft <= fx + 1e-4 * t * dphi) and n_bt < 60:
             t *= 0.5
-            ft = float(f(x + t * p))
+            ft = cost(x + t * p)
             n_bt += 1
         if not np.isfinite(ft) or ft > fx:
+            reason = "line_search"
             break
         xn = x + t * p
-        gn = np.asarray(grad(xn), dtype=float)
+        gn = gradient(xn)
         if not np.isfinite(gn).all():
             raise ValueError("non-finite gradient during descent")
         s = xn - x
@@ -157,11 +177,18 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
         x, fx, gx = xn, ft, gn
         cost_history.append(fx)
         if df < cfg.cost_tolerance:
-            converged = True
+            reason = "cost_tol"
             break
     else:
         nit = cfg.max_iterations
-    diagnostics = {"iterations": nit, "converged": converged, "cost_history": cost_history}
+    diagnostics = {
+        "iterations": nit,
+        "converged": reason in ("grad_tol", "cost_tol"),
+        "reason": reason,
+        "nfev": nfev,
+        "ngev": ngev,
+        "cost_history": cost_history,
+    }
     return x, fx, diagnostics
 
 
@@ -216,6 +243,46 @@ def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None, stop_below=No
         converged = True
     diagnostics = {"iterations": best["nfev"], "converged": converged}
     return best["x"], best["f"], diagnostics
+
+
+INTERVAL_GRID_POINTS = 41
+
+
+def minimize_on_interval(f, lower, upper):
+    """Deterministic bounded 1-D minimization; returns (x*, f*, diagnostics).
+
+    f (a function of one float) is evaluated on INTERVAL_GRID_POINTS
+    evenly spaced points over [lower, upper], including both ends; bounded
+    Brent (scipy's minimize_scalar) then refines the bracket between the
+    best grid point's neighbours. The result is the better of Brent's
+    point and that grid point, so it lies in the bounds, is never worse
+    than the best grid value, and does not depend on any start point.
+    diagnostics = {nfev, bracket}: the total number of evaluations and
+    the bracket Brent refined.
+    Raises ValueError on bad bounds or a non-finite value.
+    """
+    lower, upper = float(lower), float(upper)
+    if not (np.isfinite(lower) and np.isfinite(upper) and lower < upper):
+        raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
+    nfev = 0
+
+    def value(x):
+        nonlocal nfev
+        nfev += 1
+        v = float(f(float(x)))
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite value at {x}")
+        return v
+
+    grid = np.linspace(lower, upper, INTERVAL_GRID_POINTS)
+    values = [value(x) for x in grid]
+    k = int(np.argmin(values))
+    bracket = (float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)]))
+    res = scipy.optimize.minimize_scalar(value, bounds=bracket, method="bounded")
+    x, fx = float(grid[k]), values[k]
+    if res.fun < fx:
+        x, fx = float(res.x), float(res.fun)
+    return x, fx, {"nfev": nfev, "bracket": bracket}
 
 
 def _flat_cost_and_grad(target, sources, shape, backend, shots, rng):

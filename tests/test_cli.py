@@ -229,6 +229,52 @@ def test_outer_maxiter_below_amplitudes_plus_two_is_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+_DRIVE_COMMANDS = [
+    ("cnot-sweep", TINY_CNOT, "t_opt_ns"),
+    ("syndrome-sweep", TINY_SYNDROME, "t_opt_ns"),
+    ("single-optimize", TINY_SINGLE, "t_ns"),
+]
+_BAD_DRIVE_VALUES = [
+    ("omega_bounds_mhz", [5]),
+    ("omega_bounds_mhz", [150, 100]),
+    ("omega_bounds_mhz", "ab"),
+    ("omega_bounds_mhz", [-1, 10]),
+    ("omega_bounds_mhz", [0, float("inf")]),
+    ("omega_bounds_mhz", [True, 5]),
+    ("t", -5),
+    ("t", "x"),
+    ("t", None),
+]
+
+
+@pytest.mark.parametrize("command, base, t_key", _DRIVE_COMMANDS)
+@pytest.mark.parametrize("key, value", _BAD_DRIVE_VALUES)
+def test_bad_amplitude_bounds_or_gate_time_is_config_error(
+        tmp_path, capsys, command, base, t_key, key, value):
+    key = t_key if key == "t" else key
+    cfg = _write(tmp_path / "c.json", dict(base, **{key: value}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert key in err and json.dumps(value, separators=(",", ":")) in err
+    assert not out.exists()
+
+
+def test_cnot_sweep_tpcx_does_not_depend_on_omega0(tmp_path):
+    outs = []
+    for omega0 in (50.0, 120.0):
+        cfg = _write(tmp_path / f"c{omega0:g}.json",
+                     dict(TINY_CNOT, eps_cases=[0.1], omega0_mhz=omega0))
+        outs.append(str(tmp_path / f"s{omega0:g}.csv"))
+        assert cli.main(["cnot-sweep", "--config", cfg, "--output", outs[-1]]) == 0
+    a, b = (_meta(p)["case0_omega_tpcx_mhz"] for p in outs)
+    assert a == b and abs(float(a) - 36.48) < 0.01  # the global optimum at eps 0.1
+    tpcx_rows = [[ln for ln in _body(p).splitlines() if ln.startswith("tpcx,")]
+                 for p in outs]
+    assert len(tpcx_rows[0]) == 3 and tpcx_rows[0] == tpcx_rows[1]
+
+
 def test_verify_catches_tampering(tmp_path):
     cfg = _write(tmp_path / "c.json", TINY_CARTAN)
     out = tmp_path / "map.csv"

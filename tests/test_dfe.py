@@ -232,17 +232,28 @@ def test_expectation_table_matches_per_setting_reference(n, seed):
     target = haar_unitary(2**n, rng)
     channel = haar_unitary(2**n, rng)
     plan = dfe.dfe_plan(ptm(target))
+    dim = 2**n
     table = dfe._expectation_table(channel, plan)
-    assert table.shape == plan.eigenvalues.shape == (len(plan.entries), 2**n)
+    assert table.shape == plan.eigenvalues.shape == (len(plan.entries), dim)
+    # per input label: the D eigenstate projectors rho_k, evolved as U rho_k U^dag
+    prepared = {}
     for e, (i_label, j_label, target_value, weight) in enumerate(plan.entries):
         assert plan.targets[e] == target_value
         assert abs(plan.probs[e] - weight) < 1e-12
+        if j_label not in prepared:
+            basis = dfe.pauli_eigenbasis(j_label)
+            states = np.array([state for state, _ in basis])
+            rhos = np.einsum("ka,kb->kab", states, states.conj())
+            evolved = np.einsum("ab,kbc,dc->kad", channel, rhos, channel.conj())
+            prepared[j_label] = rhos, evolved, [lam for _, lam in basis]
+        rhos, evolved, lams = prepared[j_label]
         obs = pauli_matrix(i_label)
-        for k, (state, lam) in enumerate(dfe.pauli_eigenbasis(j_label)):
-            rho = np.outer(state, state.conj())
-            ref = dfe.simulate_expectation(channel, rho, obs)
-            assert abs(table[e, k] - ref) < 1e-12
-            assert plan.eigenvalues[e, k] == lam
+        ref = np.einsum("ab,kba->k", obs, evolved).real
+        assert np.abs(table[e] - ref).max() < 1e-12
+        assert np.array_equal(plan.eigenvalues[e], lams)
+        # one per-setting anchor per entry, cycling through the eigenstates
+        k = e % dim
+        assert abs(table[e, k] - dfe.simulate_expectation(channel, rhos[k], obs)) < 1e-12
 
 
 def test_exact_estimate_on_syndrome_circuit():

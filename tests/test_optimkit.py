@@ -75,7 +75,8 @@ def test_quasi_newton_stationary_start():
     f, g, sol = _quadratic(4, 1)
     x, fx, diag = optimkit.minimize_quasi_newton(f, g, sol)
     assert diag["iterations"] == 0
-    assert diag["converged"]
+    assert diag["converged"] and diag["reason"] == "grad_tol"
+    assert (diag["nfev"], diag["ngev"]) == (1, 1)
     assert np.array_equal(x, sol)
 
 
@@ -114,6 +115,60 @@ def test_quasi_newton_history_is_monotone():
     hist = np.array(diag["cost_history"])
     assert np.all(np.diff(hist) <= 0)
     assert hist[-1] == fx
+
+
+def test_quasi_newton_reason_cost_tol():
+    # any accepted step improves by less than a huge cost tolerance
+    f, g, sol = _quadratic(4, 2)
+    cfg = optimkit.OptimizerConfig(cost_tolerance=1e6)
+    x, fx, diag = optimkit.minimize_quasi_newton(f, g, np.zeros(4), cfg)
+    assert diag["reason"] == "cost_tol" and diag["converged"]
+    assert diag["iterations"] == 1
+    assert diag["ngev"] == 2 and diag["nfev"] >= 2
+
+
+def test_quasi_newton_reason_line_search():
+    # the start is the kink of |x|_1 at the origin, where the stated
+    # gradient gives no descent direction: every trial step raises the cost
+    x0 = np.zeros(2)
+
+    def f(x):
+        return float(np.abs(x).sum())
+
+    def g(x):
+        return np.ones(2)
+
+    x, fx, diag = optimkit.minimize_quasi_newton(f, g, x0)
+    assert diag["reason"] == "line_search" and not diag["converged"]
+    assert np.array_equal(x, x0) and diag["iterations"] == 1
+    assert diag["ngev"] == 1 and diag["nfev"] > 60
+
+
+def test_quasi_newton_reason_budget():
+    def f(x):
+        return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+    def g(x):
+        return np.array([
+            -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+            200 * (x[1] - x[0] ** 2),
+        ])
+
+    calls = {"f": 0, "g": 0}
+
+    def counted(fn, key):
+        def wrapped(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapped
+
+    cfg = optimkit.OptimizerConfig(max_iterations=3)
+    x, fx, diag = optimkit.minimize_quasi_newton(
+        counted(f, "f"), counted(g, "g"), np.array([-1.2, 1.0]), cfg)
+    assert diag["reason"] == "budget" and not diag["converged"]
+    assert diag["iterations"] == 3
+    assert (diag["nfev"], diag["ngev"]) == (calls["f"], calls["g"])
+    assert diag["ngev"] == 4
 
 
 def test_derivative_free_quadratic():
@@ -358,3 +413,57 @@ def test_concatenated_stop_below_ends_the_search():
     assert all(v >= 1e-5 for v in diag["outer_history"][:-1])
     assert diag["inner_runs"] < full["inner_runs"]
     assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
+
+
+def _two_wells(x):
+    # a shallow well at 120 and a deep one at 35, on [0, 200]
+    return -0.3 * np.exp(-((x - 120.0) / 8.0) ** 2) - np.exp(-((x - 35.0) / 8.0) ** 2)
+
+
+def test_interval_search_finds_deep_minimum_that_cobyla_misses():
+    x_dfo, f_dfo, _ = optimkit.minimize_derivative_free(
+        lambda w: _two_wells(w[0]), [120.0], [(0.0, 200.0)])
+    assert abs(x_dfo[0] - 120.0) < 1.0  # stuck in the shallow well
+    x, fx, diag = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
+    assert abs(x - 35.0) < 1e-3
+    assert fx == _two_wells(x) and fx < f_dfo - 0.5
+    assert diag["nfev"] > optimkit.INTERVAL_GRID_POINTS
+    lo, hi = diag["bracket"]
+    assert lo < 35.0 < hi
+    assert abs((hi - lo) - 2 * 200.0 / (optimkit.INTERVAL_GRID_POINTS - 1)) < 1e-9
+
+
+def test_interval_search_stays_in_bounds_and_beats_the_grid():
+    rng = derive_rng(52)
+    cases = [(lambda x: x, 2.0, 9.0), (lambda x: -x, 2.0, 9.0)]
+    for _ in range(20):
+        a, b, c = rng.normal(size=3)
+        cases.append((lambda x, a=a, b=b, c=c: np.sin(a * x + b) + c * np.cos(3 * x),
+                      -1.0, 4.0))
+    for f, lower, upper in cases:
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return f(x)
+
+        x, fx, diag = optimkit.minimize_on_interval(g, lower, upper)
+        grid = np.linspace(lower, upper, optimkit.INTERVAL_GRID_POINTS)
+        assert lower <= x <= upper
+        assert min(seen) >= lower and max(seen) <= upper
+        assert fx == f(x) and fx <= min(f(v) for v in grid)
+        assert diag["nfev"] == len(seen)
+    # monotone costs end exactly on the bound
+    assert optimkit.minimize_on_interval(lambda x: x, 2.0, 9.0)[0] == 2.0
+    assert optimkit.minimize_on_interval(lambda x: -x, 2.0, 9.0)[0] == 9.0
+
+
+def test_interval_search_is_deterministic_and_rejects_bad_input():
+    a = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
+    b = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
+    assert a[:2] == b[:2]
+    for lower, upper in ((5.0, 5.0), (6.0, 5.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            optimkit.minimize_on_interval(_two_wells, lower, upper)
+    with pytest.raises(ValueError):
+        optimkit.minimize_on_interval(lambda x: np.nan, 0.0, 1.0)
