@@ -48,7 +48,6 @@ from .devices import (
     four_cr_gate,
     four_cr_hamiltonian,
     load_device,
-    load_pair,
     syndrome_target,
     tpcx,
 )
@@ -66,13 +65,10 @@ from .numkit import (
     derive_rng,
     derive_seed,
     expm_hermitian,
-    haar_state,
     haar_unitary,
     is_hermitian,
     is_unitary,
-    kron,
     kron_all,
-    partial_trace,
 )
 from .optimkit import (
     AmplitudeBounds,

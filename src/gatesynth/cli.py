@@ -14,15 +14,17 @@ Exit codes: 0 success, 1 config or verification error, 2 I/O error.
 
 import argparse
 import csv
+import functools
 import hashlib
-import io
+import itertools
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +38,6 @@ from .devices import (
     FourQubitDevice,
     cr_gate,
     four_cr_gate,
-    load_device,
-    pair_from_dict,
     syndrome_target,
     tpcx,
 )
@@ -45,7 +45,6 @@ from .numkit import derive_rng, derive_seed, haar_unitary
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
-    check_outer_maxiter,
     concatenated_optimize,
     minimize_on_interval,
     vqgo,
@@ -61,10 +60,6 @@ CARTAN_COLUMNS = ["c_x", "c_y", "c_z", "entangling_power", "best_agf", "theta"]
 
 
 class ConfigError(Exception):
-    pass
-
-
-class OutputError(Exception):
     pass
 
 
@@ -90,22 +85,18 @@ def _config_hash(obj):
     return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
 
 
-def _fixture_path(name):
-    return resources.files("gatesynth").joinpath("fixtures", name)
-
-
-def _read_json(path):
+def _read_json(path, where=""):
     """Parse a JSON input file; an unreadable or malformed file is a config
-    error located at its path (and line:column)."""
+    error located at its path (and line:column), after the prefix `where`."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}") from exc
+        raise ConfigError(f"{where}{path}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{where}{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _inline_file(cfg, key):
@@ -113,7 +104,7 @@ def _inline_file(cfg, key):
     an artifact's config (and its hash) holds the data itself and --verify
     needs no other file."""
     if isinstance(cfg[key], str):
-        cfg[key] = _read_json(cfg[key])
+        cfg[key] = _read_json(cfg[key], f"{key}: ")
     return cfg[key]
 
 
@@ -132,53 +123,75 @@ def load_config(path, defaults):
     return cfg
 
 
+def _read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
+    """cfg[key] as `kind`: float (a finite number), int or bool; a JSON
+    boolean is no number. size=n asks for a list of n values, size="any"
+    for a non-empty list; numbers must be >= low and > above where given.
+    Anything else is a ConfigError naming `where` + key and the value."""
+
+    def fits(x):
+        if isinstance(x, bool) or kind is bool:
+            return isinstance(x, bool) and kind is bool
+        return (isinstance(x, int if kind is int else (int, float)) and abs(x) <= sys.float_info.max
+                and (low is None or x >= low) and (above is None or x > above))
+
+    raw = cfg.get(key)
+    items = raw if size else [raw]
+    if not (isinstance(items, list) and items and size in (None, "any", len(items))
+            and all(fits(x) for x in items)):
+        one, many = {float: ("a finite number", "finite numbers"), int: ("an integer", "integers"),
+                     bool: ("true or false", None)}[kind]
+        what = f"a list of {'one or more' if size == 'any' else size} {many}" if size else one
+        limits = "".join(f" {op} {v:g}" for op, v in ((">=", low), (">", above)) if v is not None)
+        raise ConfigError(f"{where}{key} must be {what}{limits}, got {_canonical_json(raw)}")
+    values = [kind(x) for x in items]
+    return values if size else values[0]
+
+
 def optimizer_from_dict(d, seed):
-    """OptimizerConfig from a config's `optimizer` entries over the
-    dataclass defaults, with the given seed."""
+    """OptimizerConfig from a config's `optimizer` entries and the seed."""
     try:
-        return OptimizerConfig(**{**(d or {}), "seed": seed})
+        return OptimizerConfig(**{**d, "seed": seed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"optimizer config: {exc}") from exc
 
 
-def _outer_maxiter(cfg, amplitudes):
-    try:
-        return check_outer_maxiter(int(cfg["outer_maxiter"]), amplitudes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _amplitude_search(cfg, amplitudes):
+    """concatenated_optimize's outer-search keywords. omega0_mhz is a number
+    or a list of `amplitudes`; COBYLA needs amplitudes + 2 evaluations."""
+    lo, hi = _read(cfg, "omega_bounds_mhz", size=2, low=0)
+    if not lo < hi:
+        raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
+                          f"got {_canonical_json(cfg['omega_bounds_mhz'])}")
+    return {
+        "omega0": _read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None),
+        "bounds": AmplitudeBounds(lo, hi),
+        "outer_maxiter": _read(cfg, "outer_maxiter", int, low=amplitudes + 2),
+        "max_sweeps": _read(cfg, "max_sweeps", int, low=1),
+    }
 
 
-def _finite(x):
-    """x as a float if it is a finite JSON number (not a bool), else None."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return None
-    try:
-        v = float(x)
-    except OverflowError:
-        return None
-    return v if math.isfinite(v) else None
+def _layer_signs(cfg):
+    """The sign of the drive amplitudes in each of the `depth` source
+    layers: all +1, or (+1, -1) when syndrome-sweep's opposite_sign_layers
+    is set, which needs depth 2."""
+    depth = _read(cfg, "depth", int, low=1)
+    opposite = "opposite_sign_layers" in cfg and _read(cfg, "opposite_sign_layers", bool)
+    if opposite and depth != 2:
+        raise ConfigError(f"opposite_sign_layers needs depth 2, got depth {depth}")
+    return (1, -1) if opposite else (1,) * depth
 
 
-def _drive_settings(cfg, t_key):
-    """The amplitude bounds and gate time of a config: omega_bounds_mhz must
-    be two finite numbers with 0 <= lower < upper and cfg[t_key] a finite
-    number >= 0. A bad value is a config error naming the key and value."""
-    raw = cfg["omega_bounds_mhz"]
-    lo_hi = [_finite(x) for x in raw] if isinstance(raw, list) and len(raw) == 2 else [None]
-    if None in lo_hi or not 0 <= lo_hi[0] < lo_hi[1]:
-        raise ConfigError("omega_bounds_mhz must be two finite numbers with "
-                          f"0 <= lower < upper, got {_canonical_json(raw)}")
-    t = _finite(cfg[t_key])
-    if t is None or t < 0:
-        raise ConfigError(f"{t_key} must be a finite number >= 0, got {_canonical_json(cfg[t_key])}")
-    return AmplitudeBounds(*lo_hi), t
-
-
-def _t_grid(cfg):
-    start, stop, step = cfg["t_start_ns"], cfg["t_stop_ns"], cfg["t_step_ns"]
-    if step <= 0 or stop < start:
-        raise ConfigError("need t_step_ns > 0 and t_stop_ns >= t_start_ns")
-    return np.arange(start, stop + 0.5 * step, step)
+def _pair(raw, where, keys=("delta_mhz", "g_mhz", "eps", "phi_rad")):
+    """A CrossResonancePair from a pair object that holds only `keys`;
+    eps and phi_rad default to 0."""
+    if not isinstance(raw, dict) or not raw.keys() <= set(keys):
+        raise ConfigError(f"{where} must be an object with keys from {', '.join(keys)}, "
+                          f"got {_canonical_json(raw)}")
+    raw = {"eps": 0.0, "phi_rad": 0.0, **raw}
+    w = where + "."
+    return CrossResonancePair(_read(raw, "delta_mhz", where=w), _read(raw, "g_mhz", where=w),
+                              _read(raw, "eps", low=0, where=w), _read(raw, "phi_rad", where=w))
 
 
 def _map_jobs(fn, jobs, workers):
@@ -189,17 +202,12 @@ def _map_jobs(fn, jobs, workers):
 
 
 def _write_artifact(path, meta, columns, rows):
-    buf = io.StringIO()
-    for key, value in meta:
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise OutputError(f"{path}: {exc.strerror}") from exc
+    with open(path, "w", newline="") as fh:
+        for key, value in meta:
+            fh.write(f"# {key}: {value}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _base_meta(command, cfg):
@@ -213,195 +221,174 @@ def _base_meta(command, cfg):
     ]
 
 
+# ---------------------------------------------------------------------- sweeps
+
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep command's problem, read by its run, pool jobs and --verify:
+    `target` on `qubits` qubits from CR drives. A value of cfg[cases_key] (eps
+    column, case{i}_<case_label> header) is a case; case(cfg, value) builds its
+    pair or device, source(case, omegas, t) evolves it. baseline(pair, omega,
+    t): echoed-CR CNOT AGI (method tpcx); time_header: source_time_total_ns."""
+
+    target: np.ndarray
+    qubits: int
+    cases_key: str
+    case_label: str
+    case: Callable
+    source: Callable
+    baseline: Callable = None
+    time_header: bool = False
+
+
+def _sources(sweep, case, omegas, t, signs):
+    """The source layers of one design: layer i evolves the case at
+    signs[i] * omegas for t ns; each distinct sign is evolved once."""
+    omegas = np.asarray(omegas, dtype=float)
+    gates = {s: sweep.source(case, s * omegas, t) for s in set(signs)}
+    return [gates[s] for s in signs]
+
+
+def _sweep_point(args):
+    sweep, case, omegas, t, signs, opt = args
+    return vqgo(sweep.target, _sources(sweep, case, omegas, t, signs), cfg=opt)
+
+
+def _sweep(sweep, cfg, workers):
+    """Per case: fix the drive amplitudes by the concatenated amplitude+angle
+    search at t_opt_ns, then synthesize at each time of the t grid with them
+    held fixed; one row per (method, case, t). The baseline's amplitude is
+    tuned by minimize_on_interval over omega_bounds_mhz, free of omega0_mhz."""
+    values = _read(cfg, sweep.cases_key, size="any", low=0)
+    cases = [sweep.case(cfg, value) for value in values]
+    signs = _layer_signs(cfg)
+    search = _amplitude_search(cfg, sweep.qubits - 1)
+    t_opt = _read(cfg, "t_opt_ns", low=0)
+    t_start = _read(cfg, "t_start_ns", low=0)
+    t_stop = _read(cfg, "t_stop_ns", low=t_start)
+    t_step = _read(cfg, "t_step_ns", above=0)
+    grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
+    seed = _read(cfg, "seed", int, low=0)
+    opt = optimizer_from_dict(cfg["optimizer"], seed)
+    meta = [("source_time_total_ns", _fmt(len(signs) * t_opt))] if sweep.time_header else []
+    rows = []
+    jobs = []
+    heads = []  # the vqgo rows' leading cells, one per job
+    for case_idx, (value, case) in enumerate(zip(values, cases)):
+        label = [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
+        meta.append((f"case{case_idx}_{sweep.case_label}", _fmt(value)))
+        if sweep.baseline is not None:
+            omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt),
+                                                 search["bounds"].lower, search["bounds"].upper)
+            meta.append((f"case{case_idx}_omega_tpcx_mhz", _fmt(omega_b)))
+            rows += [["tpcx", *label, _fmt(omega_b), _fmt(t),
+                      _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in grid]
+
+        w_v, res_v, diag_v = concatenated_optimize(
+            sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
+            t=t_opt, cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search,
+        )
+        meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
+        meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
+        meta.append((f"case{case_idx}_outer_evaluations", str(diag_v["outer_evaluations"])))
+        for t_idx, t in enumerate(grid):
+            point_opt = replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx))
+            jobs.append((sweep, case, w_v, float(t), signs, point_opt))
+            heads.append(["vqgo", *label, _fmt_list(w_v), _fmt(t)])
+
+    results = _map_jobs(_sweep_point, jobs, workers)
+    for head, res in zip(heads, results):
+        rows.append(head + [_fmt(res.best_cost), str(opt.restarts), str(res.iterations_used),
+                            "true" if res.converged else "false", _fmt_list(res.best_params)])
+    rows.sort(key=lambda r: (float(r[1]), float(r[4]), r[0]))
+    return meta, SWEEP_COLUMNS, rows
+
+
 # ------------------------------------------------------------------ cnot sweep
 
-CNOT_SWEEP_DEFAULTS = {
-    "pair": {"delta_mhz": 200.0, "g_mhz": 5.0},
-    "eps_cases": [0.0, 0.1, 1.0],
-    "phi_rad": np.pi / 4,
+_SWEEP_DEFAULTS = {
     "depth": 2,
     "t_opt_ns": 75.0,
     "t_start_ns": 0.0,
     "t_stop_ns": 750.0,
     "t_step_ns": 7.5,
-    "omega0_mhz": 50.0,
     "omega_bounds_mhz": [0.0, 200.0],
-    "outer_maxiter": 40,
-    "max_sweeps": 6,
     "seed": 0,
     "optimizer": {},
 }
 
+CNOT_SWEEP_DEFAULTS = {
+    **_SWEEP_DEFAULTS,
+    "pair": {"delta_mhz": 200.0, "g_mhz": 5.0},
+    "eps_cases": [0.0, 0.1, 1.0],
+    "phi_rad": np.pi / 4,
+    "omega0_mhz": 50.0,
+    "outer_maxiter": 40,
+    "max_sweeps": 6,
+}
 
-def _cnot_point(args):
-    pair_d, omega, t, depth, opt_d = args
-    pair = CrossResonancePair(**pair_d)
-    sources = [cr_gate(pair, DriveSpec(omega, t))] * depth
-    res = vqgo(CNOT, sources, cfg=OptimizerConfig(**opt_d))
-    return res
+
+def _cnot_case(cfg, eps):
+    """`pair` (an object, or a file path read into cfg) with eps and phi_rad."""
+    pair = _pair(_inline_file(cfg, "pair"), "pair", keys=("delta_mhz", "g_mhz"))
+    return replace(pair, eps=eps, phi=_read(cfg, "phi_rad"))
+
+
+def _cnot_source(pair, omegas, t):
+    return cr_gate(pair, DriveSpec(float(omegas[0]), t))
+
+
+def _tpcx_agi(pair, omega, t):
+    return agi(CNOT, tpcx(pair, omega, t))
+
+
+CNOT_SWEEP = Sweep(CNOT, 2, "eps_cases", "eps", _cnot_case, _cnot_source,
+                   baseline=_tpcx_agi)
 
 
 def cmd_cnot_sweep(cfg, workers):
-    """Per crosstalk case: fix the drive amplitude by optimizing at
-    t_opt_ns, then sweep the gate time with amplitudes held fixed, one row
-    per (method, case, t). The echoed-CR (tpcx) baseline amplitude comes
-    from a deterministic grid + bounded Brent search over omega_bounds_mhz
-    (minimize_on_interval), so it does not depend on omega0_mhz; omega0_mhz
-    seeds only the concatenated amplitude+angle search of the synthesis.
-    A `pair` given as a file path is read into cfg."""
-    bounds, t_opt = _drive_settings(cfg, "t_opt_ns")
-    base = _inline_file(cfg, "pair")
-    if not isinstance(base, dict) or not {"delta_mhz", "g_mhz"} <= base.keys():
-        raise ConfigError("pair must be an object with delta_mhz and g_mhz")
-    outer_maxiter = _outer_maxiter(cfg, 1)
-    grid = _t_grid(cfg)
-    depth = int(cfg["depth"])
-    seed = int(cfg["seed"])
-    meta = []
-    rows = []
-    jobs = []
-    for case_idx, eps in enumerate(cfg["eps_cases"]):
-        pair_d = {
-            "delta": float(base["delta_mhz"]),
-            "g": float(base["g_mhz"]),
-            "eps": float(eps),
-            "phi": float(cfg["phi_rad"]),
-        }
-        pair = CrossResonancePair(**pair_d)
-
-        omega_tpcx, _, _ = minimize_on_interval(
-            lambda w: agi(CNOT, tpcx(pair, w, t_opt)), bounds.lower, bounds.upper
-        )
-
-        inner = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, 1, case_idx))
-        factory = lambda w, p=pair: [cr_gate(p, DriveSpec(float(w[0]), t_opt))] * depth
-        w_v, res_v, diag_v = concatenated_optimize(
-            CNOT, factory, [cfg["omega0_mhz"]], bounds, t_opt, inner,
-            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
-        )
-        omega_vqgo = float(w_v[0])
-        meta.append((f"case{case_idx}_eps", _fmt(eps)))
-        meta.append((f"case{case_idx}_omega_tpcx_mhz", _fmt(omega_tpcx)))
-        meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt(omega_vqgo)))
-        meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
-        meta.append((f"case{case_idx}_outer_evaluations", str(diag_v["outer_evaluations"])))
-
-        for t_idx, t in enumerate(grid):
-            rows.append([
-                "tpcx", _fmt(eps), _fmt(cfg["phi_rad"]), _fmt(omega_tpcx), _fmt(t),
-                _fmt(agi(CNOT, tpcx(pair, omega_tpcx, t))), "0", "0", "true", "",
-            ])
-            opt_d = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, 2, case_idx, t_idx)).__dict__
-            jobs.append(((pair_d, omega_vqgo, float(t), depth, dict(opt_d)),
-                         (case_idx, t_idx, eps, omega_vqgo, float(t))))
-
-    results = _map_jobs(_cnot_point, [j[0] for j in jobs], workers)
-    for (job, (case_idx, t_idx, eps, omega_vqgo, t)), res in zip(jobs, results):
-        rows.append([
-            "vqgo", _fmt(eps), _fmt(cfg["phi_rad"]), _fmt(omega_vqgo), _fmt(t),
-            _fmt(res.best_cost), str(job[4]["restarts"]), str(res.iterations_used),
-            "true" if res.converged else "false", _fmt_list(res.best_params),
-        ])
-    rows.sort(key=lambda r: (float(r[1]), float(r[4]), r[0]))
-    return meta, SWEEP_COLUMNS, rows
+    """CNOT from CR sources with crosstalk, beside the echoed-CR baseline."""
+    return _sweep(CNOT_SWEEP, cfg, workers)
 
 
 # -------------------------------------------------------------- syndrome sweep
 
 SYNDROME_SWEEP_DEFAULTS = {
+    **_SWEEP_DEFAULTS,
     "device": None,
     "crosstalk_cases": [0.0, 1.0],
-    "depth": 2,
     "opposite_sign_layers": False,
-    "t_opt_ns": 75.0,
-    "t_start_ns": 0.0,
-    "t_stop_ns": 750.0,
-    "t_step_ns": 7.5,
     "omega0_mhz": [80.0, 80.0, 80.0, 80.0],
-    "omega_bounds_mhz": [0.0, 200.0],
     "outer_maxiter": 15,
     "max_sweeps": 1,
-    "seed": 0,
-    "optimizer": {},
 }
 
 
-def _device_from_config(cfg):
+def _syndrome_case(cfg, scale):
+    """`device` (an object with a `pairs` list, a file path read into cfg, or
+    null for the packaged fixture) with each pair's eps multiplied by scale."""
     raw = _inline_file(cfg, "device")
     if raw is None:
-        return load_device(_fixture_path("syndrome_device.json"))[0]
-    if not isinstance(raw, dict) or "pairs" not in raw:
-        raise ConfigError("device must be an object with a 'pairs' list")
+        raw = _read_json(resources.files(__package__) / "fixtures" / "syndrome_device.json")
+    if not isinstance(raw, dict) or not isinstance(raw.get("pairs"), list):
+        raise ConfigError(f"device must be an object with a pairs list, got {_canonical_json(raw)}")
+    pairs = [_pair(p, f"device.pairs[{i}]") for i, p in enumerate(raw["pairs"])]
     try:
-        return FourQubitDevice(tuple(pair_from_dict(p) for p in raw["pairs"]))
-    except (TypeError, ValueError) as exc:
+        return FourQubitDevice(tuple(replace(p, eps=p.eps * scale) for p in pairs))
+    except ValueError as exc:
         raise ConfigError(f"device: {exc}") from exc
 
 
-def _syndrome_sources(dev_pairs, omegas, t, depth, opposite):
-    dev = FourQubitDevice(tuple(CrossResonancePair(**p) for p in dev_pairs))
-    omegas = np.asarray(omegas, dtype=float)
-    if opposite and depth == 2:
-        return [four_cr_gate(dev, omegas, t), four_cr_gate(dev, -omegas, t)]
-    return [four_cr_gate(dev, omegas, t)] * depth
+SYNDROME_SWEEP = Sweep(syndrome_target(), 5, "crosstalk_cases", "crosstalk_scale",
+                       _syndrome_case, four_cr_gate, time_header=True)
 
-
-def _syndrome_point(args):
-    dev_pairs, omegas, t, depth, opposite, opt_d = args
-    sources = _syndrome_sources(dev_pairs, omegas, t, depth, opposite)
-    return vqgo(syndrome_target(), sources, cfg=OptimizerConfig(**opt_d))
+_SWEEPS = {"cnot_sweep": CNOT_SWEEP, "syndrome_sweep": SYNDROME_SWEEP}
 
 
 def cmd_syndrome_sweep(cfg, workers):
-    """Four-qubit parity-extraction synthesis: per crosstalk case,
-    optimize the four drive amplitudes at t_opt_ns (outer derivative-free
-    over the amplitude vector, inner angle optimization), then sweep t
-    with amplitudes fixed. The eps column stores the crosstalk scale
-    applied to the device file's per-qubit eps values (0 = off). A
-    `device` given as a file path is read into cfg."""
-    bounds, t_opt = _drive_settings(cfg, "t_opt_ns")
-    dev_base = _device_from_config(cfg)
-    outer_maxiter = _outer_maxiter(cfg, np.size(cfg["omega0_mhz"]))
-    grid = _t_grid(cfg)
-    depth = int(cfg["depth"])
-    opposite = bool(cfg["opposite_sign_layers"])
-    seed = int(cfg["seed"])
-    target = syndrome_target()
-    meta = [("source_time_total_ns", _fmt(depth * t_opt))]
-    rows = []
-    jobs = []
-    for case_idx, scale in enumerate(cfg["crosstalk_cases"]):
-        dev = FourQubitDevice(tuple(
-            CrossResonancePair(p.delta, p.g, p.eps * float(scale), p.phi)
-            for p in dev_base.pairs
-        ))
-        dev_pairs = [
-            {"delta": p.delta, "g": p.g, "eps": p.eps, "phi": p.phi} for p in dev.pairs
-        ]
-        inner = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, 1, case_idx))
-        factory = lambda w, dp=dev_pairs: _syndrome_sources(dp, w, t_opt, depth, opposite)
-        w_v, res_v, diag_v = concatenated_optimize(
-            target, factory, cfg["omega0_mhz"], bounds, t_opt, inner,
-            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
-        )
-        meta.append((f"case{case_idx}_crosstalk_scale", _fmt(scale)))
-        meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
-        meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
-        meta.append((f"case{case_idx}_outer_evaluations", str(diag_v["outer_evaluations"])))
-        for t_idx, t in enumerate(grid):
-            opt_d = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, 2, case_idx, t_idx)).__dict__
-            jobs.append(((dev_pairs, np.asarray(w_v), float(t), depth, opposite, dict(opt_d)),
-                         (case_idx, t_idx, scale, w_v, float(t))))
-
-    results = _map_jobs(_syndrome_point, [j[0] for j in jobs], workers)
-    for (job, (case_idx, t_idx, scale, w_v, t)), res in zip(jobs, results):
-        rows.append([
-            "vqgo", _fmt(scale), "", _fmt_list(w_v), _fmt(t),
-            _fmt(res.best_cost), str(job[5]["restarts"]), str(res.iterations_used),
-            "true" if res.converged else "false", _fmt_list(res.best_params),
-        ])
-    rows.sort(key=lambda r: (float(r[1]), float(r[4])))
-    return meta, SWEEP_COLUMNS, rows
+    """Four-qubit parity extraction from four simultaneous CR drives; a case
+    scales the device's eps values (0 = crosstalk off)."""
+    return _sweep(SYNDROME_SWEEP, cfg, workers)
 
 
 # ----------------------------------------------------------------- cartan map
@@ -415,9 +402,9 @@ CARTAN_MAP_DEFAULTS = {
 
 
 def _cartan_point(args):
-    c, depth, opt_d = args
+    c, depth, opt = args
     gate = canonical_gate(c)
-    res = vqgo(CNOT, [gate] * depth, cfg=OptimizerConfig(**opt_d))
+    res = vqgo(CNOT, [gate] * depth, cfg=opt)
     return entangling_power(gate), res
 
 
@@ -425,18 +412,14 @@ def cmd_cartan_map(cfg, workers):
     """Grid over canonical coordinates in [0, pi/4]^3: each point reports
     the entangling power of its canonical gate and the best fidelity of a
     depth-`depth` synthesis of CNOT from identical copies of that gate."""
-    npts = int(cfg["grid_points"])
-    if npts < 2:
-        raise ConfigError("grid_points must be >= 2")
-    depth = int(cfg["depth"])
-    seed = int(cfg["seed"])
+    npts = _read(cfg, "grid_points", int, low=2)
+    depth = _read(cfg, "depth", int, low=1)
+    seed = _read(cfg, "seed", int, low=0)
+    opt = optimizer_from_dict(cfg["optimizer"], seed)
     axis = np.linspace(0.0, np.pi / 4, npts)
     jobs = []
-    for ix in range(npts):
-        for iy in range(npts):
-            for iz in range(npts):
-                opt_d = optimizer_from_dict(cfg["optimizer"], derive_seed(seed, ix, iy, iz)).__dict__
-                jobs.append(((axis[ix], axis[iy], axis[iz]), depth, dict(opt_d)))
+    for index in itertools.product(range(npts), repeat=3):
+        jobs.append((tuple(axis[list(index)]), depth, replace(opt, seed=derive_seed(seed, *index))))
     results = _map_jobs(_cartan_point, jobs, workers)
     rows = []
     for (c, _, _), (ep, res) in zip(jobs, results):
@@ -465,63 +448,63 @@ SINGLE_OPTIMIZE_DEFAULTS = {
 }
 
 
-def gate_from_spec(spec):
-    """Build a unitary from a config gate spec: cnot | swap | identity |
-    canonical {c} | random_su4 {seed} | cr {pair, omega_mhz, t_ns}."""
+def gate_from_spec(spec, where="gate"):
+    """Build a unitary from a config gate spec: cnot | swap | identity
+    {qubits} | canonical {c} | random_su4 {seed} | cr {pair, omega_mhz,
+    t_ns}. A bad spec is a ConfigError located at `where`."""
     if isinstance(spec, str):
         spec = {"kind": spec}
-    kind = spec.get("kind")
-    if kind == "cnot":
-        return CNOT.copy()
-    if kind == "swap":
-        return SWAP.copy()
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    w = where + "."
+    if kind in ("cnot", "swap"):
+        return (CNOT if kind == "cnot" else SWAP).copy()
     if kind == "identity":
-        return np.eye(2 ** int(spec.get("qubits", 2)), dtype=complex)
+        qubits = _read({"qubits": 2, **spec}, "qubits", int, low=1, where=w)
+        return np.eye(2 ** qubits, dtype=complex)
     if kind == "canonical":
-        return canonical_gate([float(x) for x in spec["c"]])
+        return canonical_gate(_read(spec, "c", size=3, where=w))
     if kind == "random_su4":
-        u = haar_unitary(4, derive_rng(int(spec["seed"])))
+        u = haar_unitary(4, derive_rng(_read(spec, "seed", int, low=0, where=w)))
         return u / np.linalg.det(u) ** 0.25
     if kind == "cr":
-        pair = pair_from_dict(spec["pair"])
-        return cr_gate(pair, DriveSpec(float(spec["omega_mhz"]), float(spec["t_ns"])))
-    raise ConfigError(f"unknown gate kind {spec.get('kind')!r}")
+        drive = DriveSpec(_read(spec, "omega_mhz", where=w), _read(spec, "t_ns", low=0, where=w))
+        return cr_gate(_pair(spec.get("pair"), w + "pair"), drive)
+    raise ConfigError(f"{where} must be a gate spec of kind cnot, swap, identity, canonical, "
+                      f"random_su4 or cr, got {_canonical_json(spec)}")
 
 
 def cmd_single_optimize(cfg, workers):
-    """One synthesis run (plain or concatenated); returns the report dict."""
-    bounds, t = _drive_settings(cfg, "t_ns")
-    seed = int(cfg["seed"])
+    """One synthesis run, plain (vqgo from `sources`) or concatenated (an
+    amplitude search over `depth` CR layers of `pair`, built as cnot-sweep
+    builds them); returns the report dict. Both modes check every key."""
+    mode = cfg["mode"]
+    if mode not in ("vqgo", "concatenated"):
+        raise ConfigError(f'mode must be "vqgo" or "concatenated", got {_canonical_json(mode)}')
+    t = _read(cfg, "t_ns", low=0)
+    search = _amplitude_search(cfg, 1)
+    signs = _layer_signs(cfg)
+    seed = _read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
-    try:
-        target = gate_from_spec(cfg["target"])
-    except KeyError as exc:
-        raise ConfigError(f"target spec missing key {exc}") from exc
+    pair = None if cfg["pair"] is None else _pair(_inline_file(cfg, "pair"), "pair")
+    target = gate_from_spec(cfg["target"], "target")
+    if not isinstance(cfg["sources"], list):
+        raise ConfigError(f"sources must be a list of gate specs, "
+                          f"got {_canonical_json(cfg['sources'])}")
+    sources = [gate_from_spec(s, f"sources[{i}]") for i, s in enumerate(cfg["sources"])]
     start = time.perf_counter()
-    if cfg["mode"] == "vqgo":
-        try:
-            sources = [gate_from_spec(s) for s in cfg["sources"]]
-        except KeyError as exc:
-            raise ConfigError(f"source spec missing key {exc}") from exc
+    if mode == "vqgo":
         res = vqgo(target, sources, cfg=opt)
         extra = {}
-    elif cfg["mode"] == "concatenated":
-        if cfg["pair"] is None:
+    else:
+        if pair is None:
             raise ConfigError("concatenated mode needs a 'pair' entry")
-        outer_maxiter = _outer_maxiter(cfg, 1)
-        pair = pair_from_dict(cfg["pair"])
-        depth = int(cfg["depth"])
-        factory = lambda w: [cr_gate(pair, DriveSpec(float(w[0]), t))] * depth
         w_v, res, diag = concatenated_optimize(
-            target, factory, [cfg["omega0_mhz"]], bounds, t, opt,
-            outer_maxiter=outer_maxiter, max_sweeps=int(cfg["max_sweeps"]),
+            target, lambda w: _sources(CNOT_SWEEP, pair, w, t, signs), t=t, cfg=opt, **search,
         )
         extra = {"omega_mhz": [float(x) for x in w_v],
                  "outer_evaluations": diag["outer_evaluations"]}
-    else:
-        raise ConfigError(f"unknown mode {cfg['mode']!r}")
     wall = time.perf_counter() - start
-    report = {
+    return {
         "command": "single_optimize",
         "version": __version__,
         "seed": seed,
@@ -535,9 +518,8 @@ def cmd_single_optimize(cfg, workers):
         "cost_history": [float(v) for v in res.cost_history],
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": wall,
+        **extra,
     }
-    report.update(extra)
-    return report
 
 
 # --------------------------------------------------------------------- verify
@@ -552,62 +534,49 @@ def _read_artifact(path):
                 meta[key] = value
             else:
                 body.append(line)
-    reader = csv.DictReader(body)
-    return meta, list(reader)
+    return meta, list(csv.DictReader(body, restval=""))
 
 
-def _verify_row(command, cfg, row):
-    stated = float(row.get("agi", row.get("best_agf")))
-    theta_flat = _parse_list(row.get("theta", ""))
-    if command == "cnot_sweep":
-        base = _inline_file(cfg, "pair")
-        pair = CrossResonancePair(
-            delta=float(base["delta_mhz"]), g=float(base["g_mhz"]),
-            eps=float(row["eps"]), phi=float(row["phi_rad"]),
-        )
-        omega = float(row["omega_mhz"])
-        t = float(row["t_ns"])
-        if row["method"] == "tpcx":
-            return agi(CNOT, tpcx(pair, omega, t)), stated
-        depth = int(cfg["depth"])
-        sources = [cr_gate(pair, DriveSpec(omega, t))] * depth
-        theta = theta_flat.reshape(depth + 1, 2, 3)
-        return agi_cost(theta, sources, CNOT), stated
-    if command == "syndrome_sweep":
-        dev_base = _device_from_config(cfg)
-        scale = float(row["eps"])
-        dev_pairs = [
-            {"delta": p.delta, "g": p.g, "eps": p.eps * scale, "phi": p.phi}
-            for p in dev_base.pairs
-        ]
-        omegas = _parse_list(row["omega_mhz"])
-        depth = int(cfg["depth"])
-        sources = _syndrome_sources(
-            dev_pairs, omegas, float(row["t_ns"]), depth, bool(cfg["opposite_sign_layers"])
-        )
-        theta = theta_flat.reshape(depth + 1, 5, 3)
-        return agi_cost(theta, sources, syndrome_target()), stated
-    if command == "cartan_map":
-        c = [float(row["c_x"]), float(row["c_y"]), float(row["c_z"])]
-        depth = int(cfg["depth"])
-        sources = [canonical_gate(c)] * depth
-        theta = theta_flat.reshape(depth + 1, 2, 3)
-        return 1.0 - agi_cost(theta, sources, CNOT), stated
-    raise ConfigError(f"cannot verify artifacts of command {command!r}")
+def _verify_row(sweep, case, signs, row):
+    """(recomputed, stated) fidelity figure of one row of a sweep artifact,
+    its pair or device from case(eps), or of cartan-map when sweep is None.
+    A row that cannot be evaluated raises IndexError, KeyError or ValueError."""
+    theta = _parse_list(row["theta"])
+    if sweep is None:
+        gate = canonical_gate([float(row["c_x"]), float(row["c_y"]), float(row["c_z"])])
+        theta = theta.reshape(len(signs) + 1, 2, 3)
+        return 1.0 - agi_cost(theta, [gate] * len(signs), CNOT), float(row["best_agf"])
+    stated = float(row["agi"])
+    omegas = _parse_list(row["omega_mhz"])
+    t = float(row["t_ns"])
+    if row["method"] == "tpcx" and sweep.baseline is not None:
+        return sweep.baseline(case(float(row["eps"])), omegas[0], t), stated
+    theta = theta.reshape(len(signs) + 1, sweep.qubits, 3)
+    sources = _sources(sweep, case(float(row["eps"])), omegas, t, signs)
+    return agi_cost(theta, sources, sweep.target), stated
 
 
 def verify_artifact(path):
     """Recompute every row's fidelity figure from its stored parameters;
-    returns the number of mismatches."""
+    returns the number of mismatches, a value that is not a number being
+    one. A row that cannot be read is a config error located at its index."""
     meta, rows = _read_artifact(path)
     if "command" not in meta or "config" not in meta:
         raise ConfigError(f"{path}: missing command/config metadata")
     cfg = json.loads(meta["config"])
     command = meta["command"]
+    if command != "cartan_map" and command not in _SWEEPS:
+        raise ConfigError(f"cannot verify artifacts of command {command!r}")
+    sweep = _SWEEPS.get(command)
+    signs = _layer_signs(cfg)
+    case = functools.cache(lambda value: sweep.case(cfg, value))
     mismatches = 0
     for idx, row in enumerate(rows):
-        recomputed, stated = _verify_row(command, cfg, row)
-        if abs(recomputed - stated) > VERIFY_ATOL:
+        try:
+            recomputed, stated = _verify_row(sweep, case, signs, row)
+        except (IndexError, KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}: row {idx}: {exc}") from exc
+        if not abs(recomputed - stated) <= VERIFY_ATOL:
             print(f"{path}: row {idx}: stated {stated:.12g} recomputed {recomputed:.12g}")
             mismatches += 1
     print(f"{path}: {len(rows)} rows checked, {mismatches} mismatches")
@@ -655,12 +624,9 @@ def main(argv=None):
         output = args.output or default_output
         if command == "single_optimize":
             report = fn(cfg, args.workers)
-            try:
-                with open(output, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            except OSError as exc:
-                raise OutputError(f"{output}: {exc.strerror}") from exc
+            with open(output, "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
             print(f"wrote {output} (agi {report['agi']:.3e})")
         else:
             meta, columns, rows = fn(cfg, args.workers)
@@ -670,9 +636,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import I2, SIGMA_X
-from .numkit import expm_hermitian, kron, kron_all
+from .numkit import expm_hermitian, kron_all
 
 MHZ_TO_RAD_PER_NS = 2.0e-3 * np.pi
 
@@ -81,11 +81,11 @@ class FourQubitDevice:
 # Two-qubit operators of the CR Hamiltonian, built once: the driven
 # qubit's number operator, the exchange (hopping) term, the direct drive,
 # and the target qubit's lowering and raising operators.
-_CR_N1 = kron(SIGMA_PLUS @ SIGMA_MINUS, I2)
-_CR_HOP = kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS)
-_CR_DRIVE1 = kron(SIGMA_PLUS + SIGMA_MINUS, I2)
-_CR_SM2 = kron(I2, SIGMA_MINUS)
-_CR_SP2 = kron(I2, SIGMA_PLUS)
+_CR_N1 = np.kron(SIGMA_PLUS @ SIGMA_MINUS, I2)
+_CR_HOP = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
+_CR_DRIVE1 = np.kron(SIGMA_PLUS + SIGMA_MINUS, I2)
+_CR_SM2 = np.kron(I2, SIGMA_MINUS)
+_CR_SP2 = np.kron(I2, SIGMA_PLUS)
 
 
 def cr_hamiltonian(pair, omega):
@@ -150,16 +150,16 @@ def four_cr_gate(dev, omegas, t):
 # two CR segments approach exp(+-i*(pi/8)*Z(x)X); the frames below turn
 # that echoed pair into CNOT exactly (see tpcx docstring).
 _S = np.diag([1.0, 1.0j])
-TPCX_A = kron(_S @ SIGMA_X, I2)
-TPCX_B = kron(SIGMA_X, I2)
-TPCX_C = kron(I2, expm_hermitian(SIGMA_X, np.pi / 4))
+TPCX_A = np.kron(_S @ SIGMA_X, I2)
+TPCX_B = np.kron(SIGMA_X, I2)
+TPCX_C = np.kron(I2, expm_hermitian(SIGMA_X, np.pi / 4))
 
 
 def tpcx_ideal_limit_segments():
     """The two-qubit rotations the CR segments approach when detuning,
     coupling, and crosstalk idealize away: exp(-+i*(pi/8)*Z(x)X) for the
     (-omega, +omega) slots respectively."""
-    zx = kron(np.diag([1.0, -1.0]).astype(complex), SIGMA_X)
+    zx = np.kron(np.diag([1.0, -1.0]).astype(complex), SIGMA_X)
     return expm_hermitian(zx, np.pi / 8), expm_hermitian(zx, -np.pi / 8)
 
 
@@ -189,14 +189,6 @@ def syndrome_target():
         cnot_i = _embed(p0, i, 5) + _embed(p1, i, 5) @ _embed(SIGMA_X, 4, 5)
         u = cnot_i @ u
     return u
-
-
-def load_pair(path):
-    """Read a CrossResonancePair from a JSON file with keys delta_mhz,
-    g_mhz, eps, phi_rad."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return pair_from_dict(raw)
 
 
 def pair_from_dict(raw):

@@ -13,11 +13,6 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 
 
-def kron(a, b):
-    """Kronecker product with the first argument as the most significant factor."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(mats):
     """Left-fold Kronecker product of a sequence of matrices."""
     mats = list(mats)
@@ -53,43 +48,10 @@ def expm_hermitian(h, t=1.0):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def partial_trace(rho, keep, dims):
-    """Trace out all subsystems not listed in `keep`.
-
-    `dims` lists the subsystem dimensions in tensor order; `keep` is an
-    iterable of subsystem indices to retain (order preserved).
-    """
-    rho = np.asarray(rho)
-    dims = list(dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"density matrix shape {rho.shape} does not match dims {dims}")
-    keep = sorted(set(keep))
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
-    resh = rho.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for offset, i in enumerate(traced):
-        axis = i - offset
-        naxes = resh.ndim
-        resh = np.trace(resh, axis1=axis, axis2=axis + naxes // 2)
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return resh.reshape(d_keep, d_keep)
-
-
 def derive_rng(seed, *key):
     """Deterministic child generator keyed by integers, safe for parallel use."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
-
-
-def haar_state(dim, rng):
-    """Haar-random pure state as a normalized complex Gaussian vector."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
 
 
 def derive_seed(seed, *key):

@@ -16,6 +16,7 @@ concatenated_optimize wraps it in an outer derivative-free search over
 source-drive amplitudes.
 """
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ class OptimizerConfig:
     stop_below: float = None
 
     def __post_init__(self):
+        for name in ("max_iterations", "restarts", "memory_depth", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations <= 0 or self.memory_depth <= 0:
             raise ValueError("iteration and memory budgets must be positive")
         if self.gradient_tolerance <= 0 or self.cost_tolerance <= 0:
@@ -61,16 +66,6 @@ class OptimizationResult:
     converged: bool
     restart_index: int
     cost_history: list
-
-    def to_dict(self):
-        return {
-            "best_params": np.asarray(self.best_params).tolist(),
-            "best_cost": self.best_cost,
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-            "restart_index": self.restart_index,
-            "cost_history": list(self.cost_history),
-        }
 
 
 @dataclass(frozen=True)
@@ -389,13 +384,16 @@ def concatenated_optimize(
     Returns (omega*, inner OptimizationResult at omega*, diagnostics) with
     diagnostics = {outer_evaluations, sweeps, outer_history, t_ns,
     inner_runs, cache_hits}: inner_runs counts vqgo calls, cache_hits the
-    outer evaluations answered from the per-amplitude cache.
+    outer evaluations answered from the per-amplitude cache. Raises
+    ValueError for outer_maxiter below amplitudes + 2 or max_sweeps < 1.
     """
     cfg = cfg or OptimizerConfig()
     bounds = bounds or AmplitudeBounds()
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     k = omega0.size
     check_outer_maxiter(outer_maxiter, k)
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     cache = {}
     hits = 0
 

@@ -5,7 +5,7 @@ import pytest
 
 from gatesynth import analysis
 from gatesynth.channels import CNOT, SWAP, agf_unitary
-from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary, kron
+from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary
 
 PI4 = np.pi / 4
 
@@ -20,7 +20,7 @@ def _random_chamber_point(rng, margin=0.02):
 
 
 def _random_local(rng):
-    return kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
 
 
 def test_canonical_gate_corners():
@@ -142,7 +142,7 @@ def test_best_local_approximation_of_cnot():
     # attains it and random products never exceed it
     ceiling = (max(analysis.operator_schmidt(CNOT)) + 1.0) / 5.0
     assert abs(ceiling - 0.6) < 1e-12
-    witness = kron(np.diag([1.0, -1.0j]), expm_hermitian(np.array([[0, 1], [1, 0]]), -PI4))
+    witness = np.kron(np.diag([1.0, -1.0j]), expm_hermitian(np.array([[0, 1], [1, 0]]), -PI4))
     assert abs(agf_unitary(CNOT, witness) - 0.6) < 1e-12
     rng = derive_rng(67)
     best = max(agf_unitary(CNOT, _random_local(rng)) for _ in range(300))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesynth import channels
-from gatesynth.numkit import derive_rng, haar_state, haar_unitary
+from gatesynth.numkit import derive_rng, haar_unitary
 
 
 def test_pauli_label_index_roundtrip():

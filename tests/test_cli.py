@@ -1,6 +1,8 @@
 """Command-line runner: configs, artifacts, determinism, verification,
 and exit codes. All invocations go through cli.main() in-process."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -225,7 +227,7 @@ def test_outer_maxiter_below_amplitudes_plus_two_is_config_error(tmp_path, capsy
     out = tmp_path / "synd.csv"
     assert cli.main(["syndrome-sweep", "--config", cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "outer_maxiter 3" in err and "6" in err
+    assert "outer_maxiter must be an integer >= 6, got 3" in err
     assert not out.exists()
 
 
@@ -261,6 +263,103 @@ def test_bad_amplitude_bounds_or_gate_time_is_config_error(
     assert not out.exists()
 
 
+TINY_PAIR = {"delta_mhz": 200.0, "g_mhz": 5.0, "eps": 0.1, "phi_rad": 0.5}
+
+# (command, key, bad value, other overrides): every key of every command's
+# defaults appears at least once
+_BAD_VALUES = [
+    ("cnot-sweep", "pair", {"delta_mhz": "x", "g_mhz": 5}, {}),
+    ("cnot-sweep", "pair", {"delta_mhz": 200, "g_mhz": 5, "eps": 0.1}, {}),
+    ("cnot-sweep", "pair", 7, {}),
+    ("cnot-sweep", "eps_cases", [-1], {}),
+    ("cnot-sweep", "eps_cases", "x", {}),
+    ("cnot-sweep", "eps_cases", [], {}),
+    ("cnot-sweep", "phi_rad", "x", {}),
+    ("cnot-sweep", "depth", "abc", {}),
+    ("cnot-sweep", "depth", -1, {}),
+    ("cnot-sweep", "depth", 1.5, {}),
+    ("cnot-sweep", "t_opt_ns", -1, {}),
+    ("cnot-sweep", "t_start_ns", -15, {}),
+    ("cnot-sweep", "t_stop_ns", 45, {}),
+    ("cnot-sweep", "t_step_ns", "x", {}),
+    ("cnot-sweep", "t_step_ns", 0, {}),
+    ("cnot-sweep", "omega0_mhz", [50], {}),
+    ("cnot-sweep", "omega_bounds_mhz", [5], {}),
+    ("cnot-sweep", "outer_maxiter", 2, {}),
+    ("cnot-sweep", "max_sweeps", 0, {}),
+    ("cnot-sweep", "seed", -1, {}),
+    ("cnot-sweep", "seed", 1.5, {}),
+    ("cnot-sweep", "optimizer", {"restarts": 2.5}, {}),
+    ("cnot-sweep", "optimizer", "x", {}),
+    ("syndrome-sweep", "device", {"pairs": "x"}, {}),
+    ("syndrome-sweep", "device", {"pairs": [TINY_PAIR] * 3}, {}),
+    ("syndrome-sweep", "crosstalk_cases", ["x"], {}),
+    ("syndrome-sweep", "depth", 0, {}),
+    ("syndrome-sweep", "opposite_sign_layers", "false", {}),
+    ("syndrome-sweep", "opposite_sign_layers", True, {"depth": 3}),
+    ("syndrome-sweep", "t_opt_ns", "x", {}),
+    ("syndrome-sweep", "t_start_ns", None, {}),
+    ("syndrome-sweep", "t_stop_ns", "x", {}),
+    ("syndrome-sweep", "t_step_ns", -7.5, {}),
+    ("syndrome-sweep", "omega0_mhz", [80, 80], {}),
+    ("syndrome-sweep", "omega_bounds_mhz", [10, 5], {}),
+    ("syndrome-sweep", "outer_maxiter", 5, {}),
+    ("syndrome-sweep", "max_sweeps", 0, {}),
+    ("syndrome-sweep", "seed", "1", {}),
+    ("syndrome-sweep", "optimizer", [], {}),
+    ("cartan-map", "grid_points", "x", {}),
+    ("cartan-map", "grid_points", 1, {}),
+    ("cartan-map", "depth", -1, {}),
+    ("cartan-map", "seed", -1, {}),
+    ("cartan-map", "optimizer", {"restarts": 0}, {}),
+    ("single-optimize", "target", {"kind": "canonical", "c": "ab"}, {}),
+    ("single-optimize", "target", {"kind": "canonical", "c": [0.1, 0.2]}, {}),
+    ("single-optimize", "target", 5, {}),
+    ("single-optimize", "sources", [{"kind": "warp"}], {}),
+    ("single-optimize", "sources", 5, {}),
+    ("single-optimize", "mode", "x", {}),
+    ("single-optimize", "pair", {"delta_mhz": 200, "g_mhz": "x"}, {}),
+    ("single-optimize", "depth", 0, {}),
+    ("single-optimize", "t_ns", -1, {}),
+    ("single-optimize", "omega0_mhz", "x", {}),
+    ("single-optimize", "omega_bounds_mhz", [-1, 5], {}),
+    ("single-optimize", "outer_maxiter", 2, {}),
+    ("single-optimize", "max_sweeps", 0, {"mode": "concatenated", "pair": TINY_PAIR}),
+    ("single-optimize", "seed", -1, {}),
+    ("single-optimize", "optimizer", {"max_iterations": True}, {}),
+]
+_TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
+         "cartan-map": TINY_CARTAN, "single-optimize": TINY_SINGLE}
+
+
+def test_bad_values_cover_every_config_key():
+    for command, (_, defaults, _, _) in cli._COMMANDS.items():
+        assert {key for c, key, _, _ in _BAD_VALUES if c == command} == set(defaults)
+
+
+@pytest.mark.parametrize("command, key, value, other", _BAD_VALUES)
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, key, value, other):
+    cfg = _write(tmp_path / "c.json", {**_TINY[command], **other, key: value})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base", [
+    ("cnot-sweep", TINY_CNOT),
+    ("syndrome-sweep", dict(TINY_SYNDROME, crosstalk_cases=[0.0, 1.0], opposite_sign_layers=True)),
+])
+def test_sweep_workers_match_serial(tmp_path, command, base):
+    cfg = _write(tmp_path / "c.json", base)
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert cli.main([command, "--config", cfg, "--output", a]) == 0
+    assert cli.main([command, "--config", cfg, "--output", b, "--workers", "2"]) == 0
+    assert _body(a) == _body(b)
+    assert cli.main(["--verify", b]) == 0
+
+
 def test_cnot_sweep_tpcx_does_not_depend_on_omega0(tmp_path):
     outs = []
     for omega0 in (50.0, 120.0):
@@ -288,6 +387,60 @@ def test_verify_catches_tampering(tmp_path):
             break
     out.write_text("".join(lines))
     assert cli.main(["--verify", str(out)]) == 1
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Text of one small cartan-map and one small cnot-sweep artifact."""
+    tmp = tmp_path_factory.mktemp("artifacts")
+    texts = {}
+    for command, base in (("cartan-map", TINY_CARTAN), ("cnot-sweep", TINY_CNOT)):
+        out = tmp / f"{command}.csv"
+        assert cli.main([command, "--config", _write(tmp / "c.json", base),
+                         "--output", str(out)]) == 0
+        texts[command] = out.read_text()
+    return texts
+
+
+def _tamper(text, row_index, column, value):
+    header = [ln for ln in text.splitlines(keepends=True) if ln.startswith("#")]
+    rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    rows[row_index][column] = value
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return "".join(header) + buf.getvalue()
+
+
+@pytest.mark.parametrize("command, row_index, column, value, message", [
+    ("cartan-map", 2, "theta", "1;2", "cannot reshape array of size 2"),
+    ("cartan-map", 2, "c_y", "abc", "could not convert string to float: 'abc'"),
+    ("cartan-map", 2, "best_agf", "", "could not convert string to float: ''"),
+    ("cnot-sweep", 3, "theta", "1;2", "cannot reshape array of size 2"),
+    ("cnot-sweep", 3, "t_ns", "x", "could not convert string to float: 'x'"),
+    ("cnot-sweep", 0, "omega_mhz", "", "index 0 is out of bounds"),
+    ("cnot-sweep", 3, "eps", "-1", "eps must be finite and >= 0"),
+])
+def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row_index,
+                                       column, value, message):
+    out = tmp_path / "art.csv"
+    out.write_text(_tamper(artifacts[command], row_index, column, value))
+    assert cli.main(["--verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out}: row {row_index}: ") and message in err
+
+
+@pytest.mark.parametrize("command, row_index, column", [
+    ("cartan-map", 1, "best_agf"),
+    ("cnot-sweep", 0, "agi"),
+    ("cnot-sweep", 4, "agi"),
+])
+def test_verify_counts_nan_as_mismatch(tmp_path, capsys, artifacts, command, row_index, column):
+    out = tmp_path / "art.csv"
+    out.write_text(_tamper(artifacts[command], row_index, column, "nan"))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert f"row {row_index}: stated nan" in capsys.readouterr().out
 
 
 def test_verify_missing_file_is_io_error(tmp_path):
@@ -344,7 +497,7 @@ def test_single_optimize_bad_source_spec(tmp_path, capsys):
     cfg = _write(tmp_path / "c.json",
                  dict(TINY_SINGLE, sources=[{"kind": "canonical"}]))
     assert cli.main(["single-optimize", "--config", cfg]) == 1
-    assert "source spec" in capsys.readouterr().err
+    assert "sources[0].c must be a list of 3 finite numbers" in capsys.readouterr().err
 
 
 def test_gate_from_spec_kinds():

@@ -18,7 +18,7 @@ from gatesynth.channels import (
     ptm,
 )
 from gatesynth.devices import four_cr_gate, load_device, syndrome_target
-from gatesynth.numkit import derive_rng, haar_unitary, kron
+from gatesynth.numkit import derive_rng, haar_unitary
 
 
 def test_eigenbasis_z_and_x():
@@ -173,7 +173,7 @@ def test_dfe_estimate_checks_r_target_against_plan():
     u = haar_unitary(8, derive_rng(53))  # a PTM that is not symmetric
     assert abs(dfe.dfe_estimate(u, ptm(u), dfe.dfe_plan(ptm(u))) - 1.0) < 1e-12
     # another target's PTM of the same size differs at the plan's entries
-    r_other = ptm(kron(HADAMARD, np.eye(2)))
+    r_other = ptm(np.kron(HADAMARD, np.eye(2)))
     with pytest.raises(ValueError, match="differs from the target"):
         dfe.dfe_estimate(CNOT, r_other, plan)
     with pytest.raises(ValueError, match="differs from the target"):
@@ -216,7 +216,7 @@ def test_dfe_estimate_sampled_requires_rng():
 def test_identity_letter_sampling_uses_z_basis():
     # a plan entry with identity letters must still be measurable: the
     # estimator runs and stays finite with single shots
-    u = kron(HADAMARD, np.eye(2))
+    u = np.kron(HADAMARD, np.eye(2))
     r = ptm(u)
     plan = dfe.dfe_plan(r)
     assert any("I" in li or "I" in lj for (li, lj, _, _) in plan.entries)

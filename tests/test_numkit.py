@@ -6,12 +6,6 @@ import pytest
 from gatesynth import numkit
 
 
-def test_kron_ordering():
-    a = np.diag([1.0, 2.0])
-    b = np.eye(2)
-    assert np.allclose(numkit.kron(a, b), np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
 def test_kron_all_folds_left():
     mats = [np.diag([1, 2]), np.diag([1, 3]), np.diag([1, 5])]
     out = numkit.kron_all(mats)
@@ -70,18 +64,6 @@ def test_expm_hermitian_unitary_output():
         assert numkit.is_unitary(numkit.expm_hermitian(h, rng.uniform(0, 5)))
 
 
-def test_partial_trace_product_and_bell():
-    rho_a = np.diag([0.25, 0.75]).astype(complex)
-    rho_b = np.diag([0.5, 0.5]).astype(complex)
-    joint = np.kron(rho_a, rho_b)
-    assert np.allclose(numkit.partial_trace(joint, [0], [2, 2]), rho_a)
-    assert np.allclose(numkit.partial_trace(joint, [1], [2, 2]), rho_b)
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    assert np.allclose(numkit.partial_trace(rho, [0], [2, 2]), np.eye(2) / 2)
-
-
 def test_derive_rng_reproducible_and_keyed():
     a = numkit.derive_rng(5, 1).standard_normal(4)
     b = numkit.derive_rng(5, 1).standard_normal(4)
@@ -93,13 +75,6 @@ def test_derive_rng_reproducible_and_keyed():
 def test_derive_seed_stable():
     assert numkit.derive_seed(7, 1, 2) == numkit.derive_seed(7, 1, 2)
     assert numkit.derive_seed(7, 1, 2) != numkit.derive_seed(7, 2, 1)
-
-
-def test_haar_state_normalized():
-    rng = np.random.default_rng(3)
-    for k in range(5):
-        v = numkit.haar_state(8, rng)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
 def test_haar_unitary_is_unitary():

@@ -1,14 +1,12 @@
 """Optimizers: quasi-Newton descent, bounded derivative-free search, the
 multistart circuit synthesizer, and the two-level amplitude search."""
 
-import json
-
 import numpy as np
 import pytest
 
 from gatesynth import optimkit
 from gatesynth.channels import CNOT, SIGMA_X, SWAP, agi
-from gatesynth.numkit import derive_rng, expm_hermitian, kron
+from gatesynth.numkit import derive_rng, expm_hermitian
 
 
 def test_optimizer_config_validation():
@@ -22,6 +20,10 @@ def test_optimizer_config_validation():
         optimkit.OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         optimkit.OptimizerConfig(memory_depth=0)
+    for field, value in (("restarts", 2.5), ("max_iterations", True), ("seed", "1")):
+        with pytest.raises(TypeError, match=field):
+            optimkit.OptimizerConfig(**{field: value})
+    assert optimkit.OptimizerConfig(seed=np.uint32(7)).seed == 7
 
 
 def test_amplitude_bounds():
@@ -221,7 +223,6 @@ def test_vqgo_exact_source():
     assert res.best_params.min() >= 0.0 and res.best_params.max() < 2 * np.pi
     assert res.restart_index in (0, 1)
     assert res.iterations_used > 0
-    assert json.dumps(res.to_dict())  # report is JSON-serializable
 
 
 def test_vqgo_swap_source_cannot_reach_cnot():
@@ -296,7 +297,7 @@ def test_concatenated_flat_landscape_stops_early():
 def test_concatenated_finds_interior_optimum():
     # source exp(-i*(w/100)*(pi/4)*XX) equals the target class only at
     # w = 100, so the outer search must drive the amplitude there
-    xx = kron(SIGMA_X, SIGMA_X)
+    xx = np.kron(SIGMA_X, SIGMA_X)
     target = expm_hermitian(xx, np.pi / 4)
     cfg = optimkit.OptimizerConfig(
         restarts=1, max_iterations=250, gradient_tolerance=1e-8, seed=9
@@ -339,6 +340,21 @@ def test_concatenated_rejects_outer_budget_below_amplitudes_plus_two():
                                        outer_maxiter=4, max_sweeps=1)
 
 
+def test_concatenated_rejects_max_sweeps_below_one():
+    cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=10, seed=11)
+    calls = []
+
+    def factory(w):
+        calls.append(w)
+        return [CNOT]
+
+    for max_sweeps in (0, -1):
+        with pytest.raises(ValueError, match=f"max_sweeps must be >= 1, got {max_sweeps}"):
+            optimkit.concatenated_optimize(CNOT, factory, [50.0], cfg=cfg,
+                                           outer_maxiter=3, max_sweeps=max_sweeps)
+    assert calls == []
+
+
 def test_derivative_free_stops_below_target():
     seen = []
 
@@ -376,7 +392,7 @@ def test_concatenated_stops_at_first_amplitude_under_stop_below():
 
 
 def _xx_interior_case(stop_below):
-    xx = kron(SIGMA_X, SIGMA_X)
+    xx = np.kron(SIGMA_X, SIGMA_X)
     target = expm_hermitian(xx, np.pi / 4)
     cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=100,
                                    gradient_tolerance=1e-8, seed=9,
