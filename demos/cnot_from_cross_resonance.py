@@ -42,7 +42,7 @@ def main():
                               gradient_tolerance=1e-8,
                               seed=derive_seed(6, case_idx), stop_below=1e-6)
         w_v, res, _ = concatenated_optimize(
-            CNOT, factory, [50.0], AmplitudeBounds(), T_GATE_NS, cfg,
+            CNOT, factory, [50.0], AmplitudeBounds(), cfg,
             outer_maxiter=20, max_sweeps=2,
         )
         print(f"{eps:>5.1f} {w_t:>10.1f} {agi_tpcx:>10.4f} "

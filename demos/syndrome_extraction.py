@@ -15,8 +15,6 @@ import numpy as np
 
 from gatesynth import (
     AmplitudeBounds,
-    CrossResonancePair,
-    FourQubitDevice,
     OptimizerConfig,
     concatenated_optimize,
     derive_seed,
@@ -41,10 +39,7 @@ def main():
     print()
 
     for case_idx, scale in enumerate([0.0, 1.0]):
-        dev = FourQubitDevice(tuple(
-            CrossResonancePair(p.delta, p.g, p.eps * scale, p.phi)
-            for p in dev_base.pairs
-        ))
+        dev = dev_base.with_crosstalk(scale)
         factory = lambda w, d=dev: [
             four_cr_gate(d, np.asarray(w, dtype=float), T_GATE_NS)
         ] * DEPTH
@@ -52,7 +47,7 @@ def main():
                               gradient_tolerance=1e-7,
                               seed=derive_seed(8, case_idx), stop_below=3e-3)
         omega, res, diag = concatenated_optimize(
-            target, factory, [80.0] * 4, AmplitudeBounds(), T_GATE_NS, cfg,
+            target, factory, [80.0] * 4, AmplitudeBounds(), cfg,
             outer_maxiter=10, max_sweeps=1,
         )
         label = "crosstalk on " if scale else "crosstalk off"

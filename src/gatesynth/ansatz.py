@@ -113,16 +113,16 @@ def agi_cost(theta, sources, target):
     return 1.0 - agf_unitary(target, build_circuit(theta, sources))
 
 
-def parameter_shift_gradient(theta, sources, target, shift=PARAMETER_SHIFT, cost=None):
+def parameter_shift_gradient(theta, sources, target, cost=None):
     """Exact gradient of the infidelity cost, one entry per angle.
 
     With `cost` given (a callable of the full theta tensor), each component
-    is cost(theta_ijk + shift) - cost(theta_ijk - shift), which equals the
-    derivative exactly for the default shift of pi/4; measurement-driven
-    cost backends get their matching gradient this way.
+    is cost(theta_ijk + PARAMETER_SHIFT) - cost(theta_ijk - PARAMETER_SHIFT),
+    which equals the derivative exactly for the shift of pi/4;
+    measurement-driven cost backends get their matching gradient this way.
 
     Without `cost` (the exact backend) the derivative comes from the layer
-    environments and `shift` is unused. Write U = pre_i @ L_i @ post_i and
+    environments. Write U = pre_i @ L_i @ post_i and
     W_i = post_i @ T^dag @ pre_i @ L_i, so tau = Tr(T^dag U) = Tr(W_i).
     Replacing qubit j's gate g in L_i by its derivative dg in angle k
     multiplies L_i on the right by h = g^dag @ dg on qubit j, which turns
@@ -136,9 +136,9 @@ def parameter_shift_gradient(theta, sources, target, shift=PARAMETER_SHIFT, cost
         grad = np.zeros_like(theta)
         for idx in np.ndindex(theta.shape):
             tp = theta.copy()
-            tp[idx] += shift
+            tp[idx] += PARAMETER_SHIFT
             tm = theta.copy()
-            tm[idx] -= shift
+            tm[idx] -= PARAMETER_SHIFT
             grad[idx] = cost(tp) - cost(tm)
         return grad
 

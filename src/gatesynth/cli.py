@@ -158,13 +158,18 @@ def optimizer_from_dict(d, seed):
 
 def _amplitude_search(cfg, amplitudes):
     """concatenated_optimize's outer-search keywords. omega0_mhz is a number
-    or a list of `amplitudes`; COBYLA needs amplitudes + 2 evaluations."""
+    or a list of `amplitudes` within omega_bounds_mhz; COBYLA needs
+    amplitudes + 2 evaluations."""
     lo, hi = _read(cfg, "omega_bounds_mhz", size=2, low=0)
     if not lo < hi:
         raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
                           f"got {_canonical_json(cfg['omega_bounds_mhz'])}")
+    omega0 = _read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
+    if not all(lo <= w <= hi for w in np.atleast_1d(omega0)):
+        raise ConfigError(f"omega0_mhz must lie within omega_bounds_mhz [{lo:g}, {hi:g}], "
+                          f"got {_canonical_json(cfg['omega0_mhz'])}")
     return {
-        "omega0": _read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None),
+        "omega0": omega0,
         "bounds": AmplitudeBounds(lo, hi),
         "outer_maxiter": _read(cfg, "outer_maxiter", int, low=amplitudes + 2),
         "max_sweeps": _read(cfg, "max_sweeps", int, low=1),
@@ -226,19 +231,22 @@ def _base_meta(command, cfg):
 @dataclass(frozen=True)
 class Sweep:
     """One sweep command's problem, read by its run, pool jobs and --verify:
-    `target` on `qubits` qubits from CR drives. A value of cfg[cases_key] (eps
-    column, case{i}_<case_label> header) is a case; case(cfg, value) builds its
-    pair or device, source(case, omegas, t) evolves it. baseline(pair, omega,
-    t): echoed-CR CNOT AGI (method tpcx); time_header: source_time_total_ns."""
+    `target` from CR drives. A value of cfg[cases_key] (eps column,
+    case{i}_<case_label> header) is a case; case(cfg, value) builds its pair
+    or device, source(case, omegas, t) evolves it. baseline(pair, omega, t):
+    echoed-CR CNOT AGI (method tpcx); time_header: source_time_total_ns."""
 
     target: np.ndarray
-    qubits: int
     cases_key: str
     case_label: str
     case: Callable
     source: Callable
     baseline: Callable = None
     time_header: bool = False
+
+    @property
+    def qubits(self):
+        return self.target.shape[0].bit_length() - 1
 
 
 def _sources(sweep, case, omegas, t, signs):
@@ -286,7 +294,7 @@ def _sweep(sweep, cfg, workers):
 
         w_v, res_v, diag_v = concatenated_optimize(
             sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
-            t=t_opt, cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search,
+            cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search,
         )
         meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
         meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
@@ -306,15 +314,23 @@ def _sweep(sweep, cfg, workers):
 
 # ------------------------------------------------------------------ cnot sweep
 
-_SWEEP_DEFAULTS = {
+# the amplitude+angle search of cnot-sweep and single-optimize
+_SEARCH_DEFAULTS = {
     "depth": 2,
+    "omega0_mhz": 50.0,
+    "omega_bounds_mhz": [0.0, 200.0],
+    "outer_maxiter": 40,
+    "max_sweeps": 6,
+    "seed": 0,
+    "optimizer": {},
+}
+
+_SWEEP_DEFAULTS = {
+    **_SEARCH_DEFAULTS,
     "t_opt_ns": 75.0,
     "t_start_ns": 0.0,
     "t_stop_ns": 750.0,
     "t_step_ns": 7.5,
-    "omega_bounds_mhz": [0.0, 200.0],
-    "seed": 0,
-    "optimizer": {},
 }
 
 CNOT_SWEEP_DEFAULTS = {
@@ -322,9 +338,6 @@ CNOT_SWEEP_DEFAULTS = {
     "pair": {"delta_mhz": 200.0, "g_mhz": 5.0},
     "eps_cases": [0.0, 0.1, 1.0],
     "phi_rad": np.pi / 4,
-    "omega0_mhz": 50.0,
-    "outer_maxiter": 40,
-    "max_sweeps": 6,
 }
 
 
@@ -342,7 +355,7 @@ def _tpcx_agi(pair, omega, t):
     return agi(CNOT, tpcx(pair, omega, t))
 
 
-CNOT_SWEEP = Sweep(CNOT, 2, "eps_cases", "eps", _cnot_case, _cnot_source,
+CNOT_SWEEP = Sweep(CNOT, "eps_cases", "eps", _cnot_case, _cnot_source,
                    baseline=_tpcx_agi)
 
 
@@ -374,12 +387,12 @@ def _syndrome_case(cfg, scale):
         raise ConfigError(f"device must be an object with a pairs list, got {_canonical_json(raw)}")
     pairs = [_pair(p, f"device.pairs[{i}]") for i, p in enumerate(raw["pairs"])]
     try:
-        return FourQubitDevice(tuple(replace(p, eps=p.eps * scale) for p in pairs))
+        return FourQubitDevice(tuple(pairs)).with_crosstalk(scale)
     except ValueError as exc:
         raise ConfigError(f"device: {exc}") from exc
 
 
-SYNDROME_SWEEP = Sweep(syndrome_target(), 5, "crosstalk_cases", "crosstalk_scale",
+SYNDROME_SWEEP = Sweep(syndrome_target(), "crosstalk_cases", "crosstalk_scale",
                        _syndrome_case, four_cr_gate, time_header=True)
 
 _SWEEPS = {"cnot_sweep": CNOT_SWEEP, "syndrome_sweep": SYNDROME_SWEEP}
@@ -433,18 +446,12 @@ def cmd_cartan_map(cfg, workers):
 # ------------------------------------------------------------- single optimize
 
 SINGLE_OPTIMIZE_DEFAULTS = {
+    **_SEARCH_DEFAULTS,
     "target": {"kind": "cnot"},
     "sources": [{"kind": "cnot"}],
     "mode": "vqgo",
     "pair": None,
-    "depth": 2,
     "t_ns": 75.0,
-    "omega0_mhz": 50.0,
-    "omega_bounds_mhz": [0.0, 200.0],
-    "outer_maxiter": 40,
-    "max_sweeps": 6,
-    "seed": 0,
-    "optimizer": {},
 }
 
 
@@ -491,6 +498,13 @@ def cmd_single_optimize(cfg, workers):
         raise ConfigError(f"sources must be a list of gate specs, "
                           f"got {_canonical_json(cfg['sources'])}")
     sources = [gate_from_spec(s, f"sources[{i}]") for i, s in enumerate(cfg["sources"])]
+    n = lambda gate: gate.shape[0].bit_length() - 1
+    for i, source in enumerate(sources):
+        if source.shape != target.shape:
+            raise ConfigError(f"sources[{i}] acts on {n(source)} qubit(s), target on {n(target)}")
+    if mode == "concatenated" and target.shape != CNOT.shape:
+        raise ConfigError(f"concatenated mode builds 2-qubit CR sources, "
+                          f"target acts on {n(target)} qubit(s)")
     start = time.perf_counter()
     if mode == "vqgo":
         res = vqgo(target, sources, cfg=opt)
@@ -499,7 +513,7 @@ def cmd_single_optimize(cfg, workers):
         if pair is None:
             raise ConfigError("concatenated mode needs a 'pair' entry")
         w_v, res, diag = concatenated_optimize(
-            target, lambda w: _sources(CNOT_SWEEP, pair, w, t, signs), t=t, cfg=opt, **search,
+            target, lambda w: _sources(CNOT_SWEEP, pair, w, t, signs), cfg=opt, **search,
         )
         extra = {"omega_mhz": [float(x) for x in w_v],
                  "outer_evaluations": diag["outer_evaluations"]}
@@ -563,7 +577,12 @@ def verify_artifact(path):
     meta, rows = _read_artifact(path)
     if "command" not in meta or "config" not in meta:
         raise ConfigError(f"{path}: missing command/config metadata")
-    cfg = json.loads(meta["config"])
+    try:
+        cfg = json.loads(meta["config"])
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: config header: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config header must be a JSON object")
     command = meta["command"]
     if command != "cartan_map" and command not in _SWEEPS:
         raise ConfigError(f"cannot verify artifacts of command {command!r}")

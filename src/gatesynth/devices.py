@@ -11,12 +11,12 @@ significant) tensor factor.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import I2, SIGMA_X
-from .numkit import expm_hermitian, kron_all
+from .channels import CNOT, I2, SIGMA_X
+from .numkit import expm_hermitian
 
 MHZ_TO_RAD_PER_NS = 2.0e-3 * np.pi
 
@@ -69,13 +69,10 @@ class FourQubitDevice:
             if not isinstance(p, CrossResonancePair):
                 raise ValueError("pairs must be CrossResonancePair instances")
 
-    def with_crosstalk(self, enabled):
-        """Copy of the device with crosstalk either kept or zeroed."""
-        if enabled:
-            return self
-        return FourQubitDevice(
-            tuple(CrossResonancePair(p.delta, p.g, 0.0, p.phi) for p in self.pairs)
-        )
+    def with_crosstalk(self, scale):
+        """Copy of the device with each pair's eps multiplied by scale
+        (True and False keep and zero the crosstalk)."""
+        return FourQubitDevice(tuple(replace(p, eps=p.eps * scale) for p in self.pairs))
 
 
 # Two-qubit operators of the CR Hamiltonian, built once: the driven
@@ -88,6 +85,16 @@ _CR_SM2 = np.kron(I2, SIGMA_MINUS)
 _CR_SP2 = np.kron(I2, SIGMA_PLUS)
 
 
+def _cr_term(pair, omega):
+    """The CR Hamiltonian of cr_hamiltonian in MHz (not yet scaled)."""
+    drive2 = np.exp(-1j * pair.phi) * _CR_SM2 + np.exp(1j * pair.phi) * _CR_SP2
+    return (
+        pair.delta * _CR_N1
+        + pair.g * _CR_HOP
+        + 0.5 * omega * (_CR_DRIVE1 + pair.eps * drive2)
+    )
+
+
 def cr_hamiltonian(pair, omega):
     """CR drive Hamiltonian (rad/ns) on (driven qubit, target qubit):
 
@@ -95,13 +102,7 @@ def cr_hamiltonian(pair, omega):
                       + (omega/2)*((sp_1 + sm_1)
                                    + eps*(e^{-i phi} sm_2 + e^{i phi} sp_2)) ]
     """
-    drive2 = np.exp(-1j * pair.phi) * _CR_SM2 + np.exp(1j * pair.phi) * _CR_SP2
-    h = (
-        pair.delta * _CR_N1
-        + pair.g * _CR_HOP
-        + 0.5 * omega * (_CR_DRIVE1 + pair.eps * drive2)
-    )
-    return MHZ_TO_RAD_PER_NS * h
+    return MHZ_TO_RAD_PER_NS * _cr_term(pair, omega)
 
 
 def cr_gate(pair, drive):
@@ -109,11 +110,14 @@ def cr_gate(pair, drive):
     return expm_hermitian(cr_hamiltonian(pair, drive.omega), drive.t)
 
 
-def _embed(op, pos, n):
-    """op acting on tensor slot `pos` of an n-qubit register."""
-    mats = [I2] * n
-    mats[pos] = op
-    return kron_all(mats)
+def _on_slots(op, i):
+    """A two-qubit operator on tensor slots (Q_{i+1}, Q0) of the 5-qubit
+    register: its first qubit on slot i, its second on Q0 (slot 4)."""
+    axes = [2, 3, 4]  # the other three slots, in register order
+    axes.insert(i, 0)
+    axes.append(1)
+    t = np.kron(op, np.eye(8)).reshape((2,) * 10)
+    return t.transpose(axes + [a + 5 for a in axes]).reshape(32, 32)
 
 
 def four_cr_hamiltonian(dev, omegas):
@@ -123,19 +127,9 @@ def four_cr_hamiltonian(dev, omegas):
     omegas = np.asarray(omegas, dtype=float)
     if omegas.shape != (4,):
         raise ValueError(f"omegas must be 4 reals, got shape {omegas.shape}")
-    n1 = SIGMA_PLUS @ SIGMA_MINUS
-    sp0 = _embed(SIGMA_PLUS, 4, 5)
-    sm0 = _embed(SIGMA_MINUS, 4, 5)
     h = np.zeros((32, 32), dtype=complex)
     for i, (pair, omega) in enumerate(zip(dev.pairs, omegas)):
-        sp_i = _embed(SIGMA_PLUS, i, 5)
-        sm_i = _embed(SIGMA_MINUS, i, 5)
-        drive0 = np.exp(-1j * pair.phi) * sm0 + np.exp(1j * pair.phi) * sp0
-        h += (
-            pair.delta * _embed(n1, i, 5)
-            + pair.g * (sp_i @ sm0 + sm_i @ sp0)
-            + 0.5 * omega * ((sp_i + sm_i) + pair.eps * drive0)
-        )
+        h += _on_slots(_cr_term(pair, omega), i)
     return MHZ_TO_RAD_PER_NS * h
 
 
@@ -182,12 +176,9 @@ def syndrome_target():
     """Parity-accumulation target: four CNOTs, each controlled on a data
     qubit Q1..Q4 and targeting the measurement qubit Q0. The factors
     commute, so ordering is irrelevant; the product is its own inverse."""
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
     u = np.eye(32, dtype=complex)
     for i in range(4):
-        cnot_i = _embed(p0, i, 5) + _embed(p1, i, 5) @ _embed(SIGMA_X, 4, 5)
-        u = cnot_i @ u
+        u = _on_slots(CNOT, i) @ u
     return u
 
 

@@ -192,21 +192,23 @@ class _TargetReached(Exception):
     COBYLA run once a value falls under stop_below."""
 
 
-def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None, stop_below=None):
-    """Bounded derivative-free minimization (COBYLA); returns the best
-    point seen across all evaluations, so the reported value is a
-    monotone best-so-far. bounds is a list of (lower, upper) pairs.
+def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
+    """Bounded derivative-free minimization (COBYLA) from x0, with at most
+    max_evaluations evaluations of f; returns the best point seen across
+    all evaluations, so the reported value is a monotone best-so-far.
+    bounds is a list of (lower, upper) pairs, and x0 must lie within them.
 
     If stop_below is set, the search ends at the first evaluation whose
     value is under it and returns that point with converged=True; with
     stop_below None, COBYLA runs to its own termination.
     """
-    cfg = cfg or OptimizerConfig()
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("bounds must be finite")
+    if not (np.all(lo <= x0) and np.all(x0 <= hi)):
+        raise ValueError(f"start point {x0} lies outside the bounds {bounds}")
     best = {"x": None, "f": np.inf, "nfev": 0}
 
     def wrapped(x):
@@ -222,16 +224,14 @@ def minimize_derivative_free(f, x0, bounds, cfg=None, rhobeg=None, stop_below=No
             raise _TargetReached
         return val
 
-    span = float(np.min(hi - lo))
-    if rhobeg is None:
-        rhobeg = min(10.0, 0.25 * span)
+    rhobeg = min(10.0, 0.25 * float(np.min(hi - lo)))
     try:
         res = scipy.optimize.minimize(
             wrapped,
-            np.clip(x0, lo, hi),
+            x0,
             method="COBYLA",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": cfg.max_iterations, "rhobeg": rhobeg, "tol": 1e-8},
+            options={"maxiter": max_evaluations, "rhobeg": rhobeg, "tol": 1e-8},
         )
         converged = bool(res.success)
     except _TargetReached:
@@ -302,7 +302,7 @@ def _flat_cost_and_grad(target, sources, shape, backend, shots, rng):
     return f, g
 
 
-def vqgo(target, sources, shape=None, cfg=None, backend="exact", shots=None):
+def vqgo(target, sources, cfg=None, backend="exact", shots=None):
     """Multistart synthesis of `target` from the fixed `sources`:
     cfg.restarts independent quasi-Newton descents of the infidelity cost,
     each from a fresh uniform-random angle tensor, keeping the best.
@@ -318,8 +318,6 @@ def vqgo(target, sources, shape=None, cfg=None, backend="exact", shots=None):
     target = np.asarray(target)
     n = int(round(np.log2(target.shape[0])))
     d = len(sources)
-    if shape is not None and tuple(shape) != (n, d):
-        raise ValueError(f"shape {tuple(shape)} inconsistent with target/sources ({n}, {d})")
     best = None
     total_iterations = 0
     for r in range(cfg.restarts):
@@ -349,31 +347,13 @@ def vqgo(target, sources, shape=None, cfg=None, backend="exact", shots=None):
     )
 
 
-def check_outer_maxiter(outer_maxiter, amplitudes):
-    """Reject an outer budget below amplitudes + 2, the least COBYLA
-    starts with (scipy would raise it without saying so)."""
-    if outer_maxiter < amplitudes + 2:
-        raise ValueError(
-            f"outer_maxiter {outer_maxiter} is below {amplitudes + 2}, "
-            f"the minimum for {amplitudes} amplitude(s)"
-        )
-    return outer_maxiter
-
-
 def concatenated_optimize(
-    target,
-    source_factory,
-    omega0,
-    bounds=None,
-    t=None,
-    cfg=None,
-    outer_maxiter=40,
-    max_sweeps=6,
-    rhobeg=None,
+    target, source_factory, omega0, bounds=None, cfg=None, *, outer_maxiter, max_sweeps
 ):
     """Two-level synthesis: an outer bounded derivative-free search over
     the drive-amplitude vector whose cost is the inner vqgo best
-    infidelity at that amplitude. Outer sweeps restart from the incumbent
+    infidelity at that amplitude. Each outer sweep has a budget of
+    outer_maxiter evaluations. Outer sweeps restart from the incumbent
     until the sweep-to-sweep improvement falls below cfg.cost_tolerance
     or max_sweeps is hit. If cfg.stop_below is set, the search ends at the
     first amplitude whose inner cost is under it: that sweep stops there
@@ -382,16 +362,20 @@ def concatenated_optimize(
     is deterministic and results are cached per amplitude.
 
     Returns (omega*, inner OptimizationResult at omega*, diagnostics) with
-    diagnostics = {outer_evaluations, sweeps, outer_history, t_ns,
-    inner_runs, cache_hits}: inner_runs counts vqgo calls, cache_hits the
-    outer evaluations answered from the per-amplitude cache. Raises
-    ValueError for outer_maxiter below amplitudes + 2 or max_sweeps < 1.
+    diagnostics = {outer_evaluations, sweeps, outer_history, inner_runs,
+    cache_hits}: inner_runs counts vqgo calls, cache_hits the outer
+    evaluations answered from the per-amplitude cache. Raises ValueError
+    for outer_maxiter below amplitudes + 2 (the least COBYLA starts with)
+    or max_sweeps < 1.
     """
     cfg = cfg or OptimizerConfig()
     bounds = bounds or AmplitudeBounds()
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     k = omega0.size
-    check_outer_maxiter(outer_maxiter, k)
+    if outer_maxiter < k + 2:
+        raise ValueError(
+            f"outer_maxiter {outer_maxiter} is below {k + 2}, the minimum for {k} amplitude(s)"
+        )
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     cache = {}
@@ -407,14 +391,6 @@ def concatenated_optimize(
             cache[key] = vqgo(target, sources, cfg=cfg)
         return cache[key].best_cost
 
-    outer_cfg = OptimizerConfig(
-        max_iterations=outer_maxiter,
-        gradient_tolerance=cfg.gradient_tolerance,
-        cost_tolerance=cfg.cost_tolerance,
-        restarts=1,
-        memory_depth=cfg.memory_depth,
-        seed=cfg.seed,
-    )
     x = omega0
     prev = None
     history = []
@@ -423,7 +399,7 @@ def concatenated_optimize(
     box = bounds.pairs(k)
     for sweeps in range(1, max_sweeps + 1):
         xs, fs, diag = minimize_derivative_free(
-            outer_cost, x, box, outer_cfg, rhobeg=rhobeg, stop_below=cfg.stop_below
+            outer_cost, x, box, outer_maxiter, stop_below=cfg.stop_below
         )
         evals += diag["iterations"]
         history.append(fs)
@@ -438,7 +414,6 @@ def concatenated_optimize(
         "outer_evaluations": evals,
         "sweeps": sweeps,
         "outer_history": history,
-        "t_ns": t,
         "inner_runs": len(cache),
         "cache_hits": hits,
     }

@@ -175,7 +175,7 @@ def test_criterion_06_cnot_synthesis_with_crosstalk():
             cost_tolerance=1e-13, seed=derive_seed(6, case_idx), stop_below=1e-6,
         )
         _, res, _ = concatenated_optimize(
-            CNOT, factory, [50.0], AmplitudeBounds(), t_opt, cfg,
+            CNOT, factory, [50.0], AmplitudeBounds(), cfg,
             outer_maxiter=20, max_sweeps=2,
         )
         agis[eps] = res.best_cost
@@ -196,7 +196,7 @@ def test_criterion_07_echoed_cr_baseline():
         pair = CrossResonancePair(200.0, 5.0, eps, np.pi / 4)
         w, _, _ = minimize_derivative_free(
             lambda x, p=pair: agi(CNOT, tpcx(p, float(x[0]), t_opt)),
-            [50.0], [(0.0, 200.0)], OptimizerConfig(max_iterations=300, seed=7),
+            [50.0], [(0.0, 200.0)], 300,
         )
         agis[eps] = agi(CNOT, tpcx(pair, float(w[0]), t_opt))
     ok = (
@@ -233,7 +233,7 @@ def test_criterion_08_syndrome_extraction():
         )
         _, res, _ = concatenated_optimize(
             target, factory, [80.0, 80.0, 80.0, 80.0], AmplitudeBounds(),
-            t_opt, cfg, outer_maxiter=10, max_sweeps=1,
+            cfg, outer_maxiter=10, max_sweeps=1,
         )
         agis[scale] = res.best_cost
     source_time = depth * t_opt

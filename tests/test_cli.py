@@ -4,6 +4,8 @@ and exit codes. All invocations go through cli.main() in-process."""
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +329,10 @@ _BAD_VALUES = [
     ("single-optimize", "max_sweeps", 0, {"mode": "concatenated", "pair": TINY_PAIR}),
     ("single-optimize", "seed", -1, {}),
     ("single-optimize", "optimizer", {"max_iterations": True}, {}),
+    # an amplitude start outside the amplitude bounds
+    ("cnot-sweep", "omega0_mhz", 250, {}),
+    ("syndrome-sweep", "omega0_mhz", [80, 80, 80, 5], {"omega_bounds_mhz": [10, 200]}),
+    ("single-optimize", "omega0_mhz", 50, {"omega_bounds_mhz": [60, 200]}),
 ]
 _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
          "cartan-map": TINY_CARTAN, "single-optimize": TINY_SINGLE}
@@ -335,6 +341,28 @@ _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
 def test_bad_values_cover_every_config_key():
     for command, (_, defaults, _, _) in cli._COMMANDS.items():
         assert {key for c, key, _, _ in _BAD_VALUES if c == command} == set(defaults)
+
+
+def test_readme_config_table_covers_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | commands | accepted value |")[1].split("\n\n")[0]
+    documented = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            documented |= set(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    defaults = [v for k, v in vars(cli).items() if k.endswith("_DEFAULTS")]
+    assert len(defaults) >= 4
+    for d in defaults:
+        assert set(d) <= documented
+
+
+def test_omega0_outside_bounds_names_key_value_and_bounds(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, omega0_mhz=250))
+    out = tmp_path / "out.csv"
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: omega0_mhz must lie within omega_bounds_mhz [0, 200], got 250\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, value, other", _BAD_VALUES)
@@ -431,6 +459,19 @@ def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row
     assert err.startswith(f"config error: {out}: row {row_index}: ") and message in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ("{{", "config header: Expecting property name enclosed in double quotes"),
+    ("[2]", "config header must be a JSON object"),
+])
+def test_verify_rejects_malformed_config_header(tmp_path, capsys, artifacts, config, message):
+    out = tmp_path / "art.csv"
+    out.write_text(re.sub(r"^# config: .*$", f"# config: {config}", artifacts["cartan-map"],
+                          flags=re.M))
+    assert cli.main(["--verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out}: {message}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, row_index, column", [
     ("cartan-map", 1, "best_agf"),
     ("cnot-sweep", 0, "agi"),
@@ -498,6 +539,24 @@ def test_single_optimize_bad_source_spec(tmp_path, capsys):
                  dict(TINY_SINGLE, sources=[{"kind": "canonical"}]))
     assert cli.main(["single-optimize", "--config", cfg]) == 1
     assert "sources[0].c must be a list of 3 finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"target": {"kind": "identity", "qubits": 3}}, "sources[0] acts on 2 qubit(s), target on 3"),
+    ({"sources": ["cnot", {"kind": "identity", "qubits": 1}]},
+     "sources[1] acts on 1 qubit(s), target on 2"),
+    ({"mode": "concatenated", "pair": TINY_PAIR, "target": {"kind": "identity", "qubits": 3},
+      "sources": [{"kind": "identity", "qubits": 3}]},
+     "concatenated mode builds 2-qubit CR sources, target acts on 3 qubit(s)"),
+])
+def test_single_optimize_qubit_count_mismatch_is_config_error(tmp_path, capsys, overrides,
+                                                              message):
+    cfg = _write(tmp_path / "c.json", {**TINY_SINGLE, **overrides})
+    out = tmp_path / "report.json"
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_gate_from_spec_kinds():

@@ -61,6 +61,48 @@ def test_cr_hamiltonian_matches_kron_formula():
         assert np.array_equal(devices.cr_hamiltonian(pair, omega), h)
 
 
+def test_four_cr_hamiltonian_matches_kron_formula():
+    # each pair's CR term written out on 5-qubit operators, every one built
+    # by kron on each call; register order (Q1..Q4, Q0)
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    i2 = np.eye(2, dtype=complex)
+
+    def embed(op, pos):
+        mats = [i2] * 5
+        mats[pos] = op
+        return kron_all(mats)
+
+    sp0, sm0 = embed(sp, 4), embed(sm, 4)
+    rng = derive_rng(32)
+    for k in range(200):
+        pairs = tuple(
+            devices.CrossResonancePair(
+                rng.uniform(-300, 300), rng.uniform(-10, 10), rng.uniform(0, 2),
+                rng.uniform(-2 * np.pi, 2 * np.pi),
+            )
+            for _ in range(4)
+        )
+        omegas = rng.uniform(-200, 200, size=4)
+        h = np.zeros((32, 32), dtype=complex)
+        for i, (pair, omega) in enumerate(zip(pairs, omegas)):
+            sp_i, sm_i = embed(sp, i), embed(sm, i)
+            drive0 = np.exp(-1j * pair.phi) * sm0 + np.exp(1j * pair.phi) * sp0
+            h += (
+                pair.delta * embed(sp @ sm, i)
+                + pair.g * (sp_i @ sm0 + sm_i @ sp0)
+                + 0.5 * omega * ((sp_i + sm_i) + pair.eps * drive0)
+            )
+        dev = devices.FourQubitDevice(pairs)
+        assert np.array_equal(devices.four_cr_hamiltonian(dev, omegas), RADS * h)
+    # the target from projectors: CNOT_i = P0_i + P1_i X_0
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    u = np.eye(32, dtype=complex)
+    for i in range(4):
+        u = (embed(p0, i) + embed(p1, i) @ embed(sp + sm, 4)) @ u
+    assert np.array_equal(devices.syndrome_target(), u)
+
+
 def test_cr_gate_time_zero_and_detuning_phase():
     pair = devices.CrossResonancePair(200.0, 0.0)
     assert np.allclose(devices.cr_gate(pair, devices.DriveSpec(40.0, 0.0)), np.eye(4))
@@ -233,4 +275,4 @@ def test_with_crosstalk_toggle():
     off = dev.with_crosstalk(False)
     assert all(p.eps == 0.0 for p in off.pairs)
     assert all(p.phi == 1.0 for p in off.pairs)
-    assert dev.with_crosstalk(True) is dev
+    assert dev.with_crosstalk(True) == dev
