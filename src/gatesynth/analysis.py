@@ -5,7 +5,7 @@ operator entanglement, and entangling power (analytic and Monte-Carlo).
 
 import numpy as np
 
-from .channels import SWAP, pauli_basis
+from .channels import SWAP, pauli_basis, pauli_matrix
 from .numkit import dagger, expm_hermitian, is_unitary
 
 # Magic basis: transforms local gates to real orthogonal matrices, so the
@@ -20,15 +20,12 @@ MAGIC = np.array(
     dtype=complex,
 ) / np.sqrt(2)
 
-_XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
-_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-_ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
-
 
 def canonical_gate(c):
     """exp(i*(c_x XX + c_y YY + c_z ZZ)) for any real triple c."""
     cx, cy, cz = c
-    return expm_hermitian(cx * _XX + cy * _YY + cz * _ZZ, -1.0)
+    h = cx * pauli_matrix("XX") + cy * pauli_matrix("YY") + cz * pauli_matrix("ZZ")
+    return expm_hermitian(h, -1.0)
 
 
 def local_invariants(u):

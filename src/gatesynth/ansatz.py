@@ -23,7 +23,9 @@ shifted by +/- pi/4 (no finite differencing).
 
 import numpy as np
 
-from .channels import agf_unitary
+from .channels import agf_unitary, ptm
+from .dfe import dfe_estimate, dfe_plan
+from .numkit import kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
 _MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
@@ -55,17 +57,6 @@ def euler_gate(t0, t1, t2):
     return _euler_gates(np.array([t0, t1, t2], dtype=float))
 
 
-def _kron_qubits(gates):
-    """Tensor product over the qubit axis, first qubit most significant:
-    gates of shape (..., n, 2, 2) give operators of shape (..., 2^n, 2^n)."""
-    out = gates[..., 0, :, :]
-    for j in range(1, gates.shape[-3]):
-        size = 2 * out.shape[-1]
-        out = out[..., :, None, :, None] * gates[..., j, None, :, None, :]
-        out = out.reshape(out.shape[:-4] + (size, size))
-    return out
-
-
 def wrap_angles(theta):
     """Canonical angle representative in [0, 2*pi)."""
     return np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
@@ -95,13 +86,13 @@ def _check_shapes(theta, sources, target=None):
 
 def build_layer(theta_i):
     """Tensor product of per-qubit Euler gates for one layer."""
-    return _kron_qubits(_euler_gates(np.asarray(theta_i, dtype=float)))
+    return kron_qubits(_euler_gates(np.asarray(theta_i, dtype=float)))
 
 
 def build_circuit(theta, sources):
     """Full circuit unitary for a parameter tensor and source gate list."""
     theta, d, _, _ = _check_shapes(theta, sources)
-    layers = _kron_qubits(_euler_gates(theta))
+    layers = kron_qubits(_euler_gates(theta))
     u = layers[0]
     for i in range(d):
         u = u @ np.asarray(sources[i]) @ layers[i + 1]
@@ -144,7 +135,7 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
 
     rx0, ry1, rx2 = _euler_factors(theta)
     gates = rx0 @ ry1 @ rx2
-    layers = _kron_qubits(gates)
+    layers = kron_qubits(gates)
     sources = [np.asarray(s) for s in sources]
     ahead = [layers[0]]  # ahead[i] = pre_i @ L_i
     for i in range(d):
@@ -174,9 +165,6 @@ def make_emulated_cost(sources, target, shots=None, rng=None):
 
     Returns a callable mapping a theta tensor to an infidelity estimate.
     """
-    from .channels import ptm
-    from .dfe import dfe_estimate, dfe_plan
-
     r_target = ptm(target)
     plan = dfe_plan(r_target)
 

@@ -1,8 +1,8 @@
 """Pauli algebra, average gate fidelity, and Pauli transfer matrices.
 
 Pauli labels are strings over {I, X, Y, Z}, one letter per qubit, qubit 1
-first. Their integer index is the base-4 reading of the string with
-I=0, X=1, Y=2, Z=3, so index 0 is always the all-identity label.
+first. Their index is the base-4 reading of the string in the letter codes
+I=0, X=1, Y=2, Z=3 (the rows of the read-only PAULI_STACK); index 0 is I...I.
 """
 
 from functools import lru_cache
@@ -10,14 +10,15 @@ from itertools import product
 
 import numpy as np
 
-from .numkit import dagger, kron_all
+from .numkit import dagger, kron_qubits, qubit_count
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 PAULI_LETTERS = "IXYZ"
+PAULI_STACK = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_STACK.flags.writeable = False
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1, 1j]).astype(complex)
@@ -41,12 +42,13 @@ def pauli_index(label):
     return idx
 
 
+def pauli_codes(indices, n):
+    """Base-4 digits of Pauli indices, first qubit first: shape (..., n)."""
+    return (np.asarray(indices)[..., None] // 4 ** np.arange(n - 1, -1, -1)) % 4
+
+
 def pauli_label(index, n):
-    letters = []
-    for _ in range(n):
-        letters.append(PAULI_LETTERS[index % 4])
-        index //= 4
-    return "".join(reversed(letters))
+    return "".join(PAULI_LETTERS[c] for c in pauli_codes(index, n))
 
 
 @lru_cache(maxsize=4096)
@@ -56,15 +58,18 @@ def pauli_matrix(label):
     bad = set(label) - set(PAULI_LETTERS)
     if bad or not label:
         raise ValueError(f"invalid Pauli label {label!r}")
-    mat = kron_all([PAULIS[ch] for ch in label])
+    mat = kron_qubits(PAULI_STACK[[PAULI_LETTERS.index(ch) for ch in label]])
     mat.flags.writeable = False
     return mat
 
 
 @lru_cache(maxsize=8)
 def pauli_basis(n):
-    """Stacked array of all 4**n Pauli matrices, shape (4**n, 2**n, 2**n)."""
-    basis = np.stack([pauli_matrix(lbl) for lbl in pauli_labels(n)])
+    """Stacked array of all 4**n Pauli matrices, shape (4**n, 2**n, 2**n).
+    Cached; treat the returned array as read-only."""
+    if n < 1:
+        raise ValueError(f"a Pauli basis needs at least one qubit, got {n}")
+    basis = kron_qubits(PAULI_STACK[pauli_codes(np.arange(4**n), n)])
     basis.flags.writeable = False
     return basis
 
@@ -90,10 +95,7 @@ def ptm(u):
     """Pauli transfer matrix R_ij = Tr[s_i u s_j u†]/D of a unitary channel."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise ValueError(f"dimension {d} is not a power of two")
-    basis = pauli_basis(n)
+    basis = pauli_basis(qubit_count(d))
     conj = np.einsum("ab,jbc,dc->jad", u, basis, u.conj(), optimize=True)
     r = np.einsum("iab,jba->ij", basis, conj, optimize=True).real / d
     return r

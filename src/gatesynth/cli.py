@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Callable
@@ -41,7 +41,7 @@ from .devices import (
     syndrome_target,
     tpcx,
 )
-from .numkit import derive_rng, derive_seed, haar_unitary
+from .numkit import derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
@@ -149,11 +149,25 @@ def _read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
 
 
 def optimizer_from_dict(d, seed):
-    """OptimizerConfig from a config's `optimizer` entries and the seed."""
-    try:
-        return OptimizerConfig(**{**d, "seed": seed})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"optimizer config: {exc}") from exc
+    """OptimizerConfig from a config's `optimizer` object and the top-level
+    seed. Each entry is read like a top-level key: an integer field as an
+    integer >= 1, a float field (stop_below may also be null) as a finite
+    number > 0; `seed` belongs at the top level."""
+    where = "optimizer config: "
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}optimizer must be an object, got {_canonical_json(d)}")
+    kinds = {f.name: f.type for f in fields(OptimizerConfig)}
+    values = {}
+    for key, value in d.items():
+        if key == "seed":
+            raise ConfigError(f"{where}seed is not an optimizer field; set the top-level seed")
+        if key not in kinds:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        if value is not None or key != "stop_below":
+            kind = kinds[key]
+            values[key] = _read(d, key, kind, low=1 if kind is int else None,
+                                above=0 if kind is float else None, where=where)
+    return OptimizerConfig(**values, seed=seed)
 
 
 def _amplitude_search(cfg, amplitudes):
@@ -246,7 +260,7 @@ class Sweep:
 
     @property
     def qubits(self):
-        return self.target.shape[0].bit_length() - 1
+        return qubit_count(self.target.shape[0])
 
 
 def _sources(sweep, case, omegas, t, signs):
@@ -467,6 +481,9 @@ def gate_from_spec(spec, where="gate"):
         return (CNOT if kind == "cnot" else SWAP).copy()
     if kind == "identity":
         qubits = _read({"qubits": 2, **spec}, "qubits", int, low=1, where=w)
+        widest = SYNDROME_SWEEP.qubits  # the widest register the package models
+        if qubits > widest:
+            raise ConfigError(f"{w}qubits must be an integer >= 1 and <= {widest}, got {qubits}")
         return np.eye(2 ** qubits, dtype=complex)
     if kind == "canonical":
         return canonical_gate(_read(spec, "c", size=3, where=w))
@@ -498,7 +515,7 @@ def cmd_single_optimize(cfg, workers):
         raise ConfigError(f"sources must be a list of gate specs, "
                           f"got {_canonical_json(cfg['sources'])}")
     sources = [gate_from_spec(s, f"sources[{i}]") for i, s in enumerate(cfg["sources"])]
-    n = lambda gate: gate.shape[0].bit_length() - 1
+    n = lambda gate: qubit_count(gate.shape[0])
     for i, source in enumerate(sources):
         if source.shape != target.shape:
             raise ConfigError(f"sources[{i}] acts on {n(source)} qubit(s), target on {n(target)}")

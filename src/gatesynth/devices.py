@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import CNOT, I2, SIGMA_X
+from .channels import CNOT, I2, S_GATE, SIGMA_X, pauli_matrix
 from .numkit import expm_hermitian
 
 MHZ_TO_RAD_PER_NS = 2.0e-3 * np.pi
@@ -143,8 +143,7 @@ def four_cr_gate(dev, omegas, t):
 # Fixed single-qubit frames of the echoed-CR CNOT. In the ideal limit the
 # two CR segments approach exp(+-i*(pi/8)*Z(x)X); the frames below turn
 # that echoed pair into CNOT exactly (see tpcx docstring).
-_S = np.diag([1.0, 1.0j])
-TPCX_A = np.kron(_S @ SIGMA_X, I2)
+TPCX_A = np.kron(S_GATE @ SIGMA_X, I2)
 TPCX_B = np.kron(SIGMA_X, I2)
 TPCX_C = np.kron(I2, expm_hermitian(SIGMA_X, np.pi / 4))
 
@@ -153,7 +152,7 @@ def tpcx_ideal_limit_segments():
     """The two-qubit rotations the CR segments approach when detuning,
     coupling, and crosstalk idealize away: exp(-+i*(pi/8)*Z(x)X) for the
     (-omega, +omega) slots respectively."""
-    zx = np.kron(np.diag([1.0, -1.0]).astype(complex), SIGMA_X)
+    zx = pauli_matrix("ZX")
     return expm_hermitian(zx, np.pi / 8), expm_hermitian(zx, -np.pi / 8)
 
 

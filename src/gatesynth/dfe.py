@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ansatz import _kron_qubits
-from .channels import PAULI_LETTERS, PAULIS, pauli_label, pauli_matrix
+from .channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_label, pauli_matrix
+from .numkit import kron_qubits, qubit_count
 
 PLAN_SUPPORT_ATOL = 1e-12
 # entries per block of the expectation table: the block's eigenstate and
@@ -48,12 +48,11 @@ _LETTER_EIGENSYSTEM = {
     "Z": [(_KET0, 1.0), (_KET1, -1.0)],
 }
 # the same systems indexed by letter code (I, X, Y, Z = 0..3): eigenvector
-# matrices with the states as columns, their eigenvalues, and the Paulis
+# matrices with the states as columns and their eigenvalues
 _EIGENVECTORS = np.stack([
     np.column_stack([state for state, _ in _LETTER_EIGENSYSTEM[c]]) for c in PAULI_LETTERS
 ])
 _EIGENVALUES = np.array([[lam for _, lam in _LETTER_EIGENSYSTEM[c]] for c in PAULI_LETTERS])
-_PAULI_STACK = np.stack([PAULIS[c] for c in PAULI_LETTERS])
 
 
 @lru_cache(maxsize=4096)
@@ -167,19 +166,14 @@ class DfeSamplingConfig:
         return math.ceil(1.0 / (self.eps_fail**2 * self.delta_acc))
 
 
-def _letter_codes(indices, n):
-    """Base-4 digits of Pauli indices, first qubit first: shape (m, n)."""
-    return (indices[:, None] // 4 ** np.arange(n - 1, -1, -1)) % 4
-
-
 def dfe_plan(r_target):
     """Build the measurement plan for a target PTM: all entries with
     |R_ij| above support tolerance, weighted by R_ij^2 / D^2."""
     r_target = np.asarray(r_target)
-    dim = int(round(np.sqrt(r_target.shape[0])))
-    n = int(round(np.log2(dim)))
+    n = qubit_count(r_target.shape[0]) // 2
     if 4**n != r_target.shape[0]:
         raise ValueError(f"PTM side {r_target.shape[0]} is not a power of 4")
+    dim = 2**n
     rows, cols = np.nonzero(np.abs(r_target) > PLAN_SUPPORT_ATOL)
     if rows.size == 0:
         raise ValueError("target PTM has no support")
@@ -190,13 +184,13 @@ def dfe_plan(r_target):
     )
     targets = np.array([e[2] for e in entries])
     weights = np.array([e[3] for e in entries])
-    in_codes = _letter_codes(cols, n)
+    in_codes = pauli_codes(cols, n)
     eigenvalues = np.ones((rows.size, 1))
     for q in range(n):
         eigenvalues = eigenvalues[:, :, None] * _EIGENVALUES[in_codes[:, q], None, :]
         eigenvalues = eigenvalues.reshape(rows.size, -1)
     return DfePlan(
-        entries=entries, dim=dim, out_codes=_letter_codes(rows, n), in_codes=in_codes,
+        entries=entries, dim=dim, out_codes=pauli_codes(rows, n), in_codes=in_codes,
         targets=targets, probs=weights / weights.sum(), eigenvalues=eigenvalues,
     )
 
@@ -208,8 +202,8 @@ def _expectation_table(u, plan):
     table = np.empty(plan.eigenvalues.shape)
     for start in range(0, len(plan.targets), _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
-        phi = u @ _kron_qubits(_EIGENVECTORS[plan.in_codes[block]])
-        sigma_phi = _kron_qubits(_PAULI_STACK[plan.out_codes[block]]) @ phi
+        phi = u @ kron_qubits(_EIGENVECTORS[plan.in_codes[block]])
+        sigma_phi = kron_qubits(PAULI_STACK[plan.out_codes[block]]) @ phi
         table[block] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
     return table
 

@@ -24,6 +24,25 @@ def kron_all(mats):
     return out
 
 
+def kron_qubits(gates):
+    """Tensor product over the qubit axis, first qubit most significant:
+    gates of shape (..., n, 2, 2) give operators of shape (..., 2^n, 2^n)."""
+    out = gates[..., 0, :, :]
+    for j in range(1, gates.shape[-3]):
+        size = 2 * out.shape[-1]
+        out = out[..., :, None, :, None] * gates[..., j, None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (size, size))
+    return out
+
+
+def qubit_count(dim):
+    """The n of a register dimension dim = 2**n; ValueError for any other."""
+    n = int(dim).bit_length() - 1
+    if dim < 1 or 2**n != dim:
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return n
+
+
 def dagger(a):
     """Conjugate transpose."""
     return np.asarray(a).conj().T

@@ -16,6 +16,7 @@ concatenated_optimize wraps it in an outer derivative-free search over
 source-drive amplitudes.
 """
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .ansatz import (
     random_params,
     wrap_angles,
 )
-from .numkit import derive_rng
+from .numkit import derive_rng, qubit_count
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,15 @@ class OptimizerConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_iterations <= 0 or self.memory_depth <= 0:
             raise ValueError("iteration and memory budgets must be positive")
-        if self.gradient_tolerance <= 0 or self.cost_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.stop_below is not None and self.stop_below <= 0:
-            raise ValueError("stop_below must be positive when set")
+        for name in ("gradient_tolerance", "cost_tolerance", "stop_below"):
+            value = getattr(self, name)
+            if value is None and name == "stop_below":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -316,7 +320,7 @@ def vqgo(target, sources, cfg=None, backend="exact", shots=None):
     """
     cfg = cfg or OptimizerConfig()
     target = np.asarray(target)
-    n = int(round(np.log2(target.shape[0])))
+    n = qubit_count(target.shape[0])
     d = len(sources)
     best = None
     total_iterations = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatesynth import channels
-from gatesynth.numkit import derive_rng, haar_unitary
+from gatesynth.numkit import derive_rng, haar_unitary, kron_all
 
 
 def test_pauli_label_index_roundtrip():
@@ -25,6 +25,31 @@ def test_pauli_matrix_values():
         channels.pauli_matrix("Q")
     with pytest.raises(ValueError):
         channels.pauli_matrix("")
+
+
+# the single-qubit Paulis written out here, so the batched tensor product
+# behind pauli_matrix and pauli_basis is checked against an independent fold
+_LETTERS = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def test_pauli_matrix_and_basis_match_kron_fold():
+    for n in (1, 2, 3):
+        basis = channels.pauli_basis(n)
+        assert basis.shape == (4**n, 2**n, 2**n) and not basis.flags.writeable
+        for idx, label in enumerate(channels.pauli_labels(n)):
+            fold = kron_all([_LETTERS[ch] for ch in label])
+            mat = channels.pauli_matrix(label)
+            assert not mat.flags.writeable
+            assert np.array_equal(mat, fold) and np.array_equal(basis[idx], fold)
+    with pytest.raises(ValueError):
+        channels.pauli_matrix("XZ")[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        channels.pauli_basis(0)
 
 
 def test_pauli_basis_orthogonality():

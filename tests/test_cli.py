@@ -2,6 +2,7 @@
 and exit codes. All invocations go through cli.main() in-process."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from gatesynth import cli
 from gatesynth.channels import CNOT, SWAP
+from gatesynth.optimkit import OptimizerConfig
 
 
 def _write(path, obj):
@@ -373,6 +375,44 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, key, value,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
     assert not out.exists()
+
+
+# one bad value per OptimizerConfig field, read from the `optimizer` object
+_BAD_OPTIMIZER_FIELDS = [
+    ("max_iterations", 0),
+    ("gradient_tolerance", "x"),
+    ("cost_tolerance", float("nan")),
+    ("restarts", True),
+    ("memory_depth", 1.5),
+    ("seed", 3),
+    ("stop_below", float("inf")),
+]
+
+
+def test_bad_optimizer_fields_cover_every_field():
+    fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    assert {name for name, _ in _BAD_OPTIMIZER_FIELDS} == fields
+
+
+@pytest.mark.parametrize("field, value", _BAD_OPTIMIZER_FIELDS)
+def test_bad_optimizer_field_is_located(tmp_path, capsys, field, value):
+    optimizer = {**TINY_SINGLE["optimizer"], field: value}
+    cfg = _write(tmp_path / "c.json", {**TINY_SINGLE, "optimizer": optimizer})
+    out = tmp_path / "report.json"
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: optimizer config: {field} ") and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("qubits", [6, 40])
+def test_identity_wider_than_five_qubits_is_config_error(tmp_path, capsys, qubits):
+    spec = {"kind": "identity", "qubits": qubits}
+    cfg = _write(tmp_path / "c.json", {**TINY_SINGLE, "target": spec, "sources": [spec]})
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: target.qubits must be an integer >= 1 and <= 5, got {qubits}\n")
 
 
 @pytest.mark.parametrize("command, base", [

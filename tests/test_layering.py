@@ -1,0 +1,53 @@
+"""Module layering: each gatesynth module imports only modules below it in
+
+    numkit -> channels -> {analysis, devices, dfe} -> ansatz -> optimkit -> cli
+
+(modules of one rank do not import each other). Every import statement is
+read from the source with ast, including imports inside functions, so a
+lazy import cannot hide a cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parents[1] / "src" / "gatesynth"
+LAYERS = [{"numkit"}, {"channels"}, {"analysis", "devices", "dfe"}, {"ansatz"}, {"optimkit"},
+          {"cli"}]
+RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+
+
+def _imported_modules(tree):
+    """Names of the gatesynth modules a module's import statements read.
+    `from . import name` names a module only when name is one; otherwise it
+    reads an attribute of the package itself (such as __version__)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names if alias.name in RANK}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gatesynth."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gatesynth.")}
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(RANK)
+
+
+def test_modules_import_only_lower_layers():
+    bad = []
+    for name, rank in RANK.items():
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for dep in sorted(_imported_modules(tree)):
+            if RANK.get(dep, len(LAYERS)) >= rank:
+                bad.append(f"{name} imports {dep}")
+    assert bad == []
+
+
+def test_a_function_level_import_is_seen():
+    tree = ast.parse("def f():\n    from .dfe import dfe_plan\n    from . import ansatz\n")
+    assert _imported_modules(tree) == {"dfe", "ansatz"}

@@ -15,6 +15,23 @@ def test_kron_all_folds_left():
         numkit.kron_all([])
 
 
+def test_kron_qubits_matches_kron_all_fold():
+    rng = np.random.default_rng(5)
+    for n in range(1, 5):
+        gates = rng.standard_normal((3, n, 2, 2)) + 1j * rng.standard_normal((3, n, 2, 2))
+        out = numkit.kron_qubits(gates)
+        assert out.shape == (3, 2**n, 2**n)
+        for b in range(3):
+            assert np.array_equal(out[b], numkit.kron_all(gates[b]))
+
+
+def test_qubit_count():
+    assert [numkit.qubit_count(d) for d in (1, 2, 32)] == [0, 1, 5]
+    for dim in (0, 3, 6):
+        with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two"):
+            numkit.qubit_count(dim)
+
+
 def test_dagger():
     m = np.array([[1, 2j], [3, 4]])
     assert np.array_equal(numkit.dagger(m), m.conj().T)

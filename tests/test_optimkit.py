@@ -24,6 +24,11 @@ def test_optimizer_config_validation():
         with pytest.raises(TypeError, match=field):
             optimkit.OptimizerConfig(**{field: value})
     assert optimkit.OptimizerConfig(seed=np.uint32(7)).seed == 7
+    for field in ("gradient_tolerance", "cost_tolerance", "stop_below"):
+        for value in (np.nan, np.inf, -np.inf, True, "1e-9"):
+            with pytest.raises(ValueError, match=field):
+                optimkit.OptimizerConfig(**{field: value})
+    assert optimkit.OptimizerConfig(stop_below=np.float64(1e-3)).stop_below == 1e-3
 
 
 def test_amplitude_bounds():
