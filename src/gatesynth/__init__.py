@@ -79,4 +79,5 @@ from .optimkit import (
     minimize_on_interval,
     minimize_quasi_newton,
     vqgo,
+    vqgo_batch,
 )

@@ -21,11 +21,13 @@ gives the exact derivative as the difference of two cost evaluations
 shifted by +/- pi/4 (no finite differencing).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .channels import agf_unitary, ptm
+from .channels import agf_from_trace, agf_unitary, ptm
 from .dfe import dfe_estimate, dfe_plan
-from .numkit import kron_qubits
+from .numkit import dagger, kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
 _MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
@@ -67,21 +69,26 @@ def random_params(n, d, rng):
     return rng.uniform(0.0, 2.0 * np.pi, size=(d + 1, n, 3))
 
 
-def _check_shapes(theta, sources, target=None):
+def stack_sources(sources, dim):
+    """The source gates as one (d, dim, dim) complex array; ValueError if a
+    gate is not dim x dim."""
+    for s in sources:
+        if np.shape(s) != (dim, dim):
+            raise ValueError(f"source gate shape {np.shape(s)} != ({dim}, {dim})")
+    return np.array(sources, dtype=complex).reshape(len(sources), dim, dim)
+
+
+def _one_problem(theta, sources, target=None):
+    """Checked theta (d+1, n, 3) and its stacked sources (d, D, D)."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 3 or theta.shape[2] != 3:
         raise ValueError(f"theta must have shape (d+1, n, 3), got {theta.shape}")
-    d = theta.shape[0] - 1
-    n = theta.shape[1]
-    if len(sources) != d:
-        raise ValueError(f"{len(sources)} source gates for depth {d}")
-    dim = 2**n
-    for s in sources:
-        if np.asarray(s).shape != (dim, dim):
-            raise ValueError(f"source gate shape {np.asarray(s).shape} != ({dim}, {dim})")
-    if target is not None and np.asarray(target).shape != (dim, dim):
-        raise ValueError(f"target shape {np.asarray(target).shape} != ({dim}, {dim})")
-    return theta, d, n, dim
+    if len(sources) != theta.shape[0] - 1:
+        raise ValueError(f"{len(sources)} source gates for depth {theta.shape[0] - 1}")
+    dim = 2 ** theta.shape[1]
+    if target is not None and np.shape(target) != (dim, dim):
+        raise ValueError(f"target shape {np.shape(target)} != ({dim}, {dim})")
+    return theta, stack_sources(sources, dim)
 
 
 def build_layer(theta_i):
@@ -89,14 +96,89 @@ def build_layer(theta_i):
     return kron_qubits(_euler_gates(np.asarray(theta_i, dtype=float)))
 
 
+class CircuitPass(NamedTuple):
+    """The forward pass over B stacked problems: the Euler factors rx0, ry1,
+    rx2 and the gates, each (B, d+1, n, 2, 2), the layers L_i and the prefix
+    products ahead[:, i] = L_0 @ S_1 @ L_1 @ ... @ S_i @ L_i, each
+    (B, d+1, D, D). ahead[:, -1] holds the circuits."""
+
+    rx0: np.ndarray
+    ry1: np.ndarray
+    rx2: np.ndarray
+    gates: np.ndarray
+    layers: np.ndarray
+    ahead: np.ndarray
+
+
+def circuit_pass(theta, sources):
+    """Build B circuits at once from theta (B, d+1, n, 3) and stacked
+    sources (B, d, D, D). Each problem's arrays are bit-for-bit those of
+    building it alone: every step is elementwise or one product per matrix."""
+    rx0, ry1, rx2 = _euler_factors(theta)
+    gates = rx0 @ ry1 @ rx2
+    layers = kron_qubits(gates)
+    ahead = np.empty_like(layers)
+    ahead[:, 0] = layers[:, 0]
+    for i in range(sources.shape[1]):
+        ahead[:, i + 1] = ahead[:, i] @ sources[:, i] @ layers[:, i + 1]
+    return CircuitPass(rx0, ry1, rx2, gates, layers, ahead)
+
+
+def pass_costs(cpass, target):
+    """Infidelity of each circuit of a CircuitPass against the (D, D)
+    target; row b equals agi_cost of problem b alone."""
+    tau = (dagger(target) @ cpass.ahead[:, -1]).trace(axis1=-2, axis2=-1)
+    # abs() per element: numpy's vectorized complex abs can differ from the
+    # scalar one in the last bit
+    return [1.0 - agf_from_trace(t, target.shape[0]) for t in tau]
+
+
+def pass_gradients(cpass, sources, target):
+    """Exact gradients (B, d+1, n, 3) of the infidelity of each circuit of
+    a CircuitPass, with its stacked sources (B, d, D, D), against the
+    (D, D) target; row b equals parameter_shift_gradient of problem b alone.
+
+    Write U = pre_i @ L_i @ post_i and W_i = post_i @ T^dag @ pre_i @ L_i,
+    so tau = Tr(T^dag U) = Tr(W_i). Replacing qubit j's gate g in L_i by its
+    derivative dg in angle k multiplies L_i on the right by h = g^dag @ dg
+    on qubit j, which turns tau into Tr(R_ij @ h), with R_ij the 2x2
+    reduction of W_i to qubit j. The derivatives of g are -i*sx @ g,
+    Rx @ (-i*sy) @ Ry @ Rx and g @ (-i*sx). The cost
+    1 - (|tau|^2/D + 1)/(D + 1) then has derivative
+    -2 Re(conj(tau) d(tau)) / (D (D + 1)).
+    """
+    rx0, ry1, rx2, gates, layers, ahead = cpass
+    count, depth1, n = gates.shape[:3]
+    dim = 2**n
+    behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
+    for i in range(depth1 - 2, -1, -1):
+        behind.append(sources[:, i] @ layers[:, i + 1] @ behind[-1])
+    envs = np.empty_like(ahead)
+    for i, b in enumerate(reversed(behind)):
+        envs[:, i] = b @ ahead[:, i]
+    tau = envs[:, 0].trace(axis1=-2, axis2=-1)
+
+    reduced = np.empty((count, depth1, n, 2, 2), dtype=complex)
+    for j in range(n):
+        rest = 2 ** (n - 1 - j)
+        reduced[:, :, j] = np.einsum(
+            "xipaqpbq->xiab", envs.reshape(count, depth1, 2**j, 2, rest, 2**j, 2, rest))
+    dgates = np.empty(gates.shape[:3] + (3, 2, 2), dtype=complex)
+    dgates[:, :, :, 0] = _MINUS_I_SX @ gates
+    dgates[:, :, :, 1] = rx0 @ _MINUS_I_SY @ ry1 @ rx2
+    dgates[:, :, :, 2] = gates @ _MINUS_I_SX
+    h = gates.conj().swapaxes(-1, -2)[..., None, :, :] @ dgates
+    if depth1 * n > 1:
+        dtau = np.einsum("xijab,xijkba->xijk", reduced, h)
+    else:  # one gate a problem: einsum would sum in an order that depends on the batch size
+        dtau = np.stack([np.einsum("ijab,ijkba->ijk", r, g) for r, g in zip(reduced, h)])
+    return -2.0 * (np.conj(tau)[:, None, None, None] * dtau).real / (dim * (dim + 1))
+
+
 def build_circuit(theta, sources):
     """Full circuit unitary for a parameter tensor and source gate list."""
-    theta, d, _, _ = _check_shapes(theta, sources)
-    layers = kron_qubits(_euler_gates(theta))
-    u = layers[0]
-    for i in range(d):
-        u = u @ np.asarray(sources[i]) @ layers[i + 1]
-    return u
+    theta, sources = _one_problem(theta, sources)
+    return circuit_pass(theta[None], sources[None]).ahead[0, -1]
 
 
 def agi_cost(theta, sources, target):
@@ -111,51 +193,20 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
     is cost(theta_ijk + PARAMETER_SHIFT) - cost(theta_ijk - PARAMETER_SHIFT),
     which equals the derivative exactly for the shift of pi/4;
     measurement-driven cost backends get their matching gradient this way.
-
-    Without `cost` (the exact backend) the derivative comes from the layer
-    environments. Write U = pre_i @ L_i @ post_i and
-    W_i = post_i @ T^dag @ pre_i @ L_i, so tau = Tr(T^dag U) = Tr(W_i).
-    Replacing qubit j's gate g in L_i by its derivative dg in angle k
-    multiplies L_i on the right by h = g^dag @ dg on qubit j, which turns
-    tau into Tr(R_ij @ h), with R_ij the 2x2 reduction of W_i to qubit j.
-    The derivatives of g are -i*sx @ g, Rx @ (-i*sy) @ Ry @ Rx and
-    g @ (-i*sx). The cost 1 - (|tau|^2/D + 1)/(D + 1) then has derivative
-    -2 Re(conj(tau) d(tau)) / (D (D + 1)).
+    Without `cost` (the exact backend) it is pass_gradients for a batch of one.
     """
-    theta, d, n, dim = _check_shapes(theta, sources, target)
-    if cost is not None:
-        grad = np.zeros_like(theta)
-        for idx in np.ndindex(theta.shape):
-            tp = theta.copy()
-            tp[idx] += PARAMETER_SHIFT
-            tm = theta.copy()
-            tm[idx] -= PARAMETER_SHIFT
-            grad[idx] = cost(tp) - cost(tm)
-        return grad
-
-    rx0, ry1, rx2 = _euler_factors(theta)
-    gates = rx0 @ ry1 @ rx2
-    layers = kron_qubits(gates)
-    sources = [np.asarray(s) for s in sources]
-    ahead = [layers[0]]  # ahead[i] = pre_i @ L_i
-    for i in range(d):
-        ahead.append(ahead[-1] @ sources[i] @ layers[i + 1])
-    behind = [np.asarray(target).conj().T]  # behind[-1 - i] = post_i @ T^dag
-    for i in range(d - 1, -1, -1):
-        behind.append(sources[i] @ layers[i + 1] @ behind[-1])
-    envs = np.stack([b @ a for b, a in zip(reversed(behind), ahead)])
-    tau = np.trace(envs[0])
-
-    reduced = np.empty((d + 1, n, 2, 2), dtype=complex)
-    for j in range(n):
-        rest = 2 ** (n - 1 - j)
-        reduced[:, j] = np.einsum("ipaqpbq->iab", envs.reshape(d + 1, 2**j, 2, rest, 2**j, 2, rest))
-    dgates = np.stack(
-        [_MINUS_I_SX @ gates, rx0 @ _MINUS_I_SY @ ry1 @ rx2, gates @ _MINUS_I_SX], axis=2
-    )
-    h = gates.conj().swapaxes(-1, -2)[:, :, None] @ dgates
-    dtau = np.einsum("ijab,ijkba->ijk", reduced, h)
-    return -2.0 * (np.conj(tau) * dtau).real / (dim * (dim + 1))
+    theta, stacked = _one_problem(theta, sources, target)
+    if cost is None:
+        stacked = stacked[None]
+        return pass_gradients(circuit_pass(theta[None], stacked), stacked, target)[0]
+    grad = np.zeros_like(theta)
+    for idx in np.ndindex(theta.shape):
+        tp = theta.copy()
+        tp[idx] += PARAMETER_SHIFT
+        tm = theta.copy()
+        tm[idx] -= PARAMETER_SHIFT
+        grad[idx] = cost(tp) - cost(tm)
+    return grad
 
 
 def make_emulated_cost(sources, target, shots=None, rng=None):

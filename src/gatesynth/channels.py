@@ -5,6 +5,7 @@ first. Their index is the base-4 reading of the string in the letter codes
 I=0, X=1, Y=2, Z=3 (the rows of the read-only PAULI_STACK); index 0 is I...I.
 """
 
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -80,8 +81,12 @@ def agf_unitary(u, v):
     v = np.asarray(v)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch {u.shape} vs {v.shape}")
-    d = u.shape[0]
-    overlap = abs(np.trace(dagger(u) @ v)) ** 2
+    return agf_from_trace(np.trace(dagger(u) @ v), u.shape[0])
+
+
+def agf_from_trace(tau, d):
+    """Average gate fidelity from tau = Tr(U^dag V) of two d x d unitaries."""
+    overlap = abs(tau) ** 2
     # rounding can push the overlap a few ulp past its exact ceiling D^2
     return min(1.0, (overlap / d + 1.0) / (d + 1.0))
 
@@ -107,5 +112,8 @@ def agf_from_ptms(r_target, r_channel):
     r_channel = np.asarray(r_channel)
     if r_target.shape != r_channel.shape:
         raise ValueError(f"size mismatch {r_target.shape} vs {r_channel.shape}")
-    d = int(round(np.sqrt(r_target.shape[0])))
+    side = r_target.shape[0] if r_target.ndim else 0
+    d = math.isqrt(side)
+    if r_target.shape != (side, side) or side < 4 or d * d != side or d & (d - 1):
+        raise ValueError(f"PTM shape {r_target.shape} is not square with a side of 4^n")
     return min(1.0, (np.sum(r_target * r_channel) / d + 1.0) / (d + 1.0))

@@ -48,6 +48,7 @@ from .optimkit import (
     concatenated_optimize,
     minimize_on_interval,
     vqgo,
+    vqgo_batch,
 )
 
 VERIFY_ATOL = 1e-9
@@ -213,11 +214,22 @@ def _pair(raw, where, keys=("delta_mhz", "g_mhz", "eps", "phi_rad")):
                               _read(raw, "eps", low=0, where=w), _read(raw, "phi_rad", where=w))
 
 
-def _map_jobs(fn, jobs, workers):
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+def _synthesize(batches, workers):
+    """vqgo results of every design of every (target, sources, cfgs) batch,
+    in order. Each batch is split into `workers` contiguous chunks, and the
+    chunks of all batches go to a pool of that many processes (none for
+    one worker); the results do not depend on the split."""
+    parts = max(workers, 1)
+    jobs = []
+    for target, sources, cfgs in batches:
+        cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
+        jobs += [(target, sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+    if parts == 1:
+        chunks = map(vqgo_batch, *zip(*jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            chunks = list(pool.map(vqgo_batch, *zip(*jobs)))
+    return [res for chunk in chunks for res in chunk]
 
 
 def _write_artifact(path, meta, columns, rows):
@@ -271,11 +283,6 @@ def _sources(sweep, case, omegas, t, signs):
     return [gates[s] for s in signs]
 
 
-def _sweep_point(args):
-    sweep, case, omegas, t, signs, opt = args
-    return vqgo(sweep.target, _sources(sweep, case, omegas, t, signs), cfg=opt)
-
-
 def _sweep(sweep, cfg, workers):
     """Per case: fix the drive amplitudes by the concatenated amplitude+angle
     search at t_opt_ns, then synthesize at each time of the t grid with them
@@ -294,8 +301,8 @@ def _sweep(sweep, cfg, workers):
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     meta = [("source_time_total_ns", _fmt(len(signs) * t_opt))] if sweep.time_header else []
     rows = []
-    jobs = []
-    heads = []  # the vqgo rows' leading cells, one per job
+    batches = []
+    heads = []  # the vqgo rows' leading cells, one per design
     for case_idx, (value, case) in enumerate(zip(values, cases)):
         label = [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
         meta.append((f"case{case_idx}_{sweep.case_label}", _fmt(value)))
@@ -313,13 +320,12 @@ def _sweep(sweep, cfg, workers):
         meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
         meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
         meta.append((f"case{case_idx}_outer_evaluations", str(diag_v["outer_evaluations"])))
-        for t_idx, t in enumerate(grid):
-            point_opt = replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx))
-            jobs.append((sweep, case, w_v, float(t), signs, point_opt))
-            heads.append(["vqgo", *label, _fmt_list(w_v), _fmt(t)])
+        batches.append((sweep.target, [_sources(sweep, case, w_v, float(t), signs) for t in grid],
+                        [replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx))
+                         for t_idx in range(len(grid))]))
+        heads += [["vqgo", *label, _fmt_list(w_v), _fmt(t)] for t in grid]
 
-    results = _map_jobs(_sweep_point, jobs, workers)
-    for head, res in zip(heads, results):
+    for head, res in zip(heads, _synthesize(batches, workers)):
         rows.append(head + [_fmt(res.best_cost), str(opt.restarts), str(res.iterations_used),
                             "true" if res.converged else "false", _fmt_list(res.best_params)])
     rows.sort(key=lambda r: (float(r[1]), float(r[4]), r[0]))
@@ -428,13 +434,6 @@ CARTAN_MAP_DEFAULTS = {
 }
 
 
-def _cartan_point(args):
-    c, depth, opt = args
-    gate = canonical_gate(c)
-    res = vqgo(CNOT, [gate] * depth, cfg=opt)
-    return entangling_power(gate), res
-
-
 def cmd_cartan_map(cfg, workers):
     """Grid over canonical coordinates in [0, pi/4]^3: each point reports
     the entangling power of its canonical gate and the best fidelity of a
@@ -444,14 +443,15 @@ def cmd_cartan_map(cfg, workers):
     seed = _read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     axis = np.linspace(0.0, np.pi / 4, npts)
-    jobs = []
-    for index in itertools.product(range(npts), repeat=3):
-        jobs.append((tuple(axis[list(index)]), depth, replace(opt, seed=derive_seed(seed, *index))))
-    results = _map_jobs(_cartan_point, jobs, workers)
+    grid = list(itertools.product(range(npts), repeat=3))
+    coords = [tuple(axis[list(index)]) for index in grid]
+    gates = [canonical_gate(c) for c in coords]
+    cfgs = [replace(opt, seed=derive_seed(seed, *index)) for index in grid]
+    results = _synthesize([(CNOT, [[gate] * depth for gate in gates], cfgs)], workers)
     rows = []
-    for (c, _, _), (ep, res) in zip(jobs, results):
+    for c, gate, res in zip(coords, gates, results):
         rows.append([
-            _fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(ep),
+            _fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(entangling_power(gate)),
             _fmt(1.0 - res.best_cost), _fmt_list(res.best_params),
         ])
     return [("depth", str(depth))], CARTAN_COLUMNS, rows

@@ -5,30 +5,38 @@ parabola-first line search: the first trial step is the minimizer of the
 quadratic interpolant through (f(x), directional derivative, f(x+p)),
 which makes the method terminate on quadratic costs in at most
 `dimension` iterations when the memory covers the full history. A
-standard Armijo backtracking loop guards the non-quadratic case.
+standard Armijo backtracking loop guards the non-quadratic case. Its
+iteration is a generator of cost and gradient requests, so one driver can
+answer the requests of many descents together.
 
 minimize_derivative_free is a bounded COBYLA search from a start point;
 minimize_on_interval is a start-free 1-D search (a fixed grid, then
 bounded Brent around its best point).
 
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
-concatenated_optimize wraps it in an outer derivative-free search over
-source-drive amplitudes.
+vqgo_batch runs many such designs of one target in lockstep, with one
+stacked circuit pass and one stacked gradient a round; concatenated_optimize
+wraps vqgo in an outer derivative-free search over source-drive amplitudes.
 """
 
+import functools
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
 from .ansatz import (
-    agi_cost,
+    CircuitPass,
+    circuit_pass,
     make_emulated_cost,
     parameter_shift_gradient,
+    pass_costs,
+    pass_gradients,
     random_params,
+    stack_sources,
     wrap_angles,
 )
 from .numkit import derive_rng, qubit_count
@@ -70,6 +78,7 @@ class OptimizationResult:
     converged: bool
     restart_index: int
     cost_history: list
+    restart_diagnostics: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -87,34 +96,56 @@ class AmplitudeBounds:
         return [(self.lower, self.upper)] * k
 
 
+COST, GRADIENT = "cost", "gradient"
+
+
+def _serve(steps, answer):
+    """Run a request generator to its return value, sending it
+    answer(kind, x) for each (kind, x) request it yields."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(answer(*request))
+    except StopIteration as done:
+        return done.value
+
+
 def minimize_quasi_newton(f, grad, x0, cfg=None):
     """Limited-memory BFGS descent; returns (x*, f*, diagnostics).
 
     Terminates when the max-abs gradient drops below gradient_tolerance,
     an accepted step improves the cost by less than cost_tolerance, the
-    line search finds no step that lowers the cost, or the iteration
-    budget runs out. Raises ValueError on non-finite cost or gradient
-    values. diagnostics carries iterations, converged, reason (grad_tol,
-    cost_tol, line_search or budget), nfev and ngev (cost and gradient
-    evaluations) and the cost_history of accepted iterates
+    line search finds no step that lowers the cost or that moves x, or the
+    iteration budget runs out. Raises ValueError on non-finite cost or
+    gradient values. diagnostics carries iterations, converged, reason
+    (grad_tol, cost_tol, line_search or budget), nfev and ngev (cost and
+    gradient evaluations) and the cost_history of accepted iterates
     (non-increasing).
     """
-    cfg = cfg or OptimizerConfig()
+    return _serve(_quasi_newton_steps(x0, cfg or OptimizerConfig()),
+                  lambda kind, x: f(x) if kind is COST else grad(x))
+
+
+def _quasi_newton_steps(x0, cfg):
+    """minimize_quasi_newton as a generator: it yields (COST, x) and
+    (GRADIENT, x) requests, is sent each answer, and returns (x*, f*,
+    diagnostics). A gradient is only requested at one of the last two
+    points whose cost was requested, as the same array object."""
     nfev = ngev = 0
 
     def cost(z):
         nonlocal nfev
         nfev += 1
-        return float(f(z))
+        return float((yield COST, z))
 
     def gradient(z):
         nonlocal ngev
         ngev += 1
-        return np.asarray(grad(z), dtype=float)
+        return np.asarray((yield GRADIENT, z), dtype=float)
 
     x = np.asarray(x0, dtype=float).copy()
-    fx = cost(x)
-    gx = gradient(x)
+    fx = yield from cost(x)
+    gx = yield from gradient(x)
     if not (np.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
     pairs = deque(maxlen=cfg.memory_depth)
@@ -146,25 +177,28 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
             dphi = gx @ p
         # parabola through f(x), dphi, f(x+p); its minimizer is exact on
         # quadratic costs, giving finite termination there
-        f1 = cost(x + p)
+        xn = x + p
+        f1 = yield from cost(xn)
         t, ft = 1.0, f1
         b = f1 - fx - dphi
         if b > 1e-300:
             tstar = -dphi / (2.0 * b)
             if 1e-10 < tstar < 1e10 and tstar != 1.0:
-                fstar = cost(x + tstar * p)
+                xstar = x + tstar * p
+                fstar = yield from cost(xstar)
                 if fstar < ft:
-                    t, ft = tstar, fstar
+                    t, ft, xn = tstar, fstar, xstar
         n_bt = 0
         while not (np.isfinite(ft) and ft <= fx + 1e-4 * t * dphi) and n_bt < 60:
             t *= 0.5
-            ft = cost(x + t * p)
+            xn = x + t * p
+            ft = yield from cost(xn)
             n_bt += 1
-        if not np.isfinite(ft) or ft > fx:
+        # a step that rounds away leaves x where it is: no progress, not convergence
+        if not np.isfinite(ft) or ft > fx or np.array_equal(xn, x):
             reason = "line_search"
             break
-        xn = x + t * p
-        gn = gradient(xn)
+        gn = yield from gradient(xn)
         if not np.isfinite(gn).all():
             raise ValueError("non-finite gradient during descent")
         s = xn - x
@@ -284,26 +318,39 @@ def minimize_on_interval(f, lower, upper):
     return x, fx, {"nfev": nfev, "bracket": bracket}
 
 
-def _flat_cost_and_grad(target, sources, shape, backend, shots, rng):
-    n, d = shape
-    if backend == "exact":
-        cost_tensor = None
-    elif backend == "emulated":
-        cost_tensor = make_emulated_cost(sources, target, shots=shots, rng=rng)
-    else:
-        raise ValueError(f"backend must be 'exact' or 'emulated', got {backend!r}")
-
-    def f(x):
-        theta = x.reshape(d + 1, n, 3)
-        if cost_tensor is None:
-            return agi_cost(theta, sources, target)
-        return cost_tensor(theta)
-
-    def g(x):
-        theta = x.reshape(d + 1, n, 3)
-        return parameter_shift_gradient(theta, sources, target, cost=cost_tensor).ravel()
-
-    return f, g
+def _vqgo_steps(n, d, cfg, restart_rng):
+    """One vqgo design as a request generator (see _quasi_newton_steps) that
+    returns its OptimizationResult. restart_rng(r) is the random generator
+    restart r draws its start point from; it is called once more, after the
+    last restart, for the winner's final cost."""
+    best = None
+    total_iterations = 0
+    runs = []
+    for r in range(cfg.restarts):
+        x0 = random_params(n, d, restart_rng(r)).ravel()
+        try:
+            x, fx, diag = yield from _quasi_newton_steps(x0, cfg)
+        except ValueError as exc:
+            raise ValueError(f"restart {r}: {exc}") from exc
+        total_iterations += diag["iterations"]
+        runs.append({key: diag[key] for key in ("iterations", "reason", "nfev", "ngev")})
+        if best is None or fx < best[1]:
+            best = (x, fx, diag, r)
+        if cfg.stop_below is not None and best[1] < cfg.stop_below:
+            break
+    x, fx, diag, r = best
+    theta = wrap_angles(x.reshape(d + 1, n, 3))
+    restart_rng(r)
+    final_cost = float((yield COST, theta.ravel()))
+    return OptimizationResult(
+        best_params=theta,
+        best_cost=final_cost,
+        iterations_used=total_iterations,
+        converged=diag["converged"],
+        restart_index=r,
+        cost_history=diag["cost_history"],
+        restart_diagnostics=runs,
+    )
 
 
 def vqgo(target, sources, cfg=None, backend="exact", shots=None):
@@ -316,39 +363,95 @@ def vqgo(target, sources, cfg=None, backend="exact", shots=None):
     evaluation order. If cfg.stop_below is set, remaining restarts are
     skipped once the best cost drops under it. Returned angles are
     wrapped into [0, 2*pi); iterations_used sums the restarts actually
-    run while cost_history and the converged flag belong to the winner.
+    run while cost_history and the converged flag belong to the winner,
+    and restart_diagnostics holds the iterations, reason, nfev and ngev of
+    each restart run. The exact backend is vqgo_batch with one design; the
+    emulated one estimates each cost by fidelity estimation, sampling
+    `shots` with the restart's RNG after its start point.
     """
     cfg = cfg or OptimizerConfig()
+    if backend == "exact":
+        return vqgo_batch(target, [sources], [cfg])[0]
+    if backend != "emulated":
+        raise ValueError(f"backend must be 'exact' or 'emulated', got {backend!r}")
     target = np.asarray(target)
     n = qubit_count(target.shape[0])
     d = len(sources)
-    best = None
-    total_iterations = 0
-    for r in range(cfg.restarts):
+    answers = {}
+
+    def restart_rng(r):
         rng = derive_rng(cfg.seed, r)
-        f, g = _flat_cost_and_grad(target, sources, (n, d), backend, shots, rng)
-        x0 = random_params(n, d, rng).ravel()
-        try:
-            x, fx, diag = minimize_quasi_newton(f, g, x0, cfg)
-        except ValueError as exc:
-            raise ValueError(f"restart {r}: {exc}") from exc
-        total_iterations += diag["iterations"]
-        if best is None or fx < best[1]:
-            best = (x, fx, diag, r)
-        if cfg.stop_below is not None and best[1] < cfg.stop_below:
-            break
-    x, fx, diag, r = best
-    theta = wrap_angles(x.reshape(d + 1, n, 3))
-    f, _ = _flat_cost_and_grad(target, sources, (n, d), backend, shots, derive_rng(cfg.seed, r))
-    final_cost = float(f(theta.ravel()))
-    return OptimizationResult(
-        best_params=theta,
-        best_cost=final_cost,
-        iterations_used=total_iterations,
-        converged=diag["converged"],
-        restart_index=r,
-        cost_history=diag["cost_history"],
-    )
+        cost = make_emulated_cost(sources, target, shots=shots, rng=rng)
+        answers[COST] = lambda x: cost(x.reshape(d + 1, n, 3))
+        answers[GRADIENT] = lambda x: parameter_shift_gradient(
+            x.reshape(d + 1, n, 3), sources, target, cost=cost).ravel()
+        return rng
+
+    return _serve(_vqgo_steps(n, d, cfg, restart_rng), lambda kind, x: answers[kind](x))
+
+
+def vqgo_batch(target, sources, cfgs):
+    """Exact-backend vqgo of B designs of one target in lockstep: design b
+    synthesizes `target` from the source list sources[b] (all of one depth)
+    under cfgs[b]. Returns the B results, each bitwise the one vqgo gives
+    for its design alone.
+
+    Each round answers every pending cost request with one circuit_pass,
+    then every pending gradient request (those the costs just led to
+    included) with one pass_gradients, which reuses the circuit pass of
+    its point's cost. A design that finishes drops out.
+    """
+    target = np.asarray(target)
+    dim = target.shape[0]
+    n = qubit_count(dim)
+    if target.shape != (dim, dim):
+        raise ValueError(f"target shape {target.shape} != ({dim}, {dim})")
+    if len(cfgs) != len(sources) or len({len(s) for s in sources}) > 1:
+        raise ValueError("a batch needs one config and one source list of a common depth per design")
+    stacked = np.array([stack_sources(s, dim) for s in sources])
+    d = stacked.shape[1]
+    steps = [_vqgo_steps(n, d, cfg, functools.partial(derive_rng, cfg.seed)) for cfg in cfgs]
+    requests = [next(design) for design in steps]
+    recent = [[] for _ in steps]  # per design: (x, pass, row) of its last two costs
+    results = [None] * len(steps)
+    active = list(range(len(steps)))
+    while active:
+        for kind in (COST, GRADIENT):
+            batch = [b for b in active if requests[b][0] is kind]
+            if not batch:
+                continue
+            xs = [requests[b][1] for b in batch]
+            if kind is COST:
+                theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
+                cpass = circuit_pass(theta, _rows(stacked, batch))
+                for row, (b, x) in enumerate(zip(batch, xs)):
+                    recent[b] = [(x, cpass, row)] + recent[b][:1]
+                values = pass_costs(cpass, target)
+            else:
+                at = [next((cpass, row) for y, cpass, row in recent[b] if y is x)
+                      for b, x in zip(batch, xs)]
+                values = pass_gradients(_gather(at), _rows(stacked, batch), target)
+                values = values.reshape(len(batch), -1)
+            for b, value in zip(batch, values):
+                try:
+                    requests[b] = steps[b].send(value)
+                except StopIteration as done:
+                    results[b] = done.value
+                    active.remove(b)
+    return results
+
+
+def _rows(array, rows):
+    """array[rows] for ascending distinct rows; array itself when they are all."""
+    return array if len(rows) == len(array) else array[rows]
+
+
+def _gather(at):
+    """One CircuitPass of the (pass, row) entries of `at`, in order."""
+    first = at[0][0]
+    if len(at) == len(first.gates) and all(cpass is first for cpass, _ in at):
+        return first  # every row of one pass: rows are ascending, so in order
+    return CircuitPass(*(np.array([cpass[k][row] for cpass, row in at]) for k in range(len(first))))
 
 
 def concatenated_optimize(

@@ -164,3 +164,27 @@ def test_cost_is_agi_of_built_circuit():
     th = ansatz.random_params(2, 2, rng)
     u = ansatz.build_circuit(th, sources)
     assert abs(ansatz.agi_cost(th, sources, target) - (1 - agf_unitary(target, u))) < 1e-15
+
+
+@pytest.mark.parametrize("n, d, batch", [
+    (2, 2, 1), (2, 2, 3), (2, 2, 4), (2, 2, 8), (5, 2, 1), (5, 2, 3), (1, 0, 5),
+])
+def test_batched_pass_rows_equal_single_problems_bitwise(n, d, batch):
+    # B = 4 is listed on purpose: numpy's vectorized complex abs differs from
+    # the scalar one by an ulp at some batch sizes. (1, 0) is the one-gate
+    # problem, whose gradient contraction needs its own path.
+    rng = derive_rng(29, n, batch)
+    dim = 2**n
+    target = haar_unitary(dim, rng)
+    theta = rng.uniform(0.0, 2 * np.pi, size=(batch, d + 1, n, 3))
+    sources = [[haar_unitary(dim, rng) for _ in range(d)] for _ in range(batch)]
+    stacked = np.array(sources, dtype=complex).reshape(batch, d, dim, dim)
+    cpass = ansatz.circuit_pass(theta, stacked)
+    costs = ansatz.pass_costs(cpass, target)
+    grads = ansatz.pass_gradients(cpass, stacked, target)
+    assert grads.shape == theta.shape
+    for b in range(batch):
+        alone = ansatz.parameter_shift_gradient(theta[b], sources[b], target)
+        assert costs[b] == ansatz.agi_cost(theta[b], sources[b], target)
+        assert grads[b].tobytes() == alone.tobytes()
+        assert cpass.ahead[b, -1].tobytes() == ansatz.build_circuit(theta[b], sources[b]).tobytes()

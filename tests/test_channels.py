@@ -136,3 +136,10 @@ def test_agf_from_ptms_matches_unitary_formula():
         assert abs(f0 - f1) < 1e-10
     with pytest.raises(ValueError):
         channels.agf_from_ptms(np.eye(16), np.eye(4))
+
+
+@pytest.mark.parametrize("side", [8, 3])
+def test_agf_from_ptms_rejects_a_side_that_is_not_a_power_of_four(side):
+    # such a side used to be rounded to a dimension: 8 gave 0.9167, 3 gave 0.8333
+    with pytest.raises(ValueError, match=rf"\({side}, {side}\)"):
+        channels.agf_from_ptms(np.eye(side), np.eye(side))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gatesynth import optimkit
+from gatesynth.ansatz import agi_cost, parameter_shift_gradient, random_params, wrap_angles
 from gatesynth.channels import CNOT, SIGMA_X, SWAP, agi
+from gatesynth.devices import CrossResonancePair, DriveSpec, cr_gate
 from gatesynth.numkit import derive_rng, expm_hermitian
 
 
@@ -151,6 +153,23 @@ def test_quasi_newton_reason_line_search():
     assert diag["ngev"] == 1 and diag["nfev"] > 60
 
 
+def test_quasi_newton_vanished_step_is_line_search():
+    # away from the origin the backtracked steps round to nothing: x + t*p
+    # equals x, so the accepted "step" does not move and is no convergence
+    x0 = np.array([1.0, -2.0])
+
+    def f(x):
+        return float(np.abs(x - x0).sum())
+
+    def g(x):
+        return np.ones(2)
+
+    x, fx, diag = optimkit.minimize_quasi_newton(f, g, x0)
+    assert diag["reason"] == "line_search" and not diag["converged"]
+    assert np.array_equal(x, x0) and fx == 0.0
+    assert diag["iterations"] == 1 and diag["ngev"] == 1
+
+
 def test_quasi_newton_reason_budget():
     def f(x):
         return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
@@ -274,6 +293,61 @@ def test_vqgo_stop_below_skips_restarts():
         optimkit.OptimizerConfig(stop_below=0.0)
 
 
+def _serial_vqgo(target, sources, cfg):
+    """vqgo written out with minimize_quasi_newton on agi_cost and
+    parameter_shift_gradient: the reference for the lockstep driver."""
+    n, d = int(np.log2(len(target))), len(sources)
+    runs = []
+    for r in range(cfg.restarts):
+        x0 = random_params(n, d, derive_rng(cfg.seed, r)).ravel()
+        x, fx, diag = optimkit.minimize_quasi_newton(
+            lambda x: agi_cost(x.reshape(d + 1, n, 3), sources, target),
+            lambda x: parameter_shift_gradient(x.reshape(d + 1, n, 3), sources, target).ravel(),
+            x0, cfg)
+        runs.append((x, fx, diag, r))
+        if cfg.stop_below is not None and min(run[1] for run in runs) < cfg.stop_below:
+            break
+    x, fx, diag, r = min(runs, key=lambda run: run[1])
+    theta = wrap_angles(x.reshape(d + 1, n, 3))
+    return theta, agi_cost(theta, sources, target), diag, r, runs
+
+
+def test_vqgo_batch_rows_match_each_design_alone():
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    times = (40.0, 60.0, 75.0, 90.0, 120.0)
+    sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in times]
+    # stop_below makes some designs drop out after one restart, others not
+    cfgs = [optimkit.OptimizerConfig(restarts=2, max_iterations=80, seed=k, stop_below=1e-3)
+            for k in range(len(times))]
+    batch = optimkit.vqgo_batch(CNOT, sources, cfgs)
+    assert len({res.iterations_used for res in batch}) > 1
+    for src, cfg, res in zip(sources, cfgs, batch):
+        alone = optimkit.vqgo(CNOT, src, cfg=cfg)
+        assert res.best_params.tobytes() == alone.best_params.tobytes()
+        assert (res.best_cost, res.iterations_used, res.restart_index, res.converged,
+                res.cost_history) == (alone.best_cost, alone.iterations_used,
+                                      alone.restart_index, alone.converged, alone.cost_history)
+        theta, cost, diag, r, runs = _serial_vqgo(CNOT, src, cfg)
+        assert res.best_params.tobytes() == theta.tobytes() and res.best_cost == cost
+        assert res.restart_index == r and res.cost_history == diag["cost_history"]
+        assert res.iterations_used == sum(run[2]["iterations"] for run in runs)
+
+
+def test_vqgo_keeps_per_restart_diagnostics():
+    cfg = optimkit.OptimizerConfig(restarts=3, max_iterations=40, seed=6)
+    res = optimkit.vqgo(CNOT, [CNOT], cfg=cfg)
+    runs = res.restart_diagnostics
+    assert len(runs) == 3
+    assert sum(run["iterations"] for run in runs) == res.iterations_used
+    for run in runs:
+        assert set(run) == {"iterations", "reason", "nfev", "ngev"}
+        assert run["reason"] in ("grad_tol", "cost_tol", "line_search", "budget")
+        assert run["nfev"] > run["iterations"] and run["ngev"] >= 1
+    stopped = optimkit.vqgo(CNOT, [CNOT], cfg=optimkit.OptimizerConfig(
+        restarts=6, max_iterations=400, seed=3, stop_below=1e-8))
+    assert len(stopped.restart_diagnostics) == stopped.restart_index + 1 == 1
+
+
 def test_vqgo_shape_validation_and_backend():
     with pytest.raises(ValueError):
         optimkit.vqgo(CNOT, [CNOT], backend="hardware")
@@ -285,6 +359,8 @@ def test_vqgo_emulated_backend_agrees_with_exact():
     emulated = optimkit.vqgo(CNOT, [CNOT], cfg=cfg, backend="emulated")
     assert emulated.best_cost < 1e-6
     assert abs(exact.best_cost - emulated.best_cost) < 1e-6
+    assert [run["iterations"] for run in emulated.restart_diagnostics] == [
+        emulated.iterations_used]
 
 
 def test_concatenated_flat_landscape_stops_early():
