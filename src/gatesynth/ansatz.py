@@ -209,10 +209,9 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
     return grad
 
 
-def make_emulated_cost(sources, target, shots=None, rng=None):
+def make_emulated_cost(sources, target):
     """Measurement-driven cost backend: infidelity from a full-support
-    fidelity-estimation plan over the target's Pauli transfer matrix,
-    optionally with single-shot sampling noise.
+    fidelity-estimation plan over the target's Pauli transfer matrix.
 
     Returns a callable mapping a theta tensor to an infidelity estimate.
     """
@@ -221,6 +220,6 @@ def make_emulated_cost(sources, target, shots=None, rng=None):
 
     def cost(theta):
         u = build_circuit(theta, sources)
-        return 1.0 - dfe_estimate(u, r_target, plan, shots=shots, rng=rng)
+        return 1.0 - dfe_estimate(u, r_target, plan)
 
     return cost

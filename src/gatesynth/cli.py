@@ -219,15 +219,14 @@ def _synthesize(batches, workers):
     in order. Each batch is split into `workers` contiguous chunks, and the
     chunks of all batches go to a pool of that many processes (none for
     one worker); the results do not depend on the split."""
-    parts = max(workers, 1)
     jobs = []
     for target, sources, cfgs in batches:
-        cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
+        cuts = [len(cfgs) * k // workers for k in range(workers + 1)]
         jobs += [(target, sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
-    if parts == 1:
+    if workers == 1:
         chunks = map(vqgo_batch, *zip(*jobs))
     else:
-        with ProcessPoolExecutor(max_workers=parts) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(vqgo_batch, *zip(*jobs)))
     return [res for chunk in chunks for res in chunk]
 
@@ -653,6 +652,8 @@ def main(argv=None):
         if not args.command:
             parser.print_help()
             return 1
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be an integer >= 1, got {args.workers}")
         command, defaults, fn, default_output = _COMMANDS[args.command]
         cfg = load_config(args.config, defaults)
         if args.seed is not None:

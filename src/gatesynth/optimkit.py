@@ -1,4 +1,4 @@
-"""Optimizers and the two synthesis driver loops.
+"""Optimizers and the synthesis driver loop.
 
 minimize_quasi_newton is a self-contained limited-memory BFGS with a
 parabola-first line search: the first trial step is the minimizer of the
@@ -14,12 +14,14 @@ minimize_on_interval is a start-free 1-D search (a fixed grid, then
 bounded Brent around its best point).
 
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
-vqgo_batch runs many such designs of one target in lockstep, with one
-stacked circuit pass and one stacked gradient a round; concatenated_optimize
-wraps vqgo in an outer derivative-free search over source-drive amplitudes.
+vqgo_batch, the one loop that serves design requests, runs many such
+designs of one target in lockstep, on the exact backend with one stacked
+circuit pass and one stacked gradient a round, and on the emulated
+(measurement-driven) backend one design row at a time. vqgo is its batch
+of one. concatenated_optimize wraps vqgo in an outer derivative-free
+search over source-drive amplitudes.
 """
 
-import functools
 import math
 import numbers
 from collections import deque
@@ -99,17 +101,6 @@ class AmplitudeBounds:
 COST, GRADIENT = "cost", "gradient"
 
 
-def _serve(steps, answer):
-    """Run a request generator to its return value, sending it
-    answer(kind, x) for each (kind, x) request it yields."""
-    try:
-        request = next(steps)
-        while True:
-            request = steps.send(answer(*request))
-    except StopIteration as done:
-        return done.value
-
-
 def minimize_quasi_newton(f, grad, x0, cfg=None):
     """Limited-memory BFGS descent; returns (x*, f*, diagnostics).
 
@@ -122,8 +113,13 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
     gradient evaluations) and the cost_history of accepted iterates
     (non-increasing).
     """
-    return _serve(_quasi_newton_steps(x0, cfg or OptimizerConfig()),
-                  lambda kind, x: f(x) if kind is COST else grad(x))
+    steps = _quasi_newton_steps(x0, cfg or OptimizerConfig())
+    try:
+        kind, x = next(steps)
+        while True:
+            kind, x = steps.send(f(x) if kind is COST else grad(x))
+    except StopIteration as done:
+        return done.value
 
 
 def _quasi_newton_steps(x0, cfg):
@@ -318,16 +314,14 @@ def minimize_on_interval(f, lower, upper):
     return x, fx, {"nfev": nfev, "bracket": bracket}
 
 
-def _vqgo_steps(n, d, cfg, restart_rng):
+def _vqgo_steps(n, d, cfg):
     """One vqgo design as a request generator (see _quasi_newton_steps) that
-    returns its OptimizationResult. restart_rng(r) is the random generator
-    restart r draws its start point from; it is called once more, after the
-    last restart, for the winner's final cost."""
+    returns its OptimizationResult."""
     best = None
     total_iterations = 0
     runs = []
     for r in range(cfg.restarts):
-        x0 = random_params(n, d, restart_rng(r)).ravel()
+        x0 = random_params(n, d, derive_rng(cfg.seed, r)).ravel()
         try:
             x, fx, diag = yield from _quasi_newton_steps(x0, cfg)
         except ValueError as exc:
@@ -340,7 +334,6 @@ def _vqgo_steps(n, d, cfg, restart_rng):
             break
     x, fx, diag, r = best
     theta = wrap_angles(x.reshape(d + 1, n, 3))
-    restart_rng(r)
     final_cost = float((yield COST, theta.ravel()))
     return OptimizationResult(
         best_params=theta,
@@ -353,7 +346,7 @@ def _vqgo_steps(n, d, cfg, restart_rng):
     )
 
 
-def vqgo(target, sources, cfg=None, backend="exact", shots=None):
+def vqgo(target, sources, cfg=None, backend="exact"):
     """Multistart synthesis of `target` from the fixed `sources`:
     cfg.restarts independent quasi-Newton descents of the infidelity cost,
     each from a fresh uniform-random angle tensor, keeping the best.
@@ -365,42 +358,28 @@ def vqgo(target, sources, cfg=None, backend="exact", shots=None):
     wrapped into [0, 2*pi); iterations_used sums the restarts actually
     run while cost_history and the converged flag belong to the winner,
     and restart_diagnostics holds the iterations, reason, nfev and ngev of
-    each restart run. The exact backend is vqgo_batch with one design; the
-    emulated one estimates each cost by fidelity estimation, sampling
-    `shots` with the restart's RNG after its start point.
+    each restart run. This is vqgo_batch with one design, on either
+    backend.
     """
-    cfg = cfg or OptimizerConfig()
-    if backend == "exact":
-        return vqgo_batch(target, [sources], [cfg])[0]
-    if backend != "emulated":
+    return vqgo_batch(target, [sources], [cfg or OptimizerConfig()], backend)[0]
+
+
+def vqgo_batch(target, sources, cfgs, backend="exact"):
+    """vqgo of B designs of one target in lockstep: design b synthesizes
+    `target` from the source list sources[b] (all of one depth) under
+    cfgs[b]. Returns the B results, each bitwise the one vqgo gives for its
+    design alone, and [] for no designs.
+
+    Each round answers every pending cost request, then every pending
+    gradient request (those the costs just led to included); a design that
+    finishes drops out. The exact backend answers a round's costs with one
+    circuit_pass and its gradients with one pass_gradients, which reuses
+    the circuit pass of its point's cost. The emulated backend answers each
+    row with its design's make_emulated_cost, and with the shift-rule
+    gradient of that cost.
+    """
+    if backend not in ("exact", "emulated"):
         raise ValueError(f"backend must be 'exact' or 'emulated', got {backend!r}")
-    target = np.asarray(target)
-    n = qubit_count(target.shape[0])
-    d = len(sources)
-    answers = {}
-
-    def restart_rng(r):
-        rng = derive_rng(cfg.seed, r)
-        cost = make_emulated_cost(sources, target, shots=shots, rng=rng)
-        answers[COST] = lambda x: cost(x.reshape(d + 1, n, 3))
-        answers[GRADIENT] = lambda x: parameter_shift_gradient(
-            x.reshape(d + 1, n, 3), sources, target, cost=cost).ravel()
-        return rng
-
-    return _serve(_vqgo_steps(n, d, cfg, restart_rng), lambda kind, x: answers[kind](x))
-
-
-def vqgo_batch(target, sources, cfgs):
-    """Exact-backend vqgo of B designs of one target in lockstep: design b
-    synthesizes `target` from the source list sources[b] (all of one depth)
-    under cfgs[b]. Returns the B results, each bitwise the one vqgo gives
-    for its design alone.
-
-    Each round answers every pending cost request with one circuit_pass,
-    then every pending gradient request (those the costs just led to
-    included) with one pass_gradients, which reuses the circuit pass of
-    its point's cost. A design that finishes drops out.
-    """
     target = np.asarray(target)
     dim = target.shape[0]
     n = qubit_count(dim)
@@ -408,9 +387,13 @@ def vqgo_batch(target, sources, cfgs):
         raise ValueError(f"target shape {target.shape} != ({dim}, {dim})")
     if len(cfgs) != len(sources) or len({len(s) for s in sources}) > 1:
         raise ValueError("a batch needs one config and one source list of a common depth per design")
+    if not cfgs:
+        return []
     stacked = np.array([stack_sources(s, dim) for s in sources])
     d = stacked.shape[1]
-    steps = [_vqgo_steps(n, d, cfg, functools.partial(derive_rng, cfg.seed)) for cfg in cfgs]
+    if backend == "emulated":
+        emulated = [make_emulated_cost(s, target) for s in sources]
+    steps = [_vqgo_steps(n, d, cfg) for cfg in cfgs]
     requests = [next(design) for design in steps]
     recent = [[] for _ in steps]  # per design: (x, pass, row) of its last two costs
     results = [None] * len(steps)
@@ -421,7 +404,13 @@ def vqgo_batch(target, sources, cfgs):
             if not batch:
                 continue
             xs = [requests[b][1] for b in batch]
-            if kind is COST:
+            if backend == "emulated" and kind is COST:
+                values = [emulated[b](x.reshape(d + 1, n, 3)) for b, x in zip(batch, xs)]
+            elif backend == "emulated":
+                values = [parameter_shift_gradient(x.reshape(d + 1, n, 3), sources[b], target,
+                                                   cost=emulated[b]).ravel()
+                          for b, x in zip(batch, xs)]
+            elif kind is COST:
                 theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
                 cpass = circuit_pass(theta, _rows(stacked, batch))
                 for row, (b, x) in enumerate(zip(batch, xs)):

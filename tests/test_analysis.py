@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gatesynth import analysis
 from gatesynth.channels import CNOT, SWAP, agf_unitary
@@ -50,6 +52,19 @@ def test_cartan_roundtrip_interior():
         c = _random_chamber_point(rng)
         got = analysis.cartan_coordinates(analysis.canonical_gate(c))
         assert np.abs(got - c).max() < 1e-8, (c, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coords=st.lists(st.floats(0.02, PI4 - 0.02), min_size=3, max_size=3),
+       sign=st.sampled_from((1, -1)))
+def test_cartan_roundtrip_interior_property(coords, sign):
+    # the interior _random_chamber_point samples: pi/4 > c_x > c_y > |c_z| > 0 with gaps
+    margin = 0.02
+    cx, cy, cz = sorted(coords, reverse=True)
+    assume(cx - cy > margin and cy - cz > margin and cz > margin)
+    c = np.array([cx, cy, sign * cz])
+    got = analysis.cartan_coordinates(analysis.canonical_gate(c))
+    assert np.abs(got - c).max() < 1e-8, (c, got)
 
 
 def test_cartan_local_invariance():

@@ -1,5 +1,6 @@
 """The program's names that perfbench/tracing.py wraps stay in place: its
-spans see the sweep command, vqgo and minimize_quasi_newton's callables."""
+spans see the sweep command, vqgo, minimize_quasi_newton's callables and
+the emulated backend's shift-rule gradients."""
 
 import importlib.util
 import json
@@ -48,3 +49,19 @@ def test_tracing_hooks_record_spans(tmp_path):
     assert spans.calls("optimkit.minimize_quasi_newton") == 1
     assert spans.calls("optimkit.minimize_quasi_newton.cost") >= 2
     assert spans.calls("optimkit.minimize_quasi_newton.gradient") >= 2
+
+
+def test_traced_emulated_vqgo_records_shift_rule_gradients():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        res = optimkit.vqgo(CNOT, [CNOT], backend="emulated", cfg=optimkit.OptimizerConfig(
+            restarts=2, max_iterations=5, seed=1))
+    finally:
+        tracer.uninstall()
+    spans = tracing.Spans(tracer)
+    assert spans.calls("optimkit.vqgo") == 1
+    notes = spans.notes("ansatz.parameter_shift_gradient")
+    assert notes and all(note == {"callable": True} for note in notes)
+    assert len(notes) == sum(run["ngev"] for run in res.restart_diagnostics)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatesynth import channels
-from gatesynth.numkit import derive_rng, haar_unitary, kron_all
+from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary, kron_all
 
 
 def test_pauli_label_index_roundtrip():
@@ -113,6 +115,26 @@ def test_ptm_is_real_orthogonal_for_unitaries():
         assert np.abs(r @ r.T - np.eye(16)).max() < 1e-10
         assert abs(r[0, 0] - 1.0) < 1e-12
         assert np.abs(r[0, 1:]).max() < 1e-12
+
+
+@st.composite
+def _unitaries(draw):
+    """exp(-iH) for a Hermitian H = A + A^dag on 1 or 2 qubits, with A's real
+    and imaginary parts drawn entry by entry (zero included: the identity)."""
+    dim = 2 ** draw(st.integers(1, 2))
+    parts = draw(st.lists(st.floats(-5.0, 5.0), min_size=2 * dim * dim, max_size=2 * dim * dim))
+    a = np.array(parts[::2]).reshape(dim, dim) + 1j * np.array(parts[1::2]).reshape(dim, dim)
+    return expm_hermitian(a + a.conj().T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(u=_unitaries())
+def test_ptm_is_real_orthogonal_for_unitaries_property(u):
+    r = channels.ptm(u)
+    assert r.dtype.kind == "f"
+    assert np.abs(r @ r.T - np.eye(len(r))).max() < 1e-10
+    assert abs(r[0, 0] - 1.0) < 1e-12
+    assert np.abs(r[0, 1:]).max() < 1e-12
 
 
 def test_ptm_entry_definition():

@@ -415,6 +415,16 @@ def test_identity_wider_than_five_qubits_is_config_error(tmp_path, capsys, qubit
         f"config error: target.qubits must be an integer >= 1 and <= 5, got {qubits}\n")
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
+    out = tmp_path / "out"
+    assert cli.main([command, "--workers", workers, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --workers must be an integer >= 1, got {workers}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, base", [
     ("cnot-sweep", TINY_CNOT),
     ("syndrome-sweep", dict(TINY_SYNDROME, crosstalk_cases=[0.0, 1.0], opposite_sign_layers=True)),

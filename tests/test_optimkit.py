@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gatesynth import optimkit
-from gatesynth.ansatz import agi_cost, parameter_shift_gradient, random_params, wrap_angles
+from gatesynth.ansatz import (
+    agi_cost,
+    make_emulated_cost,
+    parameter_shift_gradient,
+    random_params,
+    wrap_angles,
+)
 from gatesynth.channels import CNOT, SIGMA_X, SWAP, agi
 from gatesynth.devices import CrossResonancePair, DriveSpec, cr_gate
 from gatesynth.numkit import derive_rng, expm_hermitian
@@ -293,23 +299,27 @@ def test_vqgo_stop_below_skips_restarts():
         optimkit.OptimizerConfig(stop_below=0.0)
 
 
-def _serial_vqgo(target, sources, cfg):
-    """vqgo written out with minimize_quasi_newton on agi_cost and
-    parameter_shift_gradient: the reference for the lockstep driver."""
+def _serial_vqgo(target, sources, cfg, cost=None, gradient=None):
+    """vqgo written out with minimize_quasi_newton on cost and gradient,
+    callables of the angle tensor (agi_cost and the exact
+    parameter_shift_gradient by default): the reference for the lockstep
+    driver."""
     n, d = int(np.log2(len(target))), len(sources)
+    cost = cost or (lambda theta: agi_cost(theta, sources, target))
+    gradient = gradient or (lambda theta: parameter_shift_gradient(theta, sources, target))
     runs = []
     for r in range(cfg.restarts):
         x0 = random_params(n, d, derive_rng(cfg.seed, r)).ravel()
         x, fx, diag = optimkit.minimize_quasi_newton(
-            lambda x: agi_cost(x.reshape(d + 1, n, 3), sources, target),
-            lambda x: parameter_shift_gradient(x.reshape(d + 1, n, 3), sources, target).ravel(),
+            lambda x: cost(x.reshape(d + 1, n, 3)),
+            lambda x: gradient(x.reshape(d + 1, n, 3)).ravel(),
             x0, cfg)
         runs.append((x, fx, diag, r))
         if cfg.stop_below is not None and min(run[1] for run in runs) < cfg.stop_below:
             break
     x, fx, diag, r = min(runs, key=lambda run: run[1])
     theta = wrap_angles(x.reshape(d + 1, n, 3))
-    return theta, agi_cost(theta, sources, target), diag, r, runs
+    return theta, cost(theta), diag, r, runs
 
 
 def test_vqgo_batch_rows_match_each_design_alone():
@@ -331,6 +341,36 @@ def test_vqgo_batch_rows_match_each_design_alone():
         assert res.best_params.tobytes() == theta.tobytes() and res.best_cost == cost
         assert res.restart_index == r and res.cost_history == diag["cost_history"]
         assert res.iterations_used == sum(run[2]["iterations"] for run in runs)
+
+
+def test_vqgo_batch_emulated_rows_match_each_design_alone():
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    times = (40.0, 75.0, 120.0)
+    sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in times]
+    # stop_below makes some designs drop out after one restart, others not
+    cfgs = [optimkit.OptimizerConfig(restarts=2, max_iterations=15, seed=k, stop_below=stop)
+            for k, stop in enumerate((None, 0.05, 1e-6))]
+    batch = optimkit.vqgo_batch(CNOT, sources, cfgs, backend="emulated")
+    assert len({len(res.restart_diagnostics) for res in batch}) > 1
+    for src, cfg, res in zip(sources, cfgs, batch):
+        alone = optimkit.vqgo(CNOT, src, cfg=cfg, backend="emulated")
+        assert res.best_params.tobytes() == alone.best_params.tobytes()
+        assert (res.best_cost, res.iterations_used, res.restart_index, res.converged,
+                res.cost_history, res.restart_diagnostics) == (
+            alone.best_cost, alone.iterations_used, alone.restart_index, alone.converged,
+            alone.cost_history, alone.restart_diagnostics)
+        cost = make_emulated_cost(src, CNOT)
+        theta, fx, diag, r, runs = _serial_vqgo(
+            CNOT, src, cfg, cost, lambda theta: parameter_shift_gradient(theta, src, CNOT, cost=cost))
+        assert res.best_params.tobytes() == theta.tobytes() and res.best_cost == fx
+        assert res.restart_index == r and res.cost_history == diag["cost_history"]
+        assert res.converged == diag["converged"]
+        assert res.iterations_used == sum(run[2]["iterations"] for run in runs)
+
+
+def test_vqgo_batch_of_no_designs_is_empty():
+    assert optimkit.vqgo_batch(CNOT, [], []) == []
+    assert optimkit.vqgo_batch(CNOT, [], [], backend="emulated") == []
 
 
 def test_vqgo_keeps_per_restart_diagnostics():
