@@ -125,15 +125,16 @@ def load_config(path, defaults):
 
 
 def _read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
-    """cfg[key] as `kind`: float (a finite number), int or bool; a JSON
-    boolean is no number. size=n asks for a list of n values, size="any"
-    for a non-empty list; numbers must be >= low and > above where given.
-    Anything else is a ConfigError naming `where` + key and the value."""
+    """cfg[key] as `kind`: float (a finite number), int (|x| <= sys.maxsize)
+    or bool; a JSON boolean is no number. size=n asks for a list of n values,
+    size="any" for a non-empty list; numbers must be >= low and > above where
+    given. Anything else is a ConfigError naming `where` + key and the value."""
+    largest = sys.maxsize if kind is int else sys.float_info.max
 
     def fits(x):
         if isinstance(x, bool) or kind is bool:
             return isinstance(x, bool) and kind is bool
-        return (isinstance(x, int if kind is int else (int, float)) and abs(x) <= sys.float_info.max
+        return (isinstance(x, int if kind is int else (int, float)) and abs(x) <= largest
                 and (low is None or x >= low) and (above is None or x > above))
 
     raw = cfg.get(key)
@@ -144,6 +145,8 @@ def _read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
                      bool: ("true or false", None)}[kind]
         what = f"a list of {'one or more' if size == 'any' else size} {many}" if size else one
         limits = "".join(f" {op} {v:g}" for op, v in ((">=", low), (">", above)) if v is not None)
+        if kind is int and isinstance(raw, int) and abs(raw) > largest:
+            limits += f" and <= {largest}"
         raise ConfigError(f"{where}{key} must be {what}{limits}, got {_canonical_json(raw)}")
     values = [kind(x) for x in items]
     return values if size else values[0]
@@ -216,13 +219,15 @@ def _pair(raw, where, keys=("delta_mhz", "g_mhz", "eps", "phi_rad")):
 
 def _synthesize(batches, workers):
     """vqgo results of every design of every (target, sources, cfgs) batch,
-    in order. Each batch is split into `workers` contiguous chunks, and the
-    chunks of all batches go to a pool of that many processes (none for
-    one worker); the results do not depend on the split."""
+    in order. Each batch is split into at most `workers` contiguous chunks,
+    and all chunks go to a pool of as many processes, at most `workers`
+    (none for one chunk); the results do not depend on the split."""
     jobs = []
     for target, sources, cfgs in batches:
-        cuts = [len(cfgs) * k // workers for k in range(workers + 1)]
-        jobs += [(target, sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        parts = min(workers, len(cfgs))
+        cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
+        jobs += [(target, sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    workers = min(workers, len(jobs))
     if workers == 1:
         chunks = map(vqgo_batch, *zip(*jobs))
     else:
@@ -233,22 +238,23 @@ def _synthesize(batches, workers):
 
 def _write_artifact(path, meta, columns, rows):
     with open(path, "w", newline="") as fh:
-        for key, value in meta:
-            fh.write(f"# {key}: {value}\n")
+        for key, value in meta.items():
+            fh.write(f"# {key}: {value if isinstance(value, str) else _canonical_json(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
 
 
 def _base_meta(command, cfg):
-    return [
-        ("command", command),
-        ("version", __version__),
-        ("timestamp", datetime.now(timezone.utc).isoformat()),
-        ("seed", cfg["seed"]),
-        ("config_hash", _config_hash(cfg)),
-        ("config", _canonical_json(cfg)),
-    ]
+    """The record every artifact opens with, as '#' lines or report keys."""
+    return {
+        "command": command,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "seed": cfg["seed"],
+        "config_hash": _config_hash(cfg),
+        "config": cfg,
+    }
 
 
 # ---------------------------------------------------------------------- sweeps
@@ -256,18 +262,15 @@ def _base_meta(command, cfg):
 @dataclass(frozen=True)
 class Sweep:
     """One sweep command's problem, read by its run, pool jobs and --verify:
-    `target` from CR drives. A value of cfg[cases_key] (eps column,
-    case{i}_<case_label> header) is a case; case(cfg, value) builds its pair
-    or device, source(case, omegas, t) evolves it. baseline(pair, omega, t):
-    echoed-CR CNOT AGI (method tpcx); time_header: source_time_total_ns."""
+    `target` from CR drives. A value of cfg[cases_key] (eps column) is a case;
+    case(cfg, value) builds its pair or device, source(case, omegas, t) evolves
+    it. baseline(pair, omega, t): echoed-CR CNOT AGI (method tpcx)."""
 
     target: np.ndarray
     cases_key: str
-    case_label: str
     case: Callable
     source: Callable
     baseline: Callable = None
-    time_header: bool = False
 
     @property
     def qubits(self):
@@ -295,20 +298,24 @@ def _sweep(sweep, cfg, workers):
     t_start = _read(cfg, "t_start_ns", low=0)
     t_stop = _read(cfg, "t_stop_ns", low=t_start)
     t_step = _read(cfg, "t_step_ns", above=0)
-    grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
+    span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
+    try:
+        grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
+    if not grid.size:
+        raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
     seed = _read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
-    meta = [("source_time_total_ns", _fmt(len(signs) * t_opt))] if sweep.time_header else []
+    meta = {}
     rows = []
     batches = []
     heads = []  # the vqgo rows' leading cells, one per design
     for case_idx, (value, case) in enumerate(zip(values, cases)):
         label = [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
-        meta.append((f"case{case_idx}_{sweep.case_label}", _fmt(value)))
         if sweep.baseline is not None:
             omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt),
                                                  search["bounds"].lower, search["bounds"].upper)
-            meta.append((f"case{case_idx}_omega_tpcx_mhz", _fmt(omega_b)))
             rows += [["tpcx", *label, _fmt(omega_b), _fmt(t),
                       _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in grid]
 
@@ -316,9 +323,8 @@ def _sweep(sweep, cfg, workers):
             sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
             cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search,
         )
-        meta.append((f"case{case_idx}_omega_vqgo_mhz", _fmt_list(w_v)))
-        meta.append((f"case{case_idx}_agi_vqgo_at_t_opt", _fmt(res_v.best_cost)))
-        meta.append((f"case{case_idx}_outer_evaluations", str(diag_v["outer_evaluations"])))
+        meta[f"case{case_idx}_agi_vqgo_at_t_opt"] = _fmt(res_v.best_cost)
+        meta[f"case{case_idx}_outer_evaluations"] = str(diag_v["outer_evaluations"])
         batches.append((sweep.target, [_sources(sweep, case, w_v, float(t), signs) for t in grid],
                         [replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx))
                          for t_idx in range(len(grid))]))
@@ -374,8 +380,7 @@ def _tpcx_agi(pair, omega, t):
     return agi(CNOT, tpcx(pair, omega, t))
 
 
-CNOT_SWEEP = Sweep(CNOT, "eps_cases", "eps", _cnot_case, _cnot_source,
-                   baseline=_tpcx_agi)
+CNOT_SWEEP = Sweep(CNOT, "eps_cases", _cnot_case, _cnot_source, baseline=_tpcx_agi)
 
 
 def cmd_cnot_sweep(cfg, workers):
@@ -411,8 +416,7 @@ def _syndrome_case(cfg, scale):
         raise ConfigError(f"device: {exc}") from exc
 
 
-SYNDROME_SWEEP = Sweep(syndrome_target(), "crosstalk_cases", "crosstalk_scale",
-                       _syndrome_case, four_cr_gate, time_header=True)
+SYNDROME_SWEEP = Sweep(syndrome_target(), "crosstalk_cases", _syndrome_case, four_cr_gate)
 
 _SWEEPS = {"cnot_sweep": CNOT_SWEEP, "syndrome_sweep": SYNDROME_SWEEP}
 
@@ -453,7 +457,7 @@ def cmd_cartan_map(cfg, workers):
             _fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(entangling_power(gate)),
             _fmt(1.0 - res.best_cost), _fmt_list(res.best_params),
         ])
-    return [("depth", str(depth))], CARTAN_COLUMNS, rows
+    return {}, CARTAN_COLUMNS, rows
 
 
 # ------------------------------------------------------------- single optimize
@@ -499,15 +503,14 @@ def gate_from_spec(spec, where="gate"):
 def cmd_single_optimize(cfg, workers):
     """One synthesis run, plain (vqgo from `sources`) or concatenated (an
     amplitude search over `depth` CR layers of `pair`, built as cnot-sweep
-    builds them); returns the report dict. Both modes check every key."""
+    builds them); returns its results. Both modes check every key."""
     mode = cfg["mode"]
     if mode not in ("vqgo", "concatenated"):
         raise ConfigError(f'mode must be "vqgo" or "concatenated", got {_canonical_json(mode)}')
     t = _read(cfg, "t_ns", low=0)
     search = _amplitude_search(cfg, 1)
     signs = _layer_signs(cfg)
-    seed = _read(cfg, "seed", int, low=0)
-    opt = optimizer_from_dict(cfg["optimizer"], seed)
+    opt = optimizer_from_dict(cfg["optimizer"], _read(cfg, "seed", int, low=0))
     pair = None if cfg["pair"] is None else _pair(_inline_file(cfg, "pair"), "pair")
     target = gate_from_spec(cfg["target"], "target")
     if not isinstance(cfg["sources"], list):
@@ -535,18 +538,12 @@ def cmd_single_optimize(cfg, workers):
                  "outer_evaluations": diag["outer_evaluations"]}
     wall = time.perf_counter() - start
     return {
-        "command": "single_optimize",
-        "version": __version__,
-        "seed": seed,
-        "config_hash": _config_hash(cfg),
-        "config": cfg,
         "agi": res.best_cost,
         "converged": res.converged,
         "iterations_used": res.iterations_used,
         "restart_index": res.restart_index,
         "theta": np.asarray(res.best_params).tolist(),
         "cost_history": [float(v) for v in res.cost_history],
-        "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": wall,
         **extra,
     }
@@ -659,15 +656,16 @@ def main(argv=None):
         if args.seed is not None:
             cfg["seed"] = args.seed
         output = args.output or default_output
+        result = fn(cfg, args.workers)
+        meta = _base_meta(command, cfg)  # after fn, which reads files into cfg
         if command == "single_optimize":
-            report = fn(cfg, args.workers)
             with open(output, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
+                json.dump({**meta, **result}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            print(f"wrote {output} (agi {report['agi']:.3e})")
+            print(f"wrote {output} (agi {result['agi']:.3e})")
         else:
-            meta, columns, rows = fn(cfg, args.workers)
-            _write_artifact(output, _base_meta(command, cfg) + meta, columns, rows)
+            extra, columns, rows = result
+            _write_artifact(output, {**meta, **extra}, columns, rows)
             print(f"wrote {output} ({len(rows)} rows)")
         return 0
     except ConfigError as exc:

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,10 @@ def _meta(path):
             key, _, value = line[1:].strip().partition(": ")
             out[key] = value
     return out
+
+
+def _rows(path):
+    return list(csv.DictReader(io.StringIO(_body(path))))
 
 
 TINY_CNOT = {
@@ -163,8 +168,10 @@ def test_cnot_sweep_rows_and_verify(tmp_path):
     assert lines[0].split(",") == cli.SWEEP_COLUMNS
     # 1 eps case x 3 grid times x 2 methods
     assert len(lines) == 1 + 1 * 3 * 2
-    meta = _meta(out)
-    assert "case0_omega_tpcx_mhz" in meta and "case0_omega_vqgo_mhz" in meta
+    # each method's amplitude is fixed once per case and carried by its rows
+    for method in ("tpcx", "vqgo"):
+        omegas = {r["omega_mhz"] for r in _rows(out) if r["method"] == method}
+        assert len(omegas) == 1 and float(omegas.pop()) > 0
     assert cli.main(["--verify", out]) == 0
 
 
@@ -406,6 +413,73 @@ def test_bad_optimizer_field_is_located(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides, key", [
+    ("cnot-sweep", {"outer_maxiter": 10**300}, "outer_maxiter"),
+    ("cnot-sweep", {"depth": 10**300}, "depth"),
+    ("cartan-map", {"grid_points": 10**300}, "grid_points"),
+    ("single-optimize", {"optimizer": {"memory_depth": 10**300}}, "optimizer config: memory_depth"),
+    ("syndrome-sweep", {"seed": 2**63}, "seed"),
+])
+def test_integer_above_maxsize_is_config_error(tmp_path, capsys, command, overrides, key):
+    cfg = _write(tmp_path / "c.json", {**_TINY[command], **overrides})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be an integer >= ")
+    assert f"and <= {sys.maxsize}, got " in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_empty_time_grid_is_config_error(tmp_path, capsys, workers):
+    grid = {"t_start_ns": 75, "t_stop_ns": 75, "t_step_ns": 1e-300}
+    cfg = _write(tmp_path / "c.json", {**TINY_CNOT, **grid})
+    out = tmp_path / "out.csv"
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", str(out),
+                     "--workers", workers]) == 1
+    assert capsys.readouterr().err == (
+        "config error: t_step_ns 1e-300 gives no gate time "
+        "in [t_start_ns, t_stop_ns] = [75, 75]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", [1e-12, 1e-300])
+def test_time_grid_too_large_to_build_is_config_error(tmp_path, capsys, step):
+    # numpy refuses both grids before it allocates anything
+    grid = {"t_start_ns": 0, "t_stop_ns": 750, "t_step_ns": step}
+    cfg = _write(tmp_path / "c.json", {**TINY_SYNDROME, **grid})
+    out = tmp_path / "out.csv"
+    assert cli.main(["syndrome-sweep", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: t_step_ns {step:g} gives too many gate times "
+                          "in [t_start_ns, t_stop_ns] = [0, 750]: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_pool_has_no_more_processes_than_designs(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, t_stop_ns=75.0))  # times 60 and 75
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", a]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", b, "--workers", "64"]) == 0
+    assert sizes and max(sizes) <= 2
+    assert _body(a) == _body(b)
+
+
 @pytest.mark.parametrize("qubits", [6, 40])
 def test_identity_wider_than_five_qubits_is_config_error(tmp_path, capsys, qubits):
     spec = {"kind": "identity", "qubits": qubits}
@@ -445,8 +519,9 @@ def test_cnot_sweep_tpcx_does_not_depend_on_omega0(tmp_path):
                      dict(TINY_CNOT, eps_cases=[0.1], omega0_mhz=omega0))
         outs.append(str(tmp_path / f"s{omega0:g}.csv"))
         assert cli.main(["cnot-sweep", "--config", cfg, "--output", outs[-1]]) == 0
-    a, b = (_meta(p)["case0_omega_tpcx_mhz"] for p in outs)
-    assert a == b and abs(float(a) - 36.48) < 0.01  # the global optimum at eps 0.1
+    a, b = ({r["omega_mhz"] for r in _rows(p) if r["method"] == "tpcx"} for p in outs)
+    assert a == b and len(a) == 1
+    assert abs(float(a.pop()) - 36.48) < 0.01  # the global optimum at eps 0.1
     tpcx_rows = [[ln for ln in _body(p).splitlines() if ln.startswith("tpcx,")]
                  for p in outs]
     assert len(tpcx_rows[0]) == 3 and tpcx_rows[0] == tpcx_rows[1]
@@ -469,15 +544,39 @@ def test_verify_catches_tampering(tmp_path):
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """Text of one small cartan-map and one small cnot-sweep artifact."""
+    """Text of one small artifact of each CSV command."""
     tmp = tmp_path_factory.mktemp("artifacts")
     texts = {}
-    for command, base in (("cartan-map", TINY_CARTAN), ("cnot-sweep", TINY_CNOT)):
+    for command, base in (("cartan-map", TINY_CARTAN), ("cnot-sweep", TINY_CNOT),
+                          ("syndrome-sweep", TINY_SYNDROME)):
         out = tmp / f"{command}.csv"
         assert cli.main([command, "--config", _write(tmp / "c.json", base),
                          "--output", str(out)]) == 0
         texts[command] = out.read_text()
     return texts
+
+
+_BASE_META = ["command", "version", "timestamp", "seed", "config_hash", "config"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("cartan-map", _BASE_META),
+    ("cnot-sweep", _BASE_META + ["case0_agi_vqgo_at_t_opt", "case0_outer_evaluations"]),
+    ("syndrome-sweep", _BASE_META + ["case0_agi_vqgo_at_t_opt", "case0_outer_evaluations"]),
+])
+def test_header_states_only_what_config_and_rows_do_not(artifacts, command, keys):
+    # a case's value, amplitudes and source time are in the config or the rows
+    header = [ln for ln in artifacts[command].splitlines() if ln.startswith("#")]
+    assert [ln[2:].partition(": ")[0] for ln in header] == keys
+
+
+def test_sweep_header_numbers_every_case(tmp_path):
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, eps_cases=[0.0, 0.1]))
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
+    assert list(_meta(out))[len(_BASE_META):] == [
+        f"case{i}_{key}" for i in (0, 1) for key in ("agi_vqgo_at_t_opt", "outer_evaluations")]
+    assert int(_meta(out)["case1_outer_evaluations"]) >= 1
 
 
 def _tamper(text, row_index, column, value):
@@ -550,8 +649,8 @@ def test_syndrome_sweep_rows_and_verify(tmp_path):
     assert row["phi_rad"] == ""
     assert len(row["omega_mhz"].split(";")) == 4
     assert len(row["theta"].split(";")) == 3 * 5 * 3  # (depth+1, 5 qubits, 3)
-    meta = _meta(out)
-    assert meta["source_time_total_ns"] == "150"
+    config = json.loads(_meta(out)["config"])
+    assert config["depth"] * config["t_opt_ns"] == 150  # total source time in ns
     assert cli.main(["--verify", out]) == 0
 
 
@@ -560,8 +659,8 @@ def test_single_optimize_report(tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    for key in ["agi", "converged", "iterations_used", "theta", "cost_history",
-                "config_hash", "seed", "version", "timestamp", "wall_time_s"]:
+    for key in ["agi", "converged", "iterations_used", "theta", "cost_history", "command",
+                "config", "config_hash", "seed", "version", "timestamp", "wall_time_s"]:
         assert key in report
     assert report["agi"] < 1e-6
     assert np.asarray(report["theta"]).shape == (2, 2, 3)
