@@ -194,11 +194,21 @@ def _amplitude_search(cfg, amplitudes):
     }
 
 
-def _layer_signs(cfg):
+def _check_buildable(key, value, layers, dim):
+    """ConfigError naming cfg[key] = value when `layers` source gates of
+    dim x dim complex entries take more than the 2**47 bytes (a 47-bit user
+    space) a 64-bit process can address, so that no host can build them."""
+    if layers * dim**2 * 16 > 2**47:
+        raise ConfigError(f"{key} {value} needs {layers} source layers of {dim}x{dim} gates, "
+                          f"more than the 2**47 bytes a 64-bit process can address")
+
+
+def _layer_signs(cfg, designs, dim):
     """The sign of the drive amplitudes in each of the `depth` source
-    layers: all +1, or (+1, -1) when syndrome-sweep's opposite_sign_layers
-    is set, which needs depth 2."""
+    layers of `designs` designs of dim x dim gates: all +1, or (+1, -1)
+    when syndrome-sweep's opposite_sign_layers is set, which needs depth 2."""
     depth = _read(cfg, "depth", int, low=1)
+    _check_buildable("depth", depth, designs * depth, dim)
     opposite = "opposite_sign_layers" in cfg and _read(cfg, "opposite_sign_layers", bool)
     if opposite and depth != 2:
         raise ConfigError(f"opposite_sign_layers needs depth 2, got depth {depth}")
@@ -292,7 +302,6 @@ def _sweep(sweep, cfg, workers):
     tuned by minimize_on_interval over omega_bounds_mhz, free of omega0_mhz."""
     values = _read(cfg, sweep.cases_key, size="any", low=0)
     cases = [sweep.case(cfg, value) for value in values]
-    signs = _layer_signs(cfg)
     search = _amplitude_search(cfg, sweep.qubits - 1)
     t_opt = _read(cfg, "t_opt_ns", low=0)
     t_start = _read(cfg, "t_start_ns", low=0)
@@ -305,6 +314,7 @@ def _sweep(sweep, cfg, workers):
         raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
     if not grid.size:
         raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
+    signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
     seed = _read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     meta = {}
@@ -442,7 +452,9 @@ def cmd_cartan_map(cfg, workers):
     the entangling power of its canonical gate and the best fidelity of a
     depth-`depth` synthesis of CNOT from identical copies of that gate."""
     npts = _read(cfg, "grid_points", int, low=2)
+    _check_buildable("grid_points", npts, npts**3, CNOT.shape[0])
     depth = _read(cfg, "depth", int, low=1)
+    _check_buildable("depth", depth, npts**3 * depth, CNOT.shape[0])
     seed = _read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     axis = np.linspace(0.0, np.pi / 4, npts)
@@ -509,7 +521,7 @@ def cmd_single_optimize(cfg, workers):
         raise ConfigError(f'mode must be "vqgo" or "concatenated", got {_canonical_json(mode)}')
     t = _read(cfg, "t_ns", low=0)
     search = _amplitude_search(cfg, 1)
-    signs = _layer_signs(cfg)
+    signs = _layer_signs(cfg, 1, CNOT.shape[0])
     opt = optimizer_from_dict(cfg["optimizer"], _read(cfg, "seed", int, low=0))
     pair = None if cfg["pair"] is None else _pair(_inline_file(cfg, "pair"), "pair")
     target = gate_from_spec(cfg["target"], "target")
@@ -600,7 +612,7 @@ def verify_artifact(path):
     if command != "cartan_map" and command not in _SWEEPS:
         raise ConfigError(f"cannot verify artifacts of command {command!r}")
     sweep = _SWEEPS.get(command)
-    signs = _layer_signs(cfg)
+    signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
     case = functools.cache(lambda value: sweep.case(cfg, value))
     mismatches = 0
     for idx, row in enumerate(rows):

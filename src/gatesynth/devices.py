@@ -11,6 +11,8 @@ significant) tensor factor.
 """
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,9 +38,10 @@ class CrossResonancePair:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and np.isfinite(self.g)):
-            raise ValueError("delta and g must be finite")
-        if not (np.isfinite(self.eps) and self.eps >= 0):
+        for name in ("delta", "g", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
@@ -51,7 +54,9 @@ class DriveSpec:
     t: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t) and self.t >= 0):
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
+        if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
 
 
@@ -181,16 +186,25 @@ def syndrome_target():
     return u
 
 
+# pair_from_dict's keys and the CrossResonancePair fields they fill
+_PAIR_FIELDS = {"delta_mhz": "delta", "g_mhz": "g", "eps": "eps", "phi_rad": "phi"}
+
+
 def pair_from_dict(raw):
-    try:
-        return CrossResonancePair(
-            delta=float(raw["delta_mhz"]),
-            g=float(raw["g_mhz"]),
-            eps=float(raw.get("eps", 0.0)),
-            phi=float(raw.get("phi_rad", 0.0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"pair parameters missing key {exc}") from exc
+    """A CrossResonancePair from a dict of numbers delta_mhz, g_mhz and the
+    optional eps and phi_rad (default 0). A missing or unknown key, or a
+    value that is not a number, is a ValueError naming the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"pair parameters must be an object, got {raw!r}")
+    for key in ("delta_mhz", "g_mhz"):
+        if key not in raw:
+            raise ValueError(f"pair parameters missing key {key!r}")
+    for key, value in raw.items():
+        if key not in _PAIR_FIELDS:
+            raise ValueError(f"pair parameters have unknown key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"pair parameter {key} must be a number, got {value!r}")
+    return CrossResonancePair(**{_PAIR_FIELDS[key]: float(v) for key, v in raw.items()})
 
 
 def load_device(path):
@@ -199,8 +213,6 @@ def load_device(path):
     keys such as reference amplitudes."""
     with open(path) as fh:
         raw = json.load(fh)
-    try:
-        pairs = tuple(pair_from_dict(p) for p in raw["pairs"])
-    except KeyError as exc:
-        raise ValueError(f"device file missing key {exc}") from exc
-    return FourQubitDevice(pairs), raw
+    if not isinstance(raw, dict) or not isinstance(raw.get("pairs"), list):
+        raise ValueError(f"{path}: a device file holds an object with a pairs list")
+    return FourQubitDevice(tuple(pair_from_dict(p) for p in raw["pairs"])), raw

@@ -1,7 +1,7 @@
 """Direct fidelity estimation: measurement plans built from the target
-gate's Pauli transfer matrix, an exact full-support estimator that
-reproduces the closed-form average gate fidelity, and a sampled
-estimator with optional single-shot noise for variance studies.
+gate's Pauli transfer matrix and two estimators, an exact full-support
+estimate that reproduces the closed-form average gate fidelity and a
+sampled estimate over single-shot measurement settings.
 
 A plan entry pairs an input Pauli sigma_j with an output Pauli sigma_i
 where the target's transfer matrix R_ij does not vanish. Every estimate
@@ -14,9 +14,9 @@ sigma_j. The table is built in blocks of entries as U @ S_j, with S_j the
 tensor product of per-letter eigenvector matrices, followed by one
 Pauli product and one column-wise inner product. The full-support mode
 sums its eigenvalue-weighted rows; the sampled mode draws the settings'
-entries, eigenstates and binomial shot counts as arrays and reads the
+entries, eigenstates and single-shot outcomes as arrays and reads the
 Born probabilities (1 + E) / 2 from the table. `simulate_expectation`
-and `ptm_entry_measured` remain as per-entry references.
+and `ptm_entry_measured` remain as exact per-entry references.
 """
 
 import itertools
@@ -72,46 +72,21 @@ def pauli_eigenbasis(label):
     return out
 
 
-def _is_pauli_observable(obs):
-    obs = np.asarray(obs)
-    return (
-        np.allclose(obs, obs.conj().T, atol=1e-10)
-        and np.allclose(obs @ obs, np.eye(obs.shape[0]), atol=1e-10)
-    )
+def simulate_expectation(u, rho, obs):
+    """Exact expectation Tr[obs u rho u^dag]."""
+    return float(np.real(np.trace(np.asarray(obs) @ u @ rho @ u.conj().T)))
 
 
-def simulate_expectation(u, rho, obs, shots=None, rng=None):
-    """Expectation Tr[obs u rho u^dag], exact or shot-sampled.
-
-    With finite `shots`, obs must square to identity (outcomes +-1); the
-    return value is the mean of `shots` Bernoulli draws at the Born
-    probability. rng is required in shot mode.
-    """
-    exact = float(np.real(np.trace(np.asarray(obs) @ u @ rho @ u.conj().T)))
-    if shots is None:
-        return exact
-    if not _is_pauli_observable(obs):
-        raise ValueError("shot sampling requires an observable with +-1 eigenvalues")
-    if rng is None:
-        raise ValueError("shot mode needs an rng")
-    p_plus = min(1.0, max(0.0, 0.5 * (1.0 + exact)))
-    ups = rng.binomial(int(shots), p_plus)
-    return (2.0 * ups - shots) / shots
-
-
-def ptm_entry_measured(u, i_label, j_label, shots=None, rng=None):
+def ptm_entry_measured(u, i_label, j_label):
     """PTM entry R_ij of the unitary channel u from eigenstate
-    preparations: (1/D) * sum_k lambda_jk * <sigma_i> on u|psi_jk>.
-
-    Exact mode reproduces channels.ptm(u)[i, j]; with finite shots each
-    eigenstate expectation is sampled independently.
-    """
+    preparations: (1/D) * sum_k lambda_jk * <sigma_i> on u|psi_jk>,
+    which reproduces channels.ptm(u)[i, j]."""
     dim = u.shape[0]
     obs = pauli_matrix(i_label)
     total = 0.0
     for state, lam in pauli_eigenbasis(j_label):
         rho = np.outer(state, state.conj())
-        total += lam * simulate_expectation(u, rho, obs, shots=shots, rng=rng)
+        total += lam * simulate_expectation(u, rho, obs)
     return total / dim
 
 
@@ -146,21 +121,17 @@ class DfePlan:
 
 @dataclass(frozen=True)
 class DfeSamplingConfig:
-    """Sampling budget: the number of measurement settings is
-    ceil(1 / (eps_fail**2 * delta_acc)), each measured with
-    shots_per_setting single-shot repetitions."""
+    """Sampling budget: the number of single-shot measurement settings
+    is ceil(1 / (eps_fail**2 * delta_acc))."""
 
     eps_fail: float
     delta_acc: float
-    shots_per_setting: int = 1
 
     def __post_init__(self):
         if not 0 < self.eps_fail < 1:
             raise ValueError(f"eps_fail must be in (0,1), got {self.eps_fail}")
         if self.delta_acc <= 0:
             raise ValueError(f"delta_acc must be > 0, got {self.delta_acc}")
-        if self.shots_per_setting < 1:
-            raise ValueError("shots_per_setting must be >= 1")
 
     def num_settings(self):
         return math.ceil(1.0 / (self.eps_fail**2 * self.delta_acc))
@@ -208,13 +179,6 @@ def _expectation_table(u, plan):
     return table
 
 
-def _shot_average(expectations, shots, rng):
-    """Mean of `shots` +-1 outcomes drawn at the Born probabilities
-    (1 + E) / 2 of the exact expectations E, elementwise."""
-    ups = rng.binomial(shots, np.clip(0.5 * (1.0 + expectations), 0.0, 1.0))
-    return (2.0 * ups - shots) / shots
-
-
 def _check_target(r_target, plan):
     """Reject a target PTM that is not the one the plan was built from:
     its shape, or its values at the plan's (row, col) indices."""
@@ -230,36 +194,25 @@ def _check_target(r_target, plan):
         raise ValueError("r_target differs from the target the plan was built from")
 
 
-def dfe_estimate(u_actual, r_target, plan, cfg=None, shots=None, rng=None):
+def dfe_estimate(u_actual, r_target, plan, cfg=None, rng=None):
     """Average gate fidelity estimate of the channel u_actual against the
     target whose PTM is r_target (the plan carries its entries; r_target
     must match them, else ValueError).
 
-    Full-support mode (cfg None) evaluates every plan entry, exactly when
-    shots is None, else each eigenstate expectation from `shots` single
-    shots, and returns (D * sum_ij w_ij * R^actual_ij / R^target_ij + 1)
-    / (D + 1), which equals the closed-form fidelity in exact mode.
-    With cfg given, draws cfg.num_settings() entries by weight; each
-    setting prepares one uniformly chosen eigenstate of the input Pauli
-    and measures the output Pauli with cfg.shots_per_setting shots, so
-    `shots` must then be None.
+    Full-support mode (cfg None) evaluates every plan entry exactly and
+    returns (D * sum_ij w_ij * R^actual_ij / R^target_ij + 1) / (D + 1),
+    which equals the closed-form fidelity. With cfg given, draws
+    cfg.num_settings() entries by weight from rng; each setting prepares
+    one uniformly chosen eigenstate of the input Pauli and measures the
+    output Pauli once.
     """
     dim = plan.dim
-    if cfg is not None and shots is not None:
-        raise ValueError(
-            f"sampled mode takes its shots from cfg.shots_per_setting "
-            f"({cfg.shots_per_setting}); got shots={shots} as well"
-        )
-    if shots is not None and int(shots) < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if (cfg is not None or shots is not None) and rng is None:
-        raise ValueError("sampled mode needs an rng" if cfg else "shot mode needs an rng")
+    if cfg is not None and rng is None:
+        raise ValueError("sampled mode needs an rng")
     _check_target(r_target, plan)
     table = _expectation_table(u_actual, plan)
 
     if cfg is None:
-        if shots is not None:
-            table = _shot_average(table, int(shots), rng)
         measured = (plan.eigenvalues * table).sum(axis=1) / dim
         ratio = np.sum(plan.targets * measured) / dim**2
         return float((dim * ratio + 1.0) / (dim + 1.0))
@@ -267,6 +220,8 @@ def dfe_estimate(u_actual, r_target, plan, cfg=None, shots=None, rng=None):
     settings = cfg.num_settings()
     draws = rng.choice(len(plan.targets), size=settings, p=plan.probs)
     ks = rng.integers(dim, size=settings)
-    outcomes = _shot_average(table[draws, ks], cfg.shots_per_setting, rng)
+    # one +-1 outcome per setting at the Born probability (1 + E) / 2
+    born = np.clip(0.5 * (1.0 + table[draws, ks]), 0.0, 1.0)
+    outcomes = 2.0 * rng.binomial(1, born) - 1.0
     mean_ratio = np.mean(plan.eigenvalues[draws, ks] * outcomes / plan.targets[draws])
     return float((dim * mean_ratio + 1.0) / (dim + 1.0))

@@ -24,6 +24,7 @@ search over source-drive amplitudes.
 
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -59,6 +60,10 @@ class OptimizerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+            # budgets must fit a C ssize_t (deque maxlen); seeds, 64-bit
+            # unsigned from derive_seed, only feed a SeedSequence
+            if name != "seed" and value > sys.maxsize:
+                raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
         if self.max_iterations <= 0 or self.memory_depth <= 0:
             raise ValueError("iteration and memory budgets must be positive")
         if self.restarts < 1:

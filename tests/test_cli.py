@@ -430,6 +430,25 @@ def test_integer_above_maxsize_is_config_error(tmp_path, capsys, command, overri
     assert not out.exists()
 
 
+# a depth or grid_points of 2**45 asks for source layers beyond a 47-bit
+# address space, so no host allocates them
+@pytest.mark.parametrize("command, key", [
+    ("cnot-sweep", "depth"),
+    ("syndrome-sweep", "depth"),
+    ("single-optimize", "depth"),
+    ("cartan-map", "depth"),
+    ("cartan-map", "grid_points"),
+])
+def test_size_that_cannot_be_built_is_config_error(tmp_path, capsys, command, key):
+    cfg = _write(tmp_path / "c.json", {**_TINY[command], key: 2**45})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} {2**45} needs ")
+    assert "address" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_empty_time_grid_is_config_error(tmp_path, capsys, workers):
     grid = {"t_start_ns": 75, "t_stop_ns": 75, "t_step_ns": 1e-300}

@@ -141,6 +141,9 @@ def test_cr_gate_composition():
 def test_drive_spec_rejects_negative_time():
     with pytest.raises(ValueError):
         devices.DriveSpec(40.0, -1.0)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="omega"):
+            devices.DriveSpec(value, 1.0)
 
 
 def test_four_cr_hamiltonian_zero_and_diagonal():
@@ -209,6 +212,9 @@ def test_four_cr_pure_detuning_is_diagonal_evolution():
 def test_four_qubit_device_validation():
     with pytest.raises(ValueError):
         devices.FourQubitDevice((devices.CrossResonancePair(1.0, 1.0),))
+    for field in ("delta", "g", "phi"):
+        with pytest.raises(ValueError, match=field):
+            devices.CrossResonancePair(**{"delta": 1.0, "g": 1.0, field: np.nan})
 
 
 def test_tpcx_ideal_limit_is_cnot():
@@ -262,11 +268,21 @@ def test_syndrome_target_is_clifford():
     assert np.allclose(np.abs(r).sum(axis=1), 1.0)
 
 
-def test_fixture_loaders():
+def test_fixture_loaders(tmp_path):
     pair = devices.pair_from_dict({"delta_mhz": 200.0, "g_mhz": 5.0, "eps": 0.1, "phi_rad": 0.5})
     assert pair.delta == 200.0 and pair.eps == 0.1 and pair.phi == 0.5
     with pytest.raises(ValueError):
         devices.pair_from_dict({"delta_mhz": 200.0})
+    good = {"delta_mhz": 200.0, "g_mhz": 5.0}
+    for key, value in (("delta_mhz", True), ("g_mhz", "5"), ("eps", None), ("esp", 0.3)):
+        with pytest.raises(ValueError, match=key):
+            devices.pair_from_dict({**good, key: value})
+    with pytest.raises(ValueError, match="object"):
+        devices.pair_from_dict(5)
+    for raw in ('{"pairs": 5}', "[1]", "{}"):
+        (tmp_path / "dev.json").write_text(raw)
+        with pytest.raises(ValueError, match="pairs list"):
+            devices.load_device(tmp_path / "dev.json")
 
 
 def test_with_crosstalk_toggle():

@@ -63,33 +63,6 @@ def test_simulate_expectation_exact():
     assert abs(dfe.simulate_expectation(HADAMARD, rho, z)) < 1e-14
 
 
-def test_simulate_expectation_shots():
-    rho = np.array([[1, 0], [0, 0]], dtype=complex)
-    x = pauli_matrix("X")
-    rng = derive_rng(41)
-    vals = [
-        dfe.simulate_expectation(HADAMARD, rho, x, shots=400, rng=rng)
-        for _ in range(50)
-    ]
-    # H|0> is the +1 eigenstate of X: every finite-shot average is exactly 1
-    assert all(abs(v - 1.0) < 1e-14 for v in vals)
-    z = pauli_matrix("Z")
-    vals = np.array([
-        dfe.simulate_expectation(HADAMARD, rho, z, shots=400, rng=rng)
-        for _ in range(200)
-    ])
-    assert abs(vals.mean()) < 3.0 / np.sqrt(400 * 200 / 1.0)
-    with pytest.raises(ValueError):
-        dfe.simulate_expectation(HADAMARD, rho, z, shots=10)  # rng required
-
-
-def test_simulate_expectation_rejects_non_pauli_observable():
-    rho = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError):
-        dfe.simulate_expectation(np.eye(2), rho, np.diag([1.0, 2.0]), shots=1,
-                                 rng=derive_rng(0))
-
-
 def test_ptm_entry_measured_matches_ptm():
     rng = derive_rng(42)
     u = haar_unitary(4, rng)
@@ -99,18 +72,6 @@ def test_ptm_entry_measured_matches_ptm():
         for j, lj in enumerate(labels):
             est = dfe.ptm_entry_measured(u, li, lj)
             assert abs(est - r[i, j]) < 1e-10
-
-
-def test_ptm_entry_measured_shot_noise_unbiased():
-    u = CNOT
-    r = ptm(u)
-    rng = derive_rng(43)
-    ests = np.array([
-        dfe.ptm_entry_measured(u, "ZI", "ZI", shots=32, rng=rng)
-        for _ in range(300)
-    ])
-    assert abs(ests.mean() - r[pauli_labels(2).index("ZI"),
-                               pauli_labels(2).index("ZI")]) < 0.05
 
 
 def test_dfe_plan_cnot():
@@ -145,8 +106,6 @@ def test_sampling_config_setting_count():
     assert cfg.num_settings() == 125
     with pytest.raises(ValueError):
         dfe.DfeSamplingConfig(eps_fail=0.0, delta_acc=0.1)
-    with pytest.raises(ValueError):
-        dfe.DfeSamplingConfig(eps_fail=0.1, delta_acc=0.1, shots_per_setting=0)
 
 
 def test_dfe_estimate_exact_matches_agf():
@@ -270,52 +229,15 @@ def test_exact_estimate_on_syndrome_circuit():
     assert abs(est - agf_unitary(target, u)) < 1e-12
 
 
-def test_full_support_shots_follow_per_entry_reference():
-    # the full-support shot path draws each (entry, eigenstate) count in
-    # plan order, as per-entry measurement with the same rng does
-    rng = derive_rng(49)
-    u = haar_unitary(4, rng)
-    v = haar_unitary(4, rng)
-    r = ptm(u)
-    plan = dfe.dfe_plan(r)
-    est = dfe.dfe_estimate(v, r, plan, shots=16, rng=derive_rng(49, 1))
-    assert type(est) is float
-    assert est == dfe.dfe_estimate(v, r, plan, shots=16, rng=derive_rng(49, 1))
-    ref_rng = derive_rng(49, 1)
-    acc = sum(
-        w * dfe.ptm_entry_measured(v, li, lj, shots=16, rng=ref_rng) / t
-        for li, lj, t, w in plan.entries
-    )
-    assert abs(est - (4 * acc + 1) / 5) < 1e-12
-
-
-def test_full_support_shots_unbiased():
-    rng = derive_rng(50)
-    u = haar_unitary(4, rng)
-    v = haar_unitary(4, rng)
-    r = ptm(u)
-    plan = dfe.dfe_plan(r)
-    ests = np.array([
-        dfe.dfe_estimate(v, r, plan, shots=4, rng=derive_rng(50, trial))
-        for trial in range(200)
-    ])
-    se = ests.std(ddof=1) / np.sqrt(len(ests))
-    assert abs(ests.mean() - agf_unitary(u, v)) < 3 * se + 1e-12
-    with pytest.raises(ValueError):
-        dfe.dfe_estimate(v, r, plan, shots=4)  # rng required
-    with pytest.raises(ValueError):
-        dfe.dfe_estimate(v, r, plan, shots=0, rng=derive_rng(50))
-
-
 def test_sampled_estimate_follows_drawn_settings():
-    # one draw of entries, one of eigenstates, one of shot counts, read
+    # one draw of entries, one of eigenstates, one of single shots, read
     # against the per-setting expectations of the drawn preparations
     rng = derive_rng(51)
     u = haar_unitary(8, rng)
     v = haar_unitary(8, rng)
     r = ptm(u)
     plan = dfe.dfe_plan(r)
-    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2, shots_per_setting=3)
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
     est = dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(51, 1))
     assert type(est) is float
     ref_rng = derive_rng(51, 1)
@@ -327,17 +249,9 @@ def test_sampled_estimate_follows_drawn_settings():
         state, lam = dfe.pauli_eigenbasis(j_label)[k]
         exact = dfe.simulate_expectation(v, np.outer(state, state.conj()),
                                          pauli_matrix(i_label))
-        ups = ref_rng.binomial(3, min(1.0, max(0.0, 0.5 * (1.0 + exact))))
-        acc += lam * (2.0 * ups - 3) / 3 / target_value
+        ups = ref_rng.binomial(1, min(1.0, max(0.0, 0.5 * (1.0 + exact))))
+        acc += lam * (2.0 * ups - 1) / target_value
     assert abs(est - (8 * acc / len(draws) + 1) / 9) < 1e-12
-
-
-def test_sampled_estimate_rejects_shots_argument():
-    r = ptm(CNOT)
-    plan = dfe.dfe_plan(r)
-    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
-    with pytest.raises(ValueError, match="shots_per_setting.*shots=5"):
-        dfe.dfe_estimate(CNOT, r, plan, cfg=cfg, shots=5, rng=derive_rng(52))
 
 
 def test_plan_arrays_and_vanishing_target_rejected():

@@ -31,6 +31,8 @@ def test_optimizer_config_validation():
     for field, value in (("restarts", 2.5), ("max_iterations", True), ("seed", "1")):
         with pytest.raises(TypeError, match=field):
             optimkit.OptimizerConfig(**{field: value})
+    with pytest.raises(ValueError, match="memory_depth"):
+        optimkit.OptimizerConfig(memory_depth=2**63)
     assert optimkit.OptimizerConfig(seed=np.uint32(7)).seed == 7
     for field in ("gradient_tolerance", "cost_tolerance", "stop_below"):
         for value in (np.nan, np.inf, -np.inf, True, "1e-9"):
