@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -35,12 +36,14 @@ from .channels import CNOT, SWAP, agi
 from .devices import (
     CrossResonancePair,
     DriveSpec,
-    FourQubitDevice,
     cr_gate,
+    device_from_dict,
     four_cr_gate,
+    pair_from_dict,
     syndrome_target,
     tpcx,
 )
+from .inputs import ConfigError, canonical_json, read, read_json, read_text
 from .numkit import derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
@@ -60,10 +63,6 @@ SWEEP_COLUMNS = [
 CARTAN_COLUMNS = ["c_x", "c_y", "c_z", "entangling_power", "best_agf", "theta"]
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(x):
     return format(float(x), ".17g")
 
@@ -78,26 +77,8 @@ def _parse_list(s):
     return np.array([float(tok) for tok in s.split(";")])
 
 
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _config_hash(obj):
-    return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
-
-
-def _read_json(path, where=""):
-    """Parse a JSON input file; an unreadable or malformed file is a config
-    error located at its path (and line:column), after the prefix `where`."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{where}{path}: {exc.strerror}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def _inline_file(cfg, key):
@@ -105,7 +86,7 @@ def _inline_file(cfg, key):
     an artifact's config (and its hash) holds the data itself and --verify
     needs no other file."""
     if isinstance(cfg[key], str):
-        cfg[key] = _read_json(cfg[key], f"{key}: ")
+        cfg[key] = read_json(cfg[key], f"{key}: ")
     return cfg[key]
 
 
@@ -114,7 +95,7 @@ def load_config(path, defaults):
     are config errors so typos fail loudly."""
     cfg = json.loads(json.dumps(defaults))
     if path is not None:
-        user = _read_json(path)
+        user = read_json(path)
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         for key, value in user.items():
@@ -124,34 +105,6 @@ def load_config(path, defaults):
     return cfg
 
 
-def _read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
-    """cfg[key] as `kind`: float (a finite number), int (|x| <= sys.maxsize)
-    or bool; a JSON boolean is no number. size=n asks for a list of n values,
-    size="any" for a non-empty list; numbers must be >= low and > above where
-    given. Anything else is a ConfigError naming `where` + key and the value."""
-    largest = sys.maxsize if kind is int else sys.float_info.max
-
-    def fits(x):
-        if isinstance(x, bool) or kind is bool:
-            return isinstance(x, bool) and kind is bool
-        return (isinstance(x, int if kind is int else (int, float)) and abs(x) <= largest
-                and (low is None or x >= low) and (above is None or x > above))
-
-    raw = cfg.get(key)
-    items = raw if size else [raw]
-    if not (isinstance(items, list) and items and size in (None, "any", len(items))
-            and all(fits(x) for x in items)):
-        one, many = {float: ("a finite number", "finite numbers"), int: ("an integer", "integers"),
-                     bool: ("true or false", None)}[kind]
-        what = f"a list of {'one or more' if size == 'any' else size} {many}" if size else one
-        limits = "".join(f" {op} {v:g}" for op, v in ((">=", low), (">", above)) if v is not None)
-        if kind is int and isinstance(raw, int) and abs(raw) > largest:
-            limits += f" and <= {largest}"
-        raise ConfigError(f"{where}{key} must be {what}{limits}, got {_canonical_json(raw)}")
-    values = [kind(x) for x in items]
-    return values if size else values[0]
-
-
 def optimizer_from_dict(d, seed):
     """OptimizerConfig from a config's `optimizer` object and the top-level
     seed. Each entry is read like a top-level key: an integer field as an
@@ -159,7 +112,7 @@ def optimizer_from_dict(d, seed):
     number > 0; `seed` belongs at the top level."""
     where = "optimizer config: "
     if not isinstance(d, dict):
-        raise ConfigError(f"{where}optimizer must be an object, got {_canonical_json(d)}")
+        raise ConfigError(f"{where}optimizer must be an object, got {canonical_json(d)}")
     kinds = {f.name: f.type for f in fields(OptimizerConfig)}
     values = {}
     for key, value in d.items():
@@ -169,8 +122,8 @@ def optimizer_from_dict(d, seed):
             raise ConfigError(f"{where}unknown key {key!r}")
         if value is not None or key != "stop_below":
             kind = kinds[key]
-            values[key] = _read(d, key, kind, low=1 if kind is int else None,
-                                above=0 if kind is float else None, where=where)
+            values[key] = read(d, key, kind, low=1 if kind is int else None,
+                               above=0 if kind is float else None, where=where)
     return OptimizerConfig(**values, seed=seed)
 
 
@@ -178,19 +131,19 @@ def _amplitude_search(cfg, amplitudes):
     """concatenated_optimize's outer-search keywords. omega0_mhz is a number
     or a list of `amplitudes` within omega_bounds_mhz; COBYLA needs
     amplitudes + 2 evaluations."""
-    lo, hi = _read(cfg, "omega_bounds_mhz", size=2, low=0)
+    lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
     if not lo < hi:
         raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
-                          f"got {_canonical_json(cfg['omega_bounds_mhz'])}")
-    omega0 = _read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
+                          f"got {canonical_json(cfg['omega_bounds_mhz'])}")
+    omega0 = read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
     if not all(lo <= w <= hi for w in np.atleast_1d(omega0)):
         raise ConfigError(f"omega0_mhz must lie within omega_bounds_mhz [{lo:g}, {hi:g}], "
-                          f"got {_canonical_json(cfg['omega0_mhz'])}")
+                          f"got {canonical_json(cfg['omega0_mhz'])}")
     return {
         "omega0": omega0,
         "bounds": AmplitudeBounds(lo, hi),
-        "outer_maxiter": _read(cfg, "outer_maxiter", int, low=amplitudes + 2),
-        "max_sweeps": _read(cfg, "max_sweeps", int, low=1),
+        "outer_maxiter": read(cfg, "outer_maxiter", int, low=amplitudes + 2),
+        "max_sweeps": read(cfg, "max_sweeps", int, low=1),
     }
 
 
@@ -207,24 +160,12 @@ def _layer_signs(cfg, designs, dim):
     """The sign of the drive amplitudes in each of the `depth` source
     layers of `designs` designs of dim x dim gates: all +1, or (+1, -1)
     when syndrome-sweep's opposite_sign_layers is set, which needs depth 2."""
-    depth = _read(cfg, "depth", int, low=1)
+    depth = read(cfg, "depth", int, low=1)
     _check_buildable("depth", depth, designs * depth, dim)
-    opposite = "opposite_sign_layers" in cfg and _read(cfg, "opposite_sign_layers", bool)
+    opposite = "opposite_sign_layers" in cfg and read(cfg, "opposite_sign_layers", bool)
     if opposite and depth != 2:
         raise ConfigError(f"opposite_sign_layers needs depth 2, got depth {depth}")
     return (1, -1) if opposite else (1,) * depth
-
-
-def _pair(raw, where, keys=("delta_mhz", "g_mhz", "eps", "phi_rad")):
-    """A CrossResonancePair from a pair object that holds only `keys`;
-    eps and phi_rad default to 0."""
-    if not isinstance(raw, dict) or not raw.keys() <= set(keys):
-        raise ConfigError(f"{where} must be an object with keys from {', '.join(keys)}, "
-                          f"got {_canonical_json(raw)}")
-    raw = {"eps": 0.0, "phi_rad": 0.0, **raw}
-    w = where + "."
-    return CrossResonancePair(_read(raw, "delta_mhz", where=w), _read(raw, "g_mhz", where=w),
-                              _read(raw, "eps", low=0, where=w), _read(raw, "phi_rad", where=w))
 
 
 def _synthesize(batches, workers):
@@ -249,7 +190,7 @@ def _synthesize(batches, workers):
 def _write_artifact(path, meta, columns, rows):
     with open(path, "w", newline="") as fh:
         for key, value in meta.items():
-            fh.write(f"# {key}: {value if isinstance(value, str) else _canonical_json(value)}\n")
+            fh.write(f"# {key}: {value if isinstance(value, str) else canonical_json(value)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
@@ -295,18 +236,31 @@ def _sources(sweep, case, omegas, t, signs):
     return [gates[s] for s in signs]
 
 
+def _finite_gate(where, source, *args):
+    """source(*args), a gate, or a ConfigError naming `where` if it is not
+    finite: an overflowing Hamiltonian raises ValueError, a phase w*t NaN."""
+    with np.errstate(all="ignore"):
+        try:
+            gate = source(*args)
+            if np.isfinite(gate).all():
+                return gate
+        except ValueError:
+            pass
+    raise ConfigError(f"{where} gives a gate that is not finite")
+
+
 def _sweep(sweep, cfg, workers):
     """Per case: fix the drive amplitudes by the concatenated amplitude+angle
     search at t_opt_ns, then synthesize at each time of the t grid with them
     held fixed; one row per (method, case, t). The baseline's amplitude is
     tuned by minimize_on_interval over omega_bounds_mhz, free of omega0_mhz."""
-    values = _read(cfg, sweep.cases_key, size="any", low=0)
+    values = read(cfg, sweep.cases_key, size="any", low=0)
     cases = [sweep.case(cfg, value) for value in values]
     search = _amplitude_search(cfg, sweep.qubits - 1)
-    t_opt = _read(cfg, "t_opt_ns", low=0)
-    t_start = _read(cfg, "t_start_ns", low=0)
-    t_stop = _read(cfg, "t_stop_ns", low=t_start)
-    t_step = _read(cfg, "t_step_ns", above=0)
+    t_opt = read(cfg, "t_opt_ns", low=0)
+    t_start = read(cfg, "t_start_ns", low=0)
+    t_stop = read(cfg, "t_stop_ns", low=t_start)
+    t_step = read(cfg, "t_step_ns", above=0)
     span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
     try:
         grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
@@ -315,8 +269,14 @@ def _sweep(sweep, cfg, workers):
     if not grid.size:
         raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
     signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
-    seed = _read(cfg, "seed", int, low=0)
+    seed = read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
+    hi = search["bounds"].upper
+    for value, case in zip(values, cases):  # each source gate, before any search
+        for where, t in ((f"{sweep.cases_key} value {value:g}", 0.0),
+                         (f"t_opt_ns {t_opt:g}", t_opt), (f"t_stop_ns {t_stop:g}", grid[-1])):
+            _finite_gate(f"{where} at amplitude {hi:g} MHz", sweep.source, case,
+                         [hi] * (sweep.qubits - 1), t)
     meta = {}
     rows = []
     batches = []
@@ -378,8 +338,10 @@ CNOT_SWEEP_DEFAULTS = {
 
 def _cnot_case(cfg, eps):
     """`pair` (an object, or a file path read into cfg) with eps and phi_rad."""
-    pair = _pair(_inline_file(cfg, "pair"), "pair", keys=("delta_mhz", "g_mhz"))
-    return replace(pair, eps=eps, phi=_read(cfg, "phi_rad"))
+    raw = _inline_file(cfg, "pair")
+    if isinstance(raw, dict) and raw.keys() & {"eps", "phi_rad"}:
+        raise ConfigError(f"pair must hold only delta_mhz and g_mhz, got {canonical_json(raw)}")
+    return replace(pair_from_dict(raw, "pair."), eps=eps, phi=read(cfg, "phi_rad"))
 
 
 def _cnot_source(pair, omegas, t):
@@ -416,14 +378,12 @@ def _syndrome_case(cfg, scale):
     null for the packaged fixture) with each pair's eps multiplied by scale."""
     raw = _inline_file(cfg, "device")
     if raw is None:
-        raw = _read_json(resources.files(__package__) / "fixtures" / "syndrome_device.json")
-    if not isinstance(raw, dict) or not isinstance(raw.get("pairs"), list):
-        raise ConfigError(f"device must be an object with a pairs list, got {_canonical_json(raw)}")
-    pairs = [_pair(p, f"device.pairs[{i}]") for i, p in enumerate(raw["pairs"])]
+        raw = read_json(resources.files(__package__) / "fixtures" / "syndrome_device.json")
+    device = device_from_dict(raw, "device.")
     try:
-        return FourQubitDevice(tuple(pairs)).with_crosstalk(scale)
-    except ValueError as exc:
-        raise ConfigError(f"device: {exc}") from exc
+        return device.with_crosstalk(scale)
+    except ValueError as exc:  # a product eps * scale above the largest float
+        raise ConfigError(f"crosstalk_cases value {scale:g}: {exc}") from exc
 
 
 SYNDROME_SWEEP = Sweep(syndrome_target(), "crosstalk_cases", _syndrome_case, four_cr_gate)
@@ -451,11 +411,11 @@ def cmd_cartan_map(cfg, workers):
     """Grid over canonical coordinates in [0, pi/4]^3: each point reports
     the entangling power of its canonical gate and the best fidelity of a
     depth-`depth` synthesis of CNOT from identical copies of that gate."""
-    npts = _read(cfg, "grid_points", int, low=2)
+    npts = read(cfg, "grid_points", int, low=2)
     _check_buildable("grid_points", npts, npts**3, CNOT.shape[0])
-    depth = _read(cfg, "depth", int, low=1)
+    depth = read(cfg, "depth", int, low=1)
     _check_buildable("depth", depth, npts**3 * depth, CNOT.shape[0])
-    seed = _read(cfg, "seed", int, low=0)
+    seed = read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     axis = np.linspace(0.0, np.pi / 4, npts)
     grid = list(itertools.product(range(npts), repeat=3))
@@ -495,21 +455,22 @@ def gate_from_spec(spec, where="gate"):
     if kind in ("cnot", "swap"):
         return (CNOT if kind == "cnot" else SWAP).copy()
     if kind == "identity":
-        qubits = _read({"qubits": 2, **spec}, "qubits", int, low=1, where=w)
+        qubits = read({"qubits": 2, **spec}, "qubits", int, low=1, where=w)
         widest = SYNDROME_SWEEP.qubits  # the widest register the package models
         if qubits > widest:
             raise ConfigError(f"{w}qubits must be an integer >= 1 and <= {widest}, got {qubits}")
         return np.eye(2 ** qubits, dtype=complex)
     if kind == "canonical":
-        return canonical_gate(_read(spec, "c", size=3, where=w))
+        return _finite_gate(where, canonical_gate, read(spec, "c", size=3, where=w))
     if kind == "random_su4":
-        u = haar_unitary(4, derive_rng(_read(spec, "seed", int, low=0, where=w)))
+        u = haar_unitary(4, derive_rng(read(spec, "seed", int, low=0, where=w)))
         return u / np.linalg.det(u) ** 0.25
     if kind == "cr":
-        drive = DriveSpec(_read(spec, "omega_mhz", where=w), _read(spec, "t_ns", low=0, where=w))
-        return cr_gate(_pair(spec.get("pair"), w + "pair"), drive)
+        pair = pair_from_dict(spec.get("pair"), w + "pair.")
+        drive = DriveSpec(read(spec, "omega_mhz", where=w), read(spec, "t_ns", low=0, where=w))
+        return _finite_gate(where, cr_gate, pair, drive)
     raise ConfigError(f"{where} must be a gate spec of kind cnot, swap, identity, canonical, "
-                      f"random_su4 or cr, got {_canonical_json(spec)}")
+                      f"random_su4 or cr, got {canonical_json(spec)}")
 
 
 def cmd_single_optimize(cfg, workers):
@@ -518,16 +479,16 @@ def cmd_single_optimize(cfg, workers):
     builds them); returns its results. Both modes check every key."""
     mode = cfg["mode"]
     if mode not in ("vqgo", "concatenated"):
-        raise ConfigError(f'mode must be "vqgo" or "concatenated", got {_canonical_json(mode)}')
-    t = _read(cfg, "t_ns", low=0)
+        raise ConfigError(f'mode must be "vqgo" or "concatenated", got {canonical_json(mode)}')
+    t = read(cfg, "t_ns", low=0)
     search = _amplitude_search(cfg, 1)
     signs = _layer_signs(cfg, 1, CNOT.shape[0])
-    opt = optimizer_from_dict(cfg["optimizer"], _read(cfg, "seed", int, low=0))
-    pair = None if cfg["pair"] is None else _pair(_inline_file(cfg, "pair"), "pair")
+    opt = optimizer_from_dict(cfg["optimizer"], read(cfg, "seed", int, low=0))
+    pair = None if cfg["pair"] is None else pair_from_dict(_inline_file(cfg, "pair"), "pair.")
     target = gate_from_spec(cfg["target"], "target")
     if not isinstance(cfg["sources"], list):
         raise ConfigError(f"sources must be a list of gate specs, "
-                          f"got {_canonical_json(cfg['sources'])}")
+                          f"got {canonical_json(cfg['sources'])}")
     sources = [gate_from_spec(s, f"sources[{i}]") for i, s in enumerate(cfg["sources"])]
     n = lambda gate: qubit_count(gate.shape[0])
     for i, source in enumerate(sources):
@@ -543,6 +504,8 @@ def cmd_single_optimize(cfg, workers):
     else:
         if pair is None:
             raise ConfigError("concatenated mode needs a 'pair' entry")
+        hi = search["bounds"].upper
+        _finite_gate(f"pair at amplitude {hi:g} MHz and t_ns {t:g}", _cnot_source, pair, [hi], t)
         w_v, res, diag = concatenated_optimize(
             target, lambda w: _sources(CNOT_SWEEP, pair, w, t, signs), cfg=opt, **search,
         )
@@ -564,15 +527,9 @@ def cmd_single_optimize(cfg, workers):
 # --------------------------------------------------------------------- verify
 
 def _read_artifact(path):
-    meta = {}
-    body = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(": ")
-                meta[key] = value
-            else:
-                body.append(line)
+    lines = list(io.StringIO(read_text(path)))
+    meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
+    body = [ln for ln in lines if not ln.startswith("#")]
     return meta, list(csv.DictReader(body, restval=""))
 
 

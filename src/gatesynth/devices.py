@@ -10,14 +10,13 @@ factor 2*pi*1e-3. Register ordering for the 5-qubit system is
 significant) tensor factor.
 """
 
-import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import CNOT, I2, S_GATE, SIGMA_X, pauli_matrix
+from .inputs import ConfigError, canonical_json, read, read_json
 from .numkit import expm_hermitian
 
 MHZ_TO_RAD_PER_NS = 2.0e-3 * np.pi
@@ -186,33 +185,38 @@ def syndrome_target():
     return u
 
 
-# pair_from_dict's keys and the CrossResonancePair fields they fill
-_PAIR_FIELDS = {"delta_mhz": "delta", "g_mhz": "g", "eps": "eps", "phi_rad": "phi"}
+def pair_from_dict(raw, where=""):
+    """A CrossResonancePair from a pair object: numbers delta_mhz, g_mhz and
+    the optional eps (>= 0) and phi_rad (default 0); else a ConfigError at
+    the key prefix `where`, the object itself being `where` less its dot."""
+    keys = ("delta_mhz", "g_mhz", "eps", "phi_rad")  # the fields, in order
+    if not isinstance(raw, dict) or not raw.keys() <= set(keys):
+        raise ConfigError(f"{where.removesuffix('.') or 'pair'} must be an object with keys from "
+                          f"{', '.join(keys)}, got {canonical_json(raw)}")
+    raw = {"eps": 0.0, "phi_rad": 0.0, **raw}
+    return CrossResonancePair(*(read(raw, key, low=0 if key == "eps" else None, where=where)
+                                for key in keys))
 
 
-def pair_from_dict(raw):
-    """A CrossResonancePair from a dict of numbers delta_mhz, g_mhz and the
-    optional eps and phi_rad (default 0). A missing or unknown key, or a
-    value that is not a number, is a ValueError naming the key."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"pair parameters must be an object, got {raw!r}")
-    for key in ("delta_mhz", "g_mhz"):
-        if key not in raw:
-            raise ValueError(f"pair parameters missing key {key!r}")
-    for key, value in raw.items():
-        if key not in _PAIR_FIELDS:
-            raise ValueError(f"pair parameters have unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"pair parameter {key} must be a number, got {value!r}")
-    return CrossResonancePair(**{_PAIR_FIELDS[key]: float(v) for key, v in raw.items()})
+def device_from_dict(raw, where=""):
+    """A FourQubitDevice from an object whose `pairs` list holds four pair
+    objects (other keys are the caller's); pair i is read with the key
+    prefix where + "pairs[i].", so its errors name it."""
+    pairs = raw.get("pairs") if isinstance(raw, dict) else None
+    if not isinstance(pairs, list):
+        raise ConfigError(f"{where.removesuffix('.') or 'device'} must be an object with a pairs "
+                          f"list, got {canonical_json(raw)}")
+    pairs = tuple(pair_from_dict(p, f"{where}pairs[{i}].") for i, p in enumerate(pairs))
+    if len(pairs) != 4:
+        raise ConfigError(f"{where}pairs must hold 4 pair objects, got {len(pairs)}")
+    return FourQubitDevice(pairs)
 
 
 def load_device(path):
-    """Read a FourQubitDevice from a JSON file with a `pairs` list of four
-    pair dicts; returns (device, full dict) so callers can pick up extra
-    keys such as reference amplitudes."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict) or not isinstance(raw.get("pairs"), list):
-        raise ValueError(f"{path}: a device file holds an object with a pairs list")
-    return FourQubitDevice(tuple(pair_from_dict(p) for p in raw["pairs"])), raw
+    """(FourQubitDevice, full dict) from a JSON device file, so callers can pick
+    up extra keys such as reference amplitudes; a bad file is a ConfigError."""
+    raw = read_json(path)
+    try:
+        return device_from_dict(raw), raw
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -342,6 +342,9 @@ _BAD_VALUES = [
     ("cnot-sweep", "omega0_mhz", 250, {}),
     ("syndrome-sweep", "omega0_mhz", [80, 80, 80, 5], {"omega_bounds_mhz": [10, 200]}),
     ("single-optimize", "omega0_mhz", 50, {"omega_bounds_mhz": [60, 200]}),
+    # a scale whose product with a device eps overflows
+    ("syndrome-sweep", "crosstalk_cases", [1e300],
+     {"device": {"pairs": [{**TINY_PAIR, "eps": 1e300}] * 4}}),
 ]
 _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
          "cartan-map": TINY_CARTAN, "single-optimize": TINY_SINGLE}
@@ -751,3 +754,83 @@ def test_format_roundtrip():
     xs = np.array([0.0, np.pi, 1e-17, 123.456789012345678])
     assert np.array_equal(cli._parse_list(cli._fmt_list(xs)), xs)
     assert cli._parse_list("").size == 0
+
+
+@pytest.mark.parametrize("command, key", [
+    ("cnot-sweep", None),  # the config file itself
+    ("cnot-sweep", "pair"),
+    ("syndrome-sweep", "device"),
+])
+def test_non_utf8_input_file_is_config_error(tmp_path, capsys, command, key):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"seed": 1}')
+    cfg = _write(tmp_path / "c.json", {**_TINY[command], key: str(bad)}) if key else str(bad)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(f"{bad}: byte 0 is not UTF-8 text\n")
+    assert not out.exists()
+
+
+def test_verify_non_utf8_artifact_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"# command: cnot_sweep\n\xff\n")
+    assert cli.main(["--verify", str(bad)]) == 1
+    assert capsys.readouterr().err == f"config error: {bad}: byte 22 is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("command, overrides, where", [
+    ("cnot-sweep", {"eps_cases": [1e308]}, "eps_cases value 1e+308 at amplitude 200 MHz"),
+    ("cnot-sweep", {"pair": {"delta_mhz": 1e5, "g_mhz": 5.0}, "t_opt_ns": 1e308},
+     "t_opt_ns 1e+308 at amplitude 200 MHz"),
+    ("cnot-sweep", {"pair": {"delta_mhz": 1e5, "g_mhz": 5.0}, "t_stop_ns": 1e308,
+                    "t_step_ns": 1e307},
+     "t_stop_ns 1e+308 at amplitude 200 MHz"),
+    ("syndrome-sweep", {"crosstalk_cases": [1e308]},
+     "crosstalk_cases value 1e+308 at amplitude 200 MHz"),
+    ("single-optimize", {"sources": [{"kind": "cr", "pair": {**TINY_PAIR, "eps": 10},
+                                      "omega_mhz": 1e308, "t_ns": 75}]}, "sources[0]"),
+    ("single-optimize", {"target": {"kind": "canonical", "c": [1e308] * 3}}, "target"),
+    ("single-optimize", {"mode": "concatenated", "pair": {**TINY_PAIR, "eps": 10},
+                         "omega_bounds_mhz": [0, 1e308]},
+     "pair at amplitude 1e+308 MHz and t_ns 75"),
+])
+def test_source_gate_that_is_not_finite_is_config_error(tmp_path, capsys, command, overrides,
+                                                        where):
+    cfg = _write(tmp_path / "c.json", {**_TINY[command], **overrides})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {where} gives a gate that is not finite\n"
+    assert not out.exists()
+
+
+
+_GOOD_PAIR = {"delta_mhz": 223.0, "g_mhz": 5.7}
+_BAD_PAIRS = {
+    "string": {**_GOOD_PAIR, "g_mhz": "x"},
+    "huge": {**_GOOD_PAIR, "delta_mhz": 10**400},
+    "nan": {**_GOOD_PAIR, "delta_mhz": float("nan")},
+    "negative eps": {**_GOOD_PAIR, "eps": -1},
+    "boolean": {**_GOOD_PAIR, "g_mhz": True},
+    "unknown key": {**_GOOD_PAIR, "esp": 0.3},
+    "missing key": {"delta_mhz": 223.0},
+}
+
+
+@pytest.mark.parametrize("pair", _BAD_PAIRS.values(), ids=_BAD_PAIRS)
+def test_device_file_and_syndrome_sweep_read_pairs_by_one_rule_set(tmp_path, capsys, pair):
+    from importlib import resources
+
+    from gatesynth import devices
+
+    fixture = resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    device = json.loads(fixture.read_text())
+    device["pairs"][1] = pair
+    path = _write(tmp_path / "device.json", device)
+    with pytest.raises(ValueError) as raised:
+        devices.load_device(path)
+    prefix = f"{path}: "
+    assert str(raised.value).startswith(prefix + "pairs[1]")
+    cfg = _write(tmp_path / "c.json", dict(TINY_SYNDROME, device=device))
+    assert cli.main(["syndrome-sweep", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: device.{str(raised.value)[len(prefix):]}\n"

@@ -274,7 +274,8 @@ def test_fixture_loaders(tmp_path):
     with pytest.raises(ValueError):
         devices.pair_from_dict({"delta_mhz": 200.0})
     good = {"delta_mhz": 200.0, "g_mhz": 5.0}
-    for key, value in (("delta_mhz", True), ("g_mhz", "5"), ("eps", None), ("esp", 0.3)):
+    for key, value in (("delta_mhz", True), ("g_mhz", "5"), ("eps", None), ("esp", 0.3),
+                       ("g_mhz", 10**400)):
         with pytest.raises(ValueError, match=key):
             devices.pair_from_dict({**good, key: value})
     with pytest.raises(ValueError, match="object"):
@@ -292,3 +293,14 @@ def test_with_crosstalk_toggle():
     assert all(p.eps == 0.0 for p in off.pairs)
     assert all(p.phi == 1.0 for p in off.pairs)
     assert dev.with_crosstalk(True) == dev
+
+
+def test_device_from_dict_locates_each_pair():
+    pairs = [{"delta_mhz": 200.0, "g_mhz": 5.0}] * 4
+    dev = devices.device_from_dict({"pairs": pairs, "note": "kept for the caller"})
+    assert dev.pairs == (devices.CrossResonancePair(200.0, 5.0),) * 4
+    bad = pairs[:2] + [{"delta_mhz": 200.0, "g_mhz": "5"}] + pairs[3:]
+    with pytest.raises(devices.ConfigError, match=r"^dev\.pairs\[2\]\.g_mhz must be a finite"):
+        devices.device_from_dict({"pairs": bad}, "dev.")
+    with pytest.raises(ValueError, match=r"^dev\.pairs must hold 4 pair objects, got 3$"):
+        devices.device_from_dict({"pairs": pairs[:3]}, "dev.")
