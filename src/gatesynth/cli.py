@@ -44,7 +44,7 @@ from .devices import (
     tpcx,
 )
 from .inputs import ConfigError, canonical_json, read, read_json, read_text
-from .numkit import derive_rng, derive_seed, haar_unitary, qubit_count
+from .numkit import PhaseError, derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
@@ -107,24 +107,21 @@ def load_config(path, defaults):
 
 def optimizer_from_dict(d, seed):
     """OptimizerConfig from a config's `optimizer` object and the top-level
-    seed. Each entry is read like a top-level key: an integer field as an
-    integer >= 1, a float field (stop_below may also be null) as a finite
-    number > 0; `seed` belongs at the top level."""
+    seed; `seed` belongs at the top level, and a bad entry is the
+    constructor's error after "optimizer config: "."""
     where = "optimizer config: "
     if not isinstance(d, dict):
         raise ConfigError(f"{where}optimizer must be an object, got {canonical_json(d)}")
-    kinds = {f.name: f.type for f in fields(OptimizerConfig)}
-    values = {}
-    for key, value in d.items():
+    names = {f.name for f in fields(OptimizerConfig)}
+    for key in d:
         if key == "seed":
             raise ConfigError(f"{where}seed is not an optimizer field; set the top-level seed")
-        if key not in kinds:
+        if key not in names:
             raise ConfigError(f"{where}unknown key {key!r}")
-        if value is not None or key != "stop_below":
-            kind = kinds[key]
-            values[key] = read(d, key, kind, low=1 if kind is int else None,
-                               above=0 if kind is float else None, where=where)
-    return OptimizerConfig(**values, seed=seed)
+    try:
+        return OptimizerConfig(**d, seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _amplitude_search(cfg, amplitudes):
@@ -237,13 +234,15 @@ def _sources(sweep, case, omegas, t, signs):
 
 
 def _finite_gate(where, source, *args):
-    """source(*args), a gate, or a ConfigError naming `where` if it is not
-    finite: an overflowing Hamiltonian raises ValueError, a phase w*t NaN."""
+    """source(*args), a gate, or a ConfigError naming `where` on a PhaseError or if the gate
+    is not finite: an overflowing Hamiltonian raises ValueError, a phase w*t NaN."""
     with np.errstate(all="ignore"):
         try:
             gate = source(*args)
             if np.isfinite(gate).all():
                 return gate
+        except PhaseError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         except ValueError:
             pass
     raise ConfigError(f"{where} gives a gate that is not finite")
@@ -567,7 +566,7 @@ def verify_artifact(path):
         raise ConfigError(f"{path}: config header must be a JSON object")
     command = meta["command"]
     if command != "cartan_map" and command not in _SWEEPS:
-        raise ConfigError(f"cannot verify artifacts of command {command!r}")
+        raise ConfigError(f"{path}: cannot verify artifacts of command {command!r}")
     sweep = _SWEEPS.get(command)
     signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
     case = functools.cache(lambda value: sweep.case(cfg, value))

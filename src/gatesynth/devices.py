@@ -10,7 +10,6 @@ factor 2*pi*1e-3. Register ordering for the 5-qubit system is
 significant) tensor factor.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,11 +36,8 @@ class CrossResonancePair:
     phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "g", "phi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        for name in ("delta", "g", "eps", "phi"):
+            read(vars(self), name, low=0 if name == "eps" else None)
 
 
 @dataclass(frozen=True)
@@ -53,10 +49,8 @@ class DriveSpec:
     t: float
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        read(vars(self), "omega")
+        read(vars(self), "t", low=0)
 
 
 @dataclass(frozen=True)
@@ -128,9 +122,7 @@ def four_cr_hamiltonian(dev, omegas):
     """Simultaneous CR drives from each data qubit onto the shared
     measurement qubit Q0 (32x32, rad/ns). Register order (Q1..Q4, Q0);
     term i is the 2-qubit CR Hamiltonian of pair i on slots (Q_{i+1}, Q0)."""
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.shape != (4,):
-        raise ValueError(f"omegas must be 4 reals, got shape {omegas.shape}")
+    omegas = read({"omegas": list(omegas)}, "omegas", size=4)
     h = np.zeros((32, 32), dtype=complex)
     for i, (pair, omega) in enumerate(zip(dev.pairs, omegas)):
         h += _on_slots(_cr_term(pair, omega), i)
@@ -138,10 +130,8 @@ def four_cr_hamiltonian(dev, omegas):
 
 
 def four_cr_gate(dev, omegas, t):
-    """Time evolution exp(-i*H*t) of the 5-qubit register."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return expm_hermitian(four_cr_hamiltonian(dev, omegas), t)
+    """Time evolution exp(-i*H*t) of the 5-qubit register, for a finite t >= 0."""
+    return expm_hermitian(four_cr_hamiltonian(dev, omegas), read({"t": t}, "t", low=0))
 
 
 # Fixed single-qubit frames of the echoed-CR CNOT. In the ideal limit the

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_label, pauli_matrix
+from .inputs import ConfigError, read
 from .numkit import kron_qubits, qubit_count
 
 PLAN_SUPPORT_ATOL = 1e-12
@@ -122,16 +123,15 @@ class DfePlan:
 @dataclass(frozen=True)
 class DfeSamplingConfig:
     """Sampling budget: the number of single-shot measurement settings
-    is ceil(1 / (eps_fail**2 * delta_acc))."""
+    is ceil(1 / (eps_fail**2 * delta_acc)), eps_fail in (0, 1)."""
 
     eps_fail: float
     delta_acc: float
 
     def __post_init__(self):
-        if not 0 < self.eps_fail < 1:
-            raise ValueError(f"eps_fail must be in (0,1), got {self.eps_fail}")
-        if self.delta_acc <= 0:
-            raise ValueError(f"delta_acc must be > 0, got {self.delta_acc}")
+        if read(vars(self), "eps_fail", above=0) >= 1:
+            raise ConfigError(f"eps_fail must be < 1, got {self.eps_fail!r}")
+        read(vars(self), "delta_acc", above=0)
 
     def num_settings(self):
         return math.ceil(1.0 / (self.eps_fail**2 * self.delta_acc))

@@ -2,6 +2,7 @@
 a bad one is a ConfigError located at its path or key, in CLI and library."""
 
 import json
+import numbers
 import sys
 
 
@@ -36,16 +37,19 @@ def read_json(path, where=""):
 
 def read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
     """cfg[key] as `kind`: float (a finite number), int (|x| <= sys.maxsize)
-    or bool; a JSON boolean is no number. size=n asks for a list of n values,
-    size="any" for a non-empty list; numbers must be >= low and > above where
-    given. Anything else is a ConfigError naming `where` + key and the value."""
+    or bool; a boolean is no number, a numpy scalar is. size=n asks for a
+    list of n values, size="any" for a non-empty list; numbers must be >= low
+    and > above where given. Anything else is a ConfigError naming `where` +
+    key and the value, as JSON or else by repr."""
     largest = sys.maxsize if kind is int else sys.float_info.max
 
     def fits(x):
         if isinstance(x, bool) or kind is bool:
             return isinstance(x, bool) and kind is bool
-        return (isinstance(x, int if kind is int else (int, float)) and abs(x) <= largest
-                and (low is None or x >= low) and (above is None or x > above))
+        if not isinstance(x, numbers.Integral if kind is int else numbers.Real):
+            return False
+        x = int(x) if isinstance(x, numbers.Integral) else float(x)  # numpy scalars too
+        return abs(x) <= largest and (low is None or x >= low) and (above is None or x > above)
 
     raw = cfg.get(key)
     items = raw if size else [raw]
@@ -55,8 +59,12 @@ def read(cfg, key, kind=float, size=None, low=None, above=None, where=""):
                      bool: ("true or false", None)}[kind]
         what = f"a list of {'one or more' if size == 'any' else size} {many}" if size else one
         limits = "".join(f" {op} {v:g}" for op, v in ((">=", low), (">", above)) if v is not None)
-        if kind is int and isinstance(raw, int) and abs(raw) > largest:
+        if kind is int and isinstance(raw, numbers.Integral) and abs(raw) > largest:
             limits += f" and <= {largest}"
-        raise ConfigError(f"{where}{key} must be {what}{limits}, got {canonical_json(raw)}")
+        try:
+            shown = canonical_json(raw)
+        except TypeError:
+            shown = repr(raw)
+        raise ConfigError(f"{where}{key} must be {what}{limits}, got {shown}")
     values = [kind(x) for x in items]
     return values if size else values[0]

@@ -13,6 +13,10 @@ HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 
 
+class PhaseError(ValueError):
+    """A finite phase w*t of expm_hermitian that floats cannot resolve."""
+
+
 def kron_all(mats):
     """Left-fold Kronecker product of a sequence of matrices."""
     mats = list(mats)
@@ -59,11 +63,15 @@ def is_unitary(u, atol=UNITARY_ATOL):
 
 
 def expm_hermitian(h, t=1.0):
-    """exp(-i*h*t) for Hermitian h (rad/ns) over duration t (ns)."""
+    """exp(-i*h*t) for Hermitian h (rad/ns) over duration t (ns); PhaseError
+    if a finite phase w*t is above 2**52 rad, where exp(-i*w*t) is noise."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian")
     w, v = np.linalg.eigh(h)
+    phase = max(-w[0], w[-1]) * abs(t)  # eigh sorts w ascending
+    if 2.0**52 < phase < np.inf:
+        raise PhaseError(f"phase {phase:.3g} rad is above 2**52 rad, where floats are 1 rad apart")
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

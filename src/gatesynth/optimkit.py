@@ -22,11 +22,9 @@ of one. concatenated_optimize wraps vqgo in an outer derivative-free
 search over source-drive amplitudes.
 """
 
-import math
 import numbers
-import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.optimize
@@ -42,11 +40,16 @@ from .ansatz import (
     stack_sources,
     wrap_angles,
 )
+from .inputs import ConfigError, read
 from .numkit import derive_rng, qubit_count
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Budgets are integers >= 1 that fit a C ssize_t (deque maxlen), and a TypeError if no
+    integer; tolerances finite numbers > 0 (stop_below may be None); the seed, which only
+    feeds a SeedSequence (derive_seed gives 64-bit ones), any integer >= 0."""
+
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-9
     cost_tolerance: float = 1e-12
@@ -56,25 +59,16 @@ class OptimizerConfig:
     stop_below: float = None
 
     def __post_init__(self):
-        for name in ("max_iterations", "restarts", "memory_depth", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            # budgets must fit a C ssize_t (deque maxlen); seeds, 64-bit
-            # unsigned from derive_seed, only feed a SeedSequence
-            if name != "seed" and value > sys.maxsize:
-                raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
-        if self.max_iterations <= 0 or self.memory_depth <= 0:
-            raise ValueError("iteration and memory budgets must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        for name in ("gradient_tolerance", "cost_tolerance", "stop_below"):
-            value = getattr(self, name)
-            if value is None and name == "stop_below":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if f.type is int and not integral:
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            if f.name == "seed" and value < 0:
+                raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+            if f.name != "seed" and (value is not None or f.name != "stop_below"):
+                read(vars(self), f.name, f.type, low=1 if f.type is int else None,
+                     above=0 if f.type is float else None)
 
 
 @dataclass
@@ -96,8 +90,7 @@ class AmplitudeBounds:
     upper: float = 200.0
 
     def __post_init__(self):
-        if not (0 <= self.lower < self.upper):
-            raise ValueError(f"need 0 <= lower < upper, got [{self.lower}, {self.upper}]")
+        read(vars(self), "upper", above=read(vars(self), "lower", low=0))
 
     def pairs(self, k):
         return [(self.lower, self.upper)] * k
@@ -295,9 +288,9 @@ def minimize_on_interval(f, lower, upper):
     the bracket Brent refined.
     Raises ValueError on bad bounds or a non-finite value.
     """
-    lower, upper = float(lower), float(upper)
-    if not (np.isfinite(lower) and np.isfinite(upper) and lower < upper):
-        raise ValueError(f"need finite lower < upper, got [{lower}, {upper}]")
+    bounds = {"lower": lower, "upper": upper}
+    lower = read(bounds, "lower")
+    upper = read(bounds, "upper", above=lower)
     nfev = 0
 
     def value(x):

@@ -345,6 +345,7 @@ _BAD_VALUES = [
     # a scale whose product with a device eps overflows
     ("syndrome-sweep", "crosstalk_cases", [1e300],
      {"device": {"pairs": [{**TINY_PAIR, "eps": 1e300}] * 4}}),
+    ("cnot-sweep", "optimizer", {"restarts": 1, "max_iter": 60}, {}),
 ]
 _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
          "cartan-map": TINY_CARTAN, "single-optimize": TINY_SINGLE}
@@ -619,7 +620,7 @@ def _tamper(text, row_index, column, value):
     ("cnot-sweep", 3, "theta", "1;2", "cannot reshape array of size 2"),
     ("cnot-sweep", 3, "t_ns", "x", "could not convert string to float: 'x'"),
     ("cnot-sweep", 0, "omega_mhz", "", "index 0 is out of bounds"),
-    ("cnot-sweep", 3, "eps", "-1", "eps must be finite and >= 0"),
+    ("cnot-sweep", 3, "eps", "-1", "eps must be a finite number >= 0"),
 ])
 def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row_index,
                                        column, value, message):
@@ -633,11 +634,16 @@ def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row
 @pytest.mark.parametrize("config, message", [
     ("{{", "config header: Expecting property name enclosed in double quotes"),
     ("[2]", "config header must be a JSON object"),
+    # a second command line overrides the first
+    ("{}\n# command: single_optimize", "cannot verify artifacts of command 'single_optimize'"),
+    (None, "missing command/config metadata"),  # no header lines at all
 ])
 def test_verify_rejects_malformed_config_header(tmp_path, capsys, artifacts, config, message):
     out = tmp_path / "art.csv"
-    out.write_text(re.sub(r"^# config: .*$", f"# config: {config}", artifacts["cartan-map"],
-                          flags=re.M))
+    text = artifacts["cartan-map"]
+    if config is None:
+        text = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+    out.write_text(re.sub(r"^# config: .*$", f"# config: {config}", text, flags=re.M))
     assert cli.main(["--verify", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {out}: {message}") and "Traceback" not in err
@@ -686,6 +692,25 @@ def test_single_optimize_report(tmp_path):
         assert key in report
     assert report["agi"] < 1e-6
     assert np.asarray(report["theta"]).shape == (2, 2, 3)
+
+
+def test_single_optimize_concatenated_report(tmp_path):
+    from gatesynth.ansatz import agi_cost
+    from gatesynth.devices import DriveSpec, cr_gate, pair_from_dict
+
+    cfg = _write(tmp_path / "c.json", dict(
+        TINY_SINGLE, mode="concatenated", pair=TINY_PAIR, outer_maxiter=3, max_sweeps=1,
+        optimizer={"restarts": 1, "max_iterations": 60}))
+    out = tmp_path / "report.json"
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    config = report["config"]
+    (omega,) = report["omega_mhz"]
+    lo, hi = config["omega_bounds_mhz"]
+    assert lo <= omega <= hi and report["outer_evaluations"] >= 1
+    sources = [cr_gate(pair_from_dict(TINY_PAIR), DriveSpec(omega, config["t_ns"]))]
+    agi = agi_cost(np.asarray(report["theta"]), sources * config["depth"], CNOT)
+    assert abs(report["agi"] - agi) <= 1e-12
 
 
 def test_single_optimize_reports_match_up_to_volatiles(tmp_path):
@@ -779,28 +804,38 @@ def test_verify_non_utf8_artifact_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {bad}: byte 22 is not UTF-8 text\n"
 
 
-@pytest.mark.parametrize("command, overrides, where", [
-    ("cnot-sweep", {"eps_cases": [1e308]}, "eps_cases value 1e+308 at amplitude 200 MHz"),
+_NOT_FINITE = " gives a gate that is not finite"
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("cnot-sweep", {"eps_cases": [1e308]},
+     "eps_cases value 1e+308 at amplitude 200 MHz" + _NOT_FINITE),
     ("cnot-sweep", {"pair": {"delta_mhz": 1e5, "g_mhz": 5.0}, "t_opt_ns": 1e308},
-     "t_opt_ns 1e+308 at amplitude 200 MHz"),
+     "t_opt_ns 1e+308 at amplitude 200 MHz" + _NOT_FINITE),
     ("cnot-sweep", {"pair": {"delta_mhz": 1e5, "g_mhz": 5.0}, "t_stop_ns": 1e308,
                     "t_step_ns": 1e307},
-     "t_stop_ns 1e+308 at amplitude 200 MHz"),
+     "t_stop_ns 1e+308 at amplitude 200 MHz" + _NOT_FINITE),
     ("syndrome-sweep", {"crosstalk_cases": [1e308]},
-     "crosstalk_cases value 1e+308 at amplitude 200 MHz"),
+     "crosstalk_cases value 1e+308 at amplitude 200 MHz" + _NOT_FINITE),
     ("single-optimize", {"sources": [{"kind": "cr", "pair": {**TINY_PAIR, "eps": 10},
-                                      "omega_mhz": 1e308, "t_ns": 75}]}, "sources[0]"),
-    ("single-optimize", {"target": {"kind": "canonical", "c": [1e308] * 3}}, "target"),
+                                      "omega_mhz": 1e308, "t_ns": 75}]},
+     "sources[0]" + _NOT_FINITE),
+    ("single-optimize", {"target": {"kind": "canonical", "c": [1e308] * 3}},
+     "target" + _NOT_FINITE),
     ("single-optimize", {"mode": "concatenated", "pair": {**TINY_PAIR, "eps": 10},
                          "omega_bounds_mhz": [0, 1e308]},
-     "pair at amplitude 1e+308 MHz and t_ns 75"),
+     "pair at amplitude 1e+308 MHz and t_ns 75" + _NOT_FINITE),
+    # finite phases beyond 2**52 rad, where exp(-i*w*t) is rounding noise
+    ("cnot-sweep", {"eps_cases": [0.1], "t_stop_ns": 1e308, "t_step_ns": 1e307},
+     "t_stop_ns 1e+308 at amplitude 200 MHz: phase 1.59e+308 rad is above 2**52 rad, "
+     "where floats are 1 rad apart"),
 ])
 def test_source_gate_that_is_not_finite_is_config_error(tmp_path, capsys, command, overrides,
-                                                        where):
+                                                        message):
     cfg = _write(tmp_path / "c.json", {**_TINY[command], **overrides})
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {where} gives a gate that is not finite\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

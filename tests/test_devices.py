@@ -141,9 +141,12 @@ def test_cr_gate_composition():
 def test_drive_spec_rejects_negative_time():
     with pytest.raises(ValueError):
         devices.DriveSpec(40.0, -1.0)
-    for value in (np.inf, np.nan):
+    for value in (np.inf, np.nan, 10**400):
         with pytest.raises(ValueError, match="omega"):
             devices.DriveSpec(value, 1.0)
+        with pytest.raises(ValueError, match="t must"):
+            devices.DriveSpec(40.0, value)
+    assert devices.DriveSpec(np.float32(40.0), np.int64(75)).t == 75
 
 
 def test_four_cr_hamiltonian_zero_and_diagonal():
@@ -212,9 +215,17 @@ def test_four_cr_pure_detuning_is_diagonal_evolution():
 def test_four_qubit_device_validation():
     with pytest.raises(ValueError):
         devices.FourQubitDevice((devices.CrossResonancePair(1.0, 1.0),))
-    for field in ("delta", "g", "phi"):
+    for field in ("delta", "g", "eps", "phi"):
+        for value in (np.nan, np.inf, 10**400):
+            with pytest.raises(ValueError, match=field):
+                devices.CrossResonancePair(**{"delta": 1.0, "g": 1.0, field: value})
+    with pytest.raises(ValueError, match="eps"):
+        devices.CrossResonancePair(1.0, 1.0, eps=-1.0)
+    dev = devices.FourQubitDevice((devices.CrossResonancePair(1.0, 1.0),) * 4)
+    for omegas, t, field in (([1.0] * 4, np.nan, "t must"), ([1.0] * 4, -1.0, "t must"),
+                             ([1.0] * 3, 1.0, "omegas"), ([1.0, 1.0, 1.0, np.nan], 1.0, "omegas")):
         with pytest.raises(ValueError, match=field):
-            devices.CrossResonancePair(**{"delta": 1.0, "g": 1.0, field: np.nan})
+            devices.four_cr_gate(dev, omegas, t)
 
 
 def test_tpcx_ideal_limit_is_cnot():

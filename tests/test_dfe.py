@@ -97,6 +97,8 @@ def test_dfe_plan_weights_sum_to_one():
 def test_dfe_plan_rejects_zero_ptm():
     with pytest.raises(ValueError):
         dfe.dfe_plan(np.zeros((16, 16)))
+    with pytest.raises(ValueError, match="not a power of 4"):
+        dfe.dfe_plan(np.eye(8))
 
 
 def test_sampling_config_setting_count():
@@ -106,6 +108,11 @@ def test_sampling_config_setting_count():
     assert cfg.num_settings() == 125
     with pytest.raises(ValueError):
         dfe.DfeSamplingConfig(eps_fail=0.0, delta_acc=0.1)
+    for eps_fail, delta_acc, field in ((0.05, np.nan, "delta_acc"), (0.05, np.inf, "delta_acc"),
+                                       (0.05, 10**400, "delta_acc"), (1.0, 0.1, "eps_fail"),
+                                       (np.nan, 0.1, "eps_fail"), (10**400, 0.1, "eps_fail")):
+        with pytest.raises(ValueError, match=field):
+            dfe.DfeSamplingConfig(eps_fail=eps_fail, delta_acc=delta_acc)
 
 
 def test_dfe_estimate_exact_matches_agf():

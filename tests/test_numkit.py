@@ -73,6 +73,16 @@ def test_expm_hermitian_rejects_non_hermitian():
         numkit.expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_expm_hermitian_rejects_phases_beyond_float_resolution():
+    h = np.diag([1.0, -2.0])
+    assert numkit.is_unitary(numkit.expm_hermitian(h, 2.0**51))
+    for t in (2.0**52, -(2.0**52)):
+        with pytest.raises(ValueError, match="above 2\\*\\*52 rad"):
+            numkit.expm_hermitian(h, t)
+    with np.errstate(all="ignore"):  # a phase that overflows is NaN, not an error
+        assert np.isnan(numkit.expm_hermitian(h, 1e308)).any()
+
+
 def test_expm_hermitian_unitary_output():
     rng = np.random.default_rng(2)
     for k in range(10):

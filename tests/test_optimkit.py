@@ -33,9 +33,15 @@ def test_optimizer_config_validation():
             optimkit.OptimizerConfig(**{field: value})
     with pytest.raises(ValueError, match="memory_depth"):
         optimkit.OptimizerConfig(memory_depth=2**63)
+    for field in ("max_iterations", "restarts", "memory_depth"):
+        with pytest.raises(ValueError, match=field):
+            optimkit.OptimizerConfig(**{field: 10**400})
+    with pytest.raises(ValueError, match="seed"):
+        optimkit.OptimizerConfig(seed=-1)
     assert optimkit.OptimizerConfig(seed=np.uint32(7)).seed == 7
+    assert optimkit.OptimizerConfig(seed=2**64 - 1).seed == 2**64 - 1  # derive_seed's range
     for field in ("gradient_tolerance", "cost_tolerance", "stop_below"):
-        for value in (np.nan, np.inf, -np.inf, True, "1e-9"):
+        for value in (np.nan, np.inf, -np.inf, True, "1e-9", 10**400):
             with pytest.raises(ValueError, match=field):
                 optimkit.OptimizerConfig(**{field: value})
     assert optimkit.OptimizerConfig(stop_below=np.float64(1e-3)).stop_below == 1e-3
@@ -48,6 +54,10 @@ def test_amplitude_bounds():
         optimkit.AmplitudeBounds(lower=5.0, upper=5.0)
     with pytest.raises(ValueError):
         optimkit.AmplitudeBounds(lower=-1.0, upper=10.0)
+    for lower, upper, field in ((0.0, np.inf, "upper"), (np.nan, 10.0, "lower"),
+                                (0.0, 10**400, "upper")):
+        with pytest.raises(ValueError, match=field):
+            optimkit.AmplitudeBounds(lower=lower, upper=upper)
 
 
 def _quadratic(dim, seed):
@@ -393,6 +403,13 @@ def test_vqgo_keeps_per_restart_diagnostics():
 def test_vqgo_shape_validation_and_backend():
     with pytest.raises(ValueError):
         optimkit.vqgo(CNOT, [CNOT], backend="hardware")
+    cfg = optimkit.OptimizerConfig(restarts=1, max_iterations=5)
+    with pytest.raises(ValueError, match="target shape"):
+        optimkit.vqgo_batch(CNOT[:, :2], [[CNOT]], [cfg])
+    with pytest.raises(ValueError, match="one config and one source list"):
+        optimkit.vqgo_batch(CNOT, [[CNOT]], [cfg, cfg])
+    with pytest.raises(ValueError, match="^restart 0: non-finite cost"):
+        optimkit.vqgo(CNOT, [np.full((4, 4), np.nan)], cfg=cfg)
 
 
 def test_vqgo_emulated_backend_agrees_with_exact():
@@ -603,7 +620,7 @@ def test_interval_search_is_deterministic_and_rejects_bad_input():
     a = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
     b = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
     assert a[:2] == b[:2]
-    for lower, upper in ((5.0, 5.0), (6.0, 5.0), (0.0, np.inf), (np.nan, 1.0)):
+    for lower, upper in ((5.0, 5.0), (6.0, 5.0), (0.0, np.inf), (np.nan, 1.0), (0.0, 10**400)):
         with pytest.raises(ValueError):
             optimkit.minimize_on_interval(_two_wells, lower, upper)
     with pytest.raises(ValueError):
