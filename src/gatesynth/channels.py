@@ -20,6 +20,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI_LETTERS = "IXYZ"
 PAULI_STACK = np.stack([I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 PAULI_STACK.flags.writeable = False
+# each letter as a signed permutation, P[r, perm[r]] = phase[r]
+_LETTER_PERM = np.abs(PAULI_STACK).argmax(axis=2)
+_LETTER_PHASE = np.take_along_axis(PAULI_STACK, _LETTER_PERM[:, :, None], axis=2)[:, :, 0]
+# columns of the transfer matrix per block of `ptm`: its transients take
+# four times 256 * D^2 complex values (4 MB each at five qubits)
+_PTM_BLOCK = 256
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1, 1j]).astype(complex)
@@ -75,6 +81,21 @@ def pauli_basis(n):
     return basis
 
 
+def pauli_action(codes):
+    """Pauli strings as signed permutations: letter codes of shape (..., n)
+    give perm and phase of shape (..., 2^n), with P[r, perm[r]] = phase[r]
+    the one nonzero entry of row r of the string's matrix."""
+    codes = np.asarray(codes)
+    perm = _LETTER_PERM[codes[..., 0]]
+    phase = _LETTER_PHASE[codes[..., 0]]
+    for j in range(1, codes.shape[-1]):
+        perm = 2 * perm[..., :, None] + _LETTER_PERM[codes[..., j], None, :]
+        phase = phase[..., :, None] * _LETTER_PHASE[codes[..., j], None, :]
+        perm = perm.reshape(perm.shape[:-2] + (-1,))
+        phase = phase.reshape(phase.shape[:-2] + (-1,))
+    return perm, phase
+
+
 def agf_unitary(u, v):
     """Average gate fidelity between two unitaries of equal dimension."""
     u = np.asarray(u)
@@ -97,12 +118,30 @@ def agi(u, v):
 
 
 def ptm(u):
-    """Pauli transfer matrix R_ij = Tr[s_i u s_j u†]/D of a unitary channel."""
+    """Pauli transfer matrix R_ij = Tr[s_i u s_j u†]/D of a unitary channel.
+
+    For a block of columns j, M_j = u s_j u† comes from one batched matmul,
+    s_j u† being the rows of u† gathered and signed. With s_i = i^(x.z)
+    X^x Z^z for bit masks x and z, Tr[s_i M] = (-i)^(x.z) sum_r (-1)^(z.r)
+    M[r ^ x, r]: a Walsh-Hadamard transform of the x-diagonals of M, one
+    matmul for every row i at once."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    basis = pauli_basis(qubit_count(d))
-    conj = np.einsum("ab,jbc,dc->jad", u, basis, u.conj(), optimize=True)
-    r = np.einsum("iab,jba->ij", basis, conj, optimize=True).real / d
+    n = qubit_count(d)
+    codes = pauli_codes(np.arange(d * d), n)
+    perm, phase = pauli_action(codes)
+    rows = np.arange(d)
+    x_masks = perm[:, 0]  # perm[r] = r ^ x
+    z_masks = (codes >= 2) @ 2 ** np.arange(n - 1, -1, -1)  # Y and Z letters
+    signs = np.array([1, -1j, -1, 1j])[(codes == 2).sum(axis=1) % 4]  # (-i)^(x.z), x.z = #Y
+    walsh = kron_qubits(np.broadcast_to([[1.0, 1.0], [1.0, -1.0]], (n, 2, 2)))  # (-1)^(z.r)
+    r = np.empty((d * d, d * d))
+    for start in range(0, d * d, _PTM_BLOCK):
+        block = slice(start, start + _PTM_BLOCK)
+        m = u @ (u.conj().T[perm[block]] * phase[block, :, None])
+        diagonals = m[:, rows ^ rows[:, None], rows]  # [j, x, r] = M_j[r ^ x, r]
+        traces = (diagonals @ walsh)[:, x_masks, z_masks]  # [j, i]
+        r[:, block] = (signs * traces).real.T / d
     return r
 
 

@@ -43,7 +43,7 @@ from .devices import (
     syndrome_target,
     tpcx,
 )
-from .inputs import ConfigError, canonical_json, read, read_json, read_text
+from .inputs import ADDRESSABLE_BYTES, ConfigError, canonical_json, read, read_json, read_text
 from .numkit import PhaseError, derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
@@ -146,9 +146,9 @@ def _amplitude_search(cfg, amplitudes):
 
 def _check_buildable(key, value, layers, dim):
     """ConfigError naming cfg[key] = value when `layers` source gates of
-    dim x dim complex entries take more than the 2**47 bytes (a 47-bit user
-    space) a 64-bit process can address, so that no host can build them."""
-    if layers * dim**2 * 16 > 2**47:
+    dim x dim complex entries take more than the ADDRESSABLE_BYTES (2**47)
+    a 64-bit process can address, so that no host can build them."""
+    if layers * dim**2 * 16 > ADDRESSABLE_BYTES:
         raise ConfigError(f"{key} {value} needs {layers} source layers of {dim}x{dim} gates, "
                           f"more than the 2**47 bytes a 64-bit process can address")
 
@@ -560,7 +560,7 @@ def verify_artifact(path):
         raise ConfigError(f"{path}: missing command/config metadata")
     try:
         cfg = json.loads(meta["config"])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, or past a parser limit
         raise ConfigError(f"{path}: config header: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config header must be a JSON object")

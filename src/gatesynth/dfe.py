@@ -10,9 +10,12 @@ starts from one exact expectation table of the channel U,
     E[e, k] = <psi_jk| U^dag sigma_i U |psi_jk>,
 
 over the plan entries e = (i, j) and the D product eigenstates psi_jk of
-sigma_j. The table is built in blocks of entries as U @ S_j, with S_j the
-tensor product of per-letter eigenvector matrices, followed by one
-Pauli product and one column-wise inner product. The full-support mode
+sigma_j. The plan keeps the distinct eigenbases S_b of its input Paulis,
+tensor products of per-letter eigenvector matrices: I and Z letters share
+theirs, so there are at most 3^n. The table takes U @ S_b once per basis.
+A Pauli string is a signed permutation, so sigma_i U S_b is U S_b with
+its rows gathered and signed; one column-wise inner product per block of
+entries then gives the table's rows. The full-support mode
 sums its eigenvalue-weighted rows; the sampled mode draws the settings'
 entries, eigenstates and single-shot outcomes as arrays and reads the
 Born probabilities (1 + E) / 2 from the table. `simulate_expectation`
@@ -21,18 +24,19 @@ and `ptm_entry_measured` remain as exact per-entry references.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_label, pauli_matrix
-from .inputs import ConfigError, read
+from .channels import PAULI_LETTERS, pauli_action, pauli_codes, pauli_label, pauli_matrix
+from .inputs import ADDRESSABLE_BYTES, ConfigError, read
 from .numkit import kron_qubits, qubit_count
 
 PLAN_SUPPORT_ATOL = 1e-12
-# entries per block of the expectation table: the block's eigenstate and
-# Pauli stacks take 128 * D^2 complex values each (2 MB at five qubits)
+# entries per block of the expectation table: the block's evolved
+# eigenstates and their gathered, signed rows take 128 * D^2 complex values
+# each (2 MB at five qubits)
 _TABLE_BLOCK = 128
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -105,6 +109,12 @@ class DfePlan:
     +-1 eigenvalue of each product eigenstate of the input Pauli, in the
     order of pauli_eigenbasis(j_label). A plan whose targets include a
     value at or below PLAN_SUPPORT_ATOL in magnitude is rejected.
+
+    Derived from these, read-only: out_perm and out_phase, shape (m, D),
+    the output Paulis as signed permutations (channels.pauli_action);
+    bases, shape (b, D, D), the distinct eigenvector matrices of the input
+    Paulis, states as columns, and basis_index, shape (m,), each entry's
+    row of bases.
     """
 
     entries: tuple
@@ -115,23 +125,48 @@ class DfePlan:
     probs: np.ndarray
     eigenvalues: np.ndarray
 
+    out_perm: np.ndarray = field(init=False, repr=False)
+    out_phase: np.ndarray = field(init=False, repr=False)
+    bases: np.ndarray = field(init=False, repr=False)
+    basis_index: np.ndarray = field(init=False, repr=False)
+
     def __post_init__(self):
         if np.any(np.abs(self.targets) <= PLAN_SUPPORT_ATOL):
             raise ValueError("plan contains an entry with vanishing target value")
+        perm, phase = pauli_action(self.out_codes)
+        # I and Z letters share their eigenvectors, so the input Paulis
+        # have at most 3^n distinct product eigenbases
+        codes, index = np.unique(np.where(self.in_codes == 0, 3, self.in_codes), axis=0,
+                                 return_inverse=True)
+        bases = kron_qubits(_EIGENVECTORS[codes])
+        for name, value in (("out_perm", perm), ("out_phase", phase), ("bases", bases),
+                            ("basis_index", index.reshape(-1))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class DfeSamplingConfig:
     """Sampling budget: the number of single-shot measurement settings
-    is ceil(1 / (eps_fail**2 * delta_acc)), eps_fail in (0, 1)."""
+    is ceil(1 / (eps_fail**2 * delta_acc)), eps_fail in (0, 1). A budget
+    that cannot run is a ConfigError: eps_fail**2 * delta_acc underflows to
+    0, or one array of 8 bytes per setting passes ADDRESSABLE_BYTES."""
 
     eps_fail: float
     delta_acc: float
 
     def __post_init__(self):
-        if read(vars(self), "eps_fail", above=0) >= 1:
+        eps = read(vars(self), "eps_fail", above=0)
+        if eps >= 1:
             raise ConfigError(f"eps_fail must be < 1, got {self.eps_fail!r}")
-        read(vars(self), "delta_acc", above=0)
+        delta = read(vars(self), "delta_acc", above=0)
+        if eps**2 * delta == 0:
+            raise ConfigError(f"delta_acc {delta!r} with eps_fail {eps!r}: "
+                              f"eps_fail**2 * delta_acc underflows to 0")
+        if 8 / (eps**2 * delta) > ADDRESSABLE_BYTES:
+            raise ConfigError(f"delta_acc {delta!r} with eps_fail {eps!r} asks for more than "
+                              f"{ADDRESSABLE_BYTES // 8:.3g} settings, whose arrays of 8 bytes per "
+                              f"setting pass the 2**47 bytes a 64-bit process can address")
 
     def num_settings(self):
         return math.ceil(1.0 / (self.eps_fail**2 * self.delta_acc))
@@ -169,12 +204,14 @@ def dfe_plan(r_target):
 def _expectation_table(u, plan):
     """Exact expectations E[e, k] of entry e's output Pauli on u applied to
     the k-th eigenstate of its input Pauli, shape (m, D)."""
-    u = np.asarray(u, dtype=complex)
+    evolved = np.asarray(u, dtype=complex) @ plan.bases
     table = np.empty(plan.eigenvalues.shape)
     for start in range(0, len(plan.targets), _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
-        phi = u @ kron_qubits(_EIGENVECTORS[plan.in_codes[block]])
-        sigma_phi = kron_qubits(PAULI_STACK[plan.out_codes[block]]) @ phi
+        index = plan.basis_index[block]
+        phi = evolved[index]
+        # sigma_i phi: the rows of phi gathered and signed
+        sigma_phi = plan.out_phase[block, :, None] * evolved[index[:, None], plan.out_perm[block]]
         table[block] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
     return table
 

@@ -6,6 +6,11 @@ import numbers
 import sys
 
 
+# a 47-bit user space: what a 64-bit process can address, so that no host
+# can build arrays larger than this
+ADDRESSABLE_BYTES = 2**47
+
+
 class ConfigError(ValueError):
     pass
 
@@ -25,14 +30,20 @@ def read_text(path, where=""):
 
 
 def read_json(path, where=""):
-    """Parse a JSON input file; an unreadable, non-UTF-8 or malformed file is
-    a config error located at its path (and line:column) after `where`."""
+    """Parse a JSON input file; an unreadable, non-UTF-8 or malformed file,
+    one with an integer past Python's int-string limit (4,300 digits) or
+    nested past the recursion limit, is a config error located at its path
+    (and line:column) after `where`."""
     try:
-        return json.loads(read_text(path, where))
+        text = read_text(path, where)
     except OSError as exc:
         raise ConfigError(f"{where}{path}: {exc.strerror}") from exc
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # limits, which have no position
+        raise ConfigError(f"{where}{path}: {str(exc).split(';')[0]}") from exc
 
 
 def read(cfg, key, kind=float, size=None, low=None, above=None, where=""):

@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.optimize
 
 from .ansatz import (
     CircuitPass,
@@ -234,6 +233,8 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
     value is under it and returns that point with converged=True; with
     stop_below None, COBYLA runs to its own termination.
     """
+    import scipy.optimize  # here, not at import: most callers never search
+
     x0 = np.asarray(x0, dtype=float)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -288,6 +289,8 @@ def minimize_on_interval(f, lower, upper):
     the bracket Brent refined.
     Raises ValueError on bad bounds or a non-finite value.
     """
+    import scipy.optimize
+
     bounds = {"lower": lower, "upper": upper}
     lower = read(bounds, "lower")
     upper = read(bounds, "upper", above=lower)

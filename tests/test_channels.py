@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatesynth import channels
-from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary, kron_all
+from gatesynth.devices import syndrome_target
+from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary, kron_all, qubit_count
 
 
 def test_pauli_label_index_roundtrip():
@@ -52,6 +53,18 @@ def test_pauli_matrix_and_basis_match_kron_fold():
         channels.pauli_matrix("XZ")[0, 0] = 2.0
     with pytest.raises(ValueError):
         channels.pauli_basis(0)
+
+
+def test_pauli_action_is_the_pauli_matrix():
+    for n in (1, 2, 3):
+        labels = channels.pauli_labels(n)
+        perm, phase = channels.pauli_action(channels.pauli_codes(np.arange(4**n), n))
+        assert perm.shape == phase.shape == (4**n, 2**n)
+        rows = np.arange(2**n)
+        for idx, label in enumerate(labels):
+            mat = np.zeros((2**n, 2**n), dtype=complex)
+            mat[rows, perm[idx]] = phase[idx]
+            assert np.array_equal(mat, channels.pauli_matrix(label))
 
 
 def test_pauli_basis_orthogonality():
@@ -135,6 +148,20 @@ def test_ptm_is_real_orthogonal_for_unitaries_property(u):
     assert np.abs(r @ r.T - np.eye(len(r))).max() < 1e-10
     assert abs(r[0, 0] - 1.0) < 1e-12
     assert np.abs(r[0, 1:]).max() < 1e-12
+
+
+def _ptm_by_einsum(u):
+    """The transfer matrix from the dense Pauli basis, two einsums."""
+    basis = channels.pauli_basis(qubit_count(u.shape[0]))
+    conj = np.einsum("ab,jbc,dc->jad", u, basis, u.conj(), optimize=True)
+    return np.einsum("iab,jba->ij", basis, conj, optimize=True).real / u.shape[0]
+
+
+def test_ptm_of_cliffords_equals_the_dense_formula_exactly():
+    for u in (channels.CNOT, syndrome_target()):
+        assert np.array_equal(channels.ptm(u), _ptm_by_einsum(u))
+    u = haar_unitary(8, derive_rng(16))
+    assert np.abs(channels.ptm(u) - _ptm_by_einsum(u)).max() < 1e-15
 
 
 def test_ptm_entry_definition():

@@ -88,6 +88,18 @@ def test_malformed_json_is_located(tmp_path, capsys):
     assert f"{path}:3:1" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": ' + "7" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["int-string-limit", "nesting"])
+def test_json_past_a_parser_limit_is_located(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert cli.main(["cartan-map", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path}: {message}")
+
+
 def test_non_object_config_fails(tmp_path, capsys):
     cfg = _write(tmp_path / "c.json", [1, 2, 3])
     assert cli.main(["cartan-map", "--config", cfg]) == 1
@@ -637,6 +649,9 @@ def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row
     # a second command line overrides the first
     ("{}\n# command: single_optimize", "cannot verify artifacts of command 'single_optimize'"),
     (None, "missing command/config metadata"),  # no header lines at all
+    pytest.param('{"seed": ' + "7" * 5000 + "}", "config header: Exceeds the limit (4300 digits)",
+                 id="int-string-limit"),
+    pytest.param("[" * 100_000, "config header: maximum recursion depth exceeded", id="nesting"),
 ])
 def test_verify_rejects_malformed_config_header(tmp_path, capsys, artifacts, config, message):
     out = tmp_path / "art.csv"

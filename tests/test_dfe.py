@@ -110,7 +110,8 @@ def test_sampling_config_setting_count():
         dfe.DfeSamplingConfig(eps_fail=0.0, delta_acc=0.1)
     for eps_fail, delta_acc, field in ((0.05, np.nan, "delta_acc"), (0.05, np.inf, "delta_acc"),
                                        (0.05, 10**400, "delta_acc"), (1.0, 0.1, "eps_fail"),
-                                       (np.nan, 0.1, "eps_fail"), (10**400, 0.1, "eps_fail")):
+                                       (np.nan, 0.1, "eps_fail"), (10**400, 0.1, "eps_fail"),
+                                       (0.05, 1e-300, "delta_acc"), (0.05, 5e-324, "delta_acc")):
         with pytest.raises(ValueError, match=field):
             dfe.DfeSamplingConfig(eps_fail=eps_fail, delta_acc=delta_acc)
 
@@ -234,6 +235,26 @@ def test_exact_estimate_on_syndrome_circuit():
     est = dfe.dfe_estimate(u, r, dfe.dfe_plan(r))
     assert type(est) is float
     assert abs(est - agf_unitary(target, u)) < 1e-12
+
+
+def test_estimates_are_pinned_bitwise():
+    # exact values on this suite's numpy 2.4 / OpenBLAS x86-64 build; the
+    # channels come from eigh and QR, so another LAPACK may move last bits
+    dev, raw = load_device(
+        resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    )
+    sources = [four_cr_gate(dev, raw["reference_omega_mhz"]["crosstalk"], 75.0)] * 2
+    u = ansatz.build_circuit(ansatz.random_params(5, 2, derive_rng(48)), sources)
+    r = ptm(syndrome_target())
+    plan = dfe.dfe_plan(r)
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
+    assert float.hex(dfe.dfe_estimate(u, r, plan)) == "0x1.f0a7e8d951e8ap-6"
+    sampled = dfe.dfe_estimate(u, r, plan, cfg=cfg, rng=derive_rng(49))
+    assert float.hex(sampled) == "0x1.71627d7c8e3e3p-6"
+    r_cnot = ptm(CNOT)
+    v = haar_unitary(4, derive_rng(50))
+    sampled = dfe.dfe_estimate(v, r_cnot, dfe.dfe_plan(r_cnot), cfg=cfg, rng=derive_rng(50, 1))
+    assert float.hex(sampled) == "0x1.3c36113404ea5p-2"
 
 
 def test_sampled_estimate_follows_drawn_settings():

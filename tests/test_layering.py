@@ -4,9 +4,13 @@
 
 (modules of one rank do not import each other). Every import statement is
 read from the source with ast, including imports inside functions, so a
-lazy import cannot hide a cycle."""
+lazy import cannot hide a cycle. Importing the package, CLI included, does
+not import scipy.optimize: only the derivative-free searches use it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "gatesynth"
@@ -51,3 +55,13 @@ def test_modules_import_only_lower_layers():
 def test_a_function_level_import_is_seen():
     tree = ast.parse("def f():\n    from .dfe import dfe_plan\n    from . import ansatz\n")
     assert _imported_modules(tree) == {"dfe", "ansatz"}
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = ("import gatesynth, gatesynth.cli, sys; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
