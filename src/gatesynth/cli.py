@@ -14,11 +14,13 @@ Exit codes: 0 success, 1 config or verification error, 2 I/O error.
 
 import argparse
 import csv
+import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -124,26 +126,6 @@ def optimizer_from_dict(d, seed):
         raise ConfigError(f"{where}{exc}") from exc
 
 
-def _amplitude_search(cfg, amplitudes):
-    """concatenated_optimize's outer-search keywords. omega0_mhz is a number
-    or a list of `amplitudes` within omega_bounds_mhz; COBYLA needs
-    amplitudes + 2 evaluations."""
-    lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
-    if not lo < hi:
-        raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
-                          f"got {canonical_json(cfg['omega_bounds_mhz'])}")
-    omega0 = read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
-    if not all(lo <= w <= hi for w in np.atleast_1d(omega0)):
-        raise ConfigError(f"omega0_mhz must lie within omega_bounds_mhz [{lo:g}, {hi:g}], "
-                          f"got {canonical_json(cfg['omega0_mhz'])}")
-    return {
-        "omega0": omega0,
-        "bounds": AmplitudeBounds(lo, hi),
-        "outer_maxiter": read(cfg, "outer_maxiter", int, low=amplitudes + 2),
-        "max_sweeps": read(cfg, "max_sweeps", int, low=1),
-    }
-
-
 def _check_buildable(key, value, layers, dim):
     """ConfigError naming cfg[key] = value when `layers` source gates of
     dim x dim complex entries take more than the ADDRESSABLE_BYTES (2**47)
@@ -182,6 +164,15 @@ def _synthesize(batches, workers):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(vqgo_batch, *zip(*jobs)))
     return [res for chunk in chunks for res in chunk]
+
+
+def _check_output(path):
+    """Raise, before any work and without creating it, the OSError that
+    writing `path` would: its directory is missing, or it is a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _write_artifact(path, meta, columns, rows):
@@ -255,7 +246,18 @@ def _sweep(sweep, cfg, workers):
     tuned by minimize_on_interval over omega_bounds_mhz, free of omega0_mhz."""
     values = read(cfg, sweep.cases_key, size="any", low=0)
     cases = [sweep.case(cfg, value) for value in values]
-    search = _amplitude_search(cfg, sweep.qubits - 1)
+    amplitudes = sweep.qubits - 1
+    lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
+    if not lo < hi:
+        raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
+                          f"got {canonical_json(cfg['omega_bounds_mhz'])}")
+    omega0 = read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
+    if not all(lo <= w <= hi for w in np.atleast_1d(omega0)):
+        raise ConfigError(f"omega0_mhz must lie within omega_bounds_mhz [{lo:g}, {hi:g}], "
+                          f"got {canonical_json(cfg['omega0_mhz'])}")
+    search = {"omega0": omega0, "bounds": AmplitudeBounds(lo, hi),  # COBYLA needs amplitudes + 2
+              "outer_maxiter": read(cfg, "outer_maxiter", int, low=amplitudes + 2),
+              "max_sweeps": read(cfg, "max_sweeps", int, low=1)}
     t_opt = read(cfg, "t_opt_ns", low=0)
     t_start = read(cfg, "t_start_ns", low=0)
     t_stop = read(cfg, "t_stop_ns", low=t_start)
@@ -270,7 +272,6 @@ def _sweep(sweep, cfg, workers):
     signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
     seed = read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
-    hi = search["bounds"].upper
     for value, case in zip(values, cases):  # each source gate, before any search
         for where, t in ((f"{sweep.cases_key} value {value:g}", 0.0),
                          (f"t_opt_ns {t_opt:g}", t_opt), (f"t_stop_ns {t_stop:g}", grid[-1])):
@@ -283,8 +284,7 @@ def _sweep(sweep, cfg, workers):
     for case_idx, (value, case) in enumerate(zip(values, cases)):
         label = [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
         if sweep.baseline is not None:
-            omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt),
-                                                 search["bounds"].lower, search["bounds"].upper)
+            omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt), lo, hi)
             rows += [["tpcx", *label, _fmt(omega_b), _fmt(t),
                       _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in grid]
 
@@ -308,8 +308,8 @@ def _sweep(sweep, cfg, workers):
 
 # ------------------------------------------------------------------ cnot sweep
 
-# the amplitude+angle search of cnot-sweep and single-optimize
-_SEARCH_DEFAULTS = {
+# the amplitude+angle search at t_opt_ns and the gate-time grid of both sweeps
+_SWEEP_DEFAULTS = {
     "depth": 2,
     "omega0_mhz": 50.0,
     "omega_bounds_mhz": [0.0, 200.0],
@@ -317,10 +317,6 @@ _SEARCH_DEFAULTS = {
     "max_sweeps": 6,
     "seed": 0,
     "optimizer": {},
-}
-
-_SWEEP_DEFAULTS = {
-    **_SEARCH_DEFAULTS,
     "t_opt_ns": 75.0,
     "t_start_ns": 0.0,
     "t_stop_ns": 750.0,
@@ -434,12 +430,10 @@ def cmd_cartan_map(cfg, workers):
 # ------------------------------------------------------------- single optimize
 
 SINGLE_OPTIMIZE_DEFAULTS = {
-    **_SEARCH_DEFAULTS,
     "target": {"kind": "cnot"},
     "sources": [{"kind": "cnot"}],
-    "mode": "vqgo",
-    "pair": None,
-    "t_ns": 75.0,
+    "seed": 0,
+    "optimizer": {},
 }
 
 
@@ -473,17 +467,9 @@ def gate_from_spec(spec, where="gate"):
 
 
 def cmd_single_optimize(cfg, workers):
-    """One synthesis run, plain (vqgo from `sources`) or concatenated (an
-    amplitude search over `depth` CR layers of `pair`, built as cnot-sweep
-    builds them); returns its results. Both modes check every key."""
-    mode = cfg["mode"]
-    if mode not in ("vqgo", "concatenated"):
-        raise ConfigError(f'mode must be "vqgo" or "concatenated", got {canonical_json(mode)}')
-    t = read(cfg, "t_ns", low=0)
-    search = _amplitude_search(cfg, 1)
-    signs = _layer_signs(cfg, 1, CNOT.shape[0])
+    """One vqgo design of `target` from `sources`, one source layer per
+    entry; returns its results."""
     opt = optimizer_from_dict(cfg["optimizer"], read(cfg, "seed", int, low=0))
-    pair = None if cfg["pair"] is None else pair_from_dict(_inline_file(cfg, "pair"), "pair.")
     target = gate_from_spec(cfg["target"], "target")
     if not isinstance(cfg["sources"], list):
         raise ConfigError(f"sources must be a list of gate specs, "
@@ -493,33 +479,16 @@ def cmd_single_optimize(cfg, workers):
     for i, source in enumerate(sources):
         if source.shape != target.shape:
             raise ConfigError(f"sources[{i}] acts on {n(source)} qubit(s), target on {n(target)}")
-    if mode == "concatenated" and target.shape != CNOT.shape:
-        raise ConfigError(f"concatenated mode builds 2-qubit CR sources, "
-                          f"target acts on {n(target)} qubit(s)")
     start = time.perf_counter()
-    if mode == "vqgo":
-        res = vqgo(target, sources, cfg=opt)
-        extra = {}
-    else:
-        if pair is None:
-            raise ConfigError("concatenated mode needs a 'pair' entry")
-        hi = search["bounds"].upper
-        _finite_gate(f"pair at amplitude {hi:g} MHz and t_ns {t:g}", _cnot_source, pair, [hi], t)
-        w_v, res, diag = concatenated_optimize(
-            target, lambda w: _sources(CNOT_SWEEP, pair, w, t, signs), cfg=opt, **search,
-        )
-        extra = {"omega_mhz": [float(x) for x in w_v],
-                 "outer_evaluations": diag["outer_evaluations"]}
-    wall = time.perf_counter() - start
+    res = vqgo(target, sources, cfg=opt)
     return {
+        "wall_time_s": time.perf_counter() - start,
         "agi": res.best_cost,
         "converged": res.converged,
         "iterations_used": res.iterations_used,
         "restart_index": res.restart_index,
         "theta": np.asarray(res.best_params).tolist(),
         "cost_history": [float(v) for v in res.cost_history],
-        "wall_time_s": wall,
-        **extra,
     }
 
 
@@ -624,6 +593,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg["seed"] = args.seed
         output = args.output or default_output
+        _check_output(output)
         result = fn(cfg, args.workers)
         meta = _base_meta(command, cfg)  # after fn, which reads files into cfg
         if command == "single_optimize":
@@ -639,8 +609,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading the --verify artifact, else writing the output
+        print(f"{'input' if args.verify else 'output'} error: {exc}", file=sys.stderr)
         return 2
 
 

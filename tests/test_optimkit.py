@@ -118,6 +118,27 @@ def test_quasi_newton_rejects_non_finite():
         optimkit.minimize_quasi_newton(f, g, np.zeros(2))
 
 
+def _nan_after_first_call(gradient):
+    """gradient, whose every answer after its first is NaN."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        value = gradient(*args, **kwargs)
+        return value if len(calls) == 1 else np.full_like(value, np.nan)
+    return wrapped
+
+
+def test_non_finite_gradient_during_descent_is_rejected(monkeypatch):
+    grad = _nan_after_first_call(lambda x: 2 * x)
+    with pytest.raises(ValueError, match="^non-finite gradient during descent$"):
+        optimkit.minimize_quasi_newton(lambda x: float(x @ x), grad, np.array([1.0, -2.0]))
+    monkeypatch.setattr(optimkit, "pass_gradients", _nan_after_first_call(optimkit.pass_gradients))
+    cfg = optimkit.OptimizerConfig(restarts=2, max_iterations=50)
+    with pytest.raises(ValueError, match="^restart 0: non-finite gradient during descent$"):
+        optimkit.vqgo(CNOT, [CNOT], cfg=cfg)
+
+
 def test_quasi_newton_quadratic_termination_budget():
     # with memory >= dimension the parabola line search is exact on
     # quadratics, so descent finishes in at most dim + 5 iterations
