@@ -147,23 +147,18 @@ def _layer_signs(cfg, designs, dim):
     return (1, -1) if opposite else (1,) * depth
 
 
-def _synthesize(batches, workers):
-    """vqgo results of every design of every (target, sources, cfgs) batch,
-    in order. Each batch is split into at most `workers` contiguous chunks,
-    and all chunks go to a pool of as many processes, at most `workers`
-    (none for one chunk); the results do not depend on the split."""
-    jobs = []
-    for target, sources, cfgs in batches:
-        parts = min(workers, len(cfgs))
-        cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
-        jobs += [(target, sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    workers = min(workers, len(jobs))
-    if workers == 1:
-        chunks = map(vqgo_batch, *zip(*jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(vqgo_batch, *zip(*jobs)))
-    return [res for chunk in chunks for res in chunk]
+def _synthesize(target, sources, cfgs, workers):
+    """vqgo_batch(target, sources, cfgs), split into at most `workers`
+    contiguous chunks that a pool of as many processes runs; one chunk runs
+    in-process, and no designs start nothing. The results do not depend on
+    the split."""
+    parts = min(workers, len(cfgs))
+    if parts <= 1:
+        return vqgo_batch(target, sources, cfgs)
+    cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
+    chunks = [(sources[a:b], cfgs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        return sum(pool.map(vqgo_batch, [target] * parts, *zip(*chunks)), [])
 
 
 def _check_output(path):
@@ -218,10 +213,14 @@ class Sweep:
 
 def _sources(sweep, case, omegas, t, signs):
     """The source layers of one design: layer i evolves the case at
-    signs[i] * omegas for t ns; each distinct sign is evolved once."""
-    omegas = np.asarray(omegas, dtype=float)
+    signs[i] * omegas (an array) for t ns; each distinct sign is evolved once."""
     gates = {s: sweep.source(case, s * omegas, t) for s in set(signs)}
     return [gates[s] for s in signs]
+
+
+def _case_cells(value, case):
+    """The eps and phi_rad cells of a case's rows; a device has no phase."""
+    return [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
 
 
 def _finite_gate(where, source, *args):
@@ -240,10 +239,10 @@ def _finite_gate(where, source, *args):
 
 
 def _sweep(sweep, cfg, workers):
-    """Per case: fix the drive amplitudes by the concatenated amplitude+angle
-    search at t_opt_ns, then synthesize at each time of the t grid with them
-    held fixed; one row per (method, case, t). The baseline's amplitude is
-    tuned by minimize_on_interval over omega_bounds_mhz, free of omega0_mhz."""
+    """Per case: the concatenated amplitude+angle search at t_opt_ns fixes the
+    drive amplitudes and is the t_opt vqgo row; the grid's other times are
+    synthesized with them held fixed. One row per (method, case, t in grid and
+    t_opt). The baseline's amplitude is tuned by minimize_on_interval."""
     values = read(cfg, sweep.cases_key, size="any", low=0)
     cases = [sweep.case(cfg, value) for value in values]
     amplitudes = sweep.qubits - 1
@@ -276,32 +275,33 @@ def _sweep(sweep, cfg, workers):
         for where, t in ((f"{sweep.cases_key} value {value:g}", 0.0),
                          (f"t_opt_ns {t_opt:g}", t_opt), (f"t_stop_ns {t_stop:g}", grid[-1])):
             _finite_gate(f"{where} at amplitude {hi:g} MHz", sweep.source, case,
-                         [hi] * (sweep.qubits - 1), t)
-    meta = {}
-    rows = []
-    batches = []
-    heads = []  # the vqgo rows' leading cells, one per design
+                         [hi] * amplitudes, t)
+    meta, rows = {}, []
+    heads, results = [], []  # vqgo rows: each case's t_opt row is its amplitude search's design,
+    grid_heads, sources, cfgs = [], [], []  # and the grid's other times go to one batch
+    times = grid if t_opt in grid else np.append(grid, t_opt)
     for case_idx, (value, case) in enumerate(zip(values, cases)):
-        label = [_fmt(value), _fmt(case.phi) if isinstance(case, CrossResonancePair) else ""]
+        cells = _case_cells(value, case)
         if sweep.baseline is not None:
             omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt), lo, hi)
-            rows += [["tpcx", *label, _fmt(omega_b), _fmt(t),
-                      _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in grid]
-
+            rows += [["tpcx", *cells, _fmt(omega_b), _fmt(t),
+                      _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in times]
         w_v, res_v, diag_v = concatenated_optimize(
             sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
-            cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search,
-        )
-        meta[f"case{case_idx}_agi_vqgo_at_t_opt"] = _fmt(res_v.best_cost)
+            cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search)
         meta[f"case{case_idx}_outer_evaluations"] = str(diag_v["outer_evaluations"])
-        batches.append((sweep.target, [_sources(sweep, case, w_v, float(t), signs) for t in grid],
-                        [replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx))
-                         for t_idx in range(len(grid))]))
-        heads += [["vqgo", *label, _fmt_list(w_v), _fmt(t)] for t in grid]
+        heads.append(["vqgo", *cells, _fmt_list(w_v), _fmt(t_opt)])
+        results.append(res_v)
+        for t_idx, t in enumerate(grid):
+            if t != t_opt:
+                grid_heads.append(["vqgo", *cells, _fmt_list(w_v), _fmt(t)])
+                sources.append(_sources(sweep, case, w_v, float(t), signs))
+                cfgs.append(replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx)))
 
-    for head, res in zip(heads, _synthesize(batches, workers)):
-        rows.append(head + [_fmt(res.best_cost), str(opt.restarts), str(res.iterations_used),
-                            "true" if res.converged else "false", _fmt_list(res.best_params)])
+    results += _synthesize(sweep.target, sources, cfgs, workers)
+    rows += [head + [_fmt(res.best_cost), str(len(res.restart_diagnostics)),
+                     str(res.iterations_used), "true" if res.converged else "false",
+                     _fmt_list(res.best_params)] for head, res in zip(heads + grid_heads, results)]
     rows.sort(key=lambda r: (float(r[1]), float(r[4]), r[0]))
     return meta, SWEEP_COLUMNS, rows
 
@@ -417,13 +417,9 @@ def cmd_cartan_map(cfg, workers):
     coords = [tuple(axis[list(index)]) for index in grid]
     gates = [canonical_gate(c) for c in coords]
     cfgs = [replace(opt, seed=derive_seed(seed, *index)) for index in grid]
-    results = _synthesize([(CNOT, [[gate] * depth for gate in gates], cfgs)], workers)
-    rows = []
-    for c, gate, res in zip(coords, gates, results):
-        rows.append([
-            _fmt(c[0]), _fmt(c[1]), _fmt(c[2]), _fmt(entangling_power(gate)),
-            _fmt(1.0 - res.best_cost), _fmt_list(res.best_params),
-        ])
+    results = _synthesize(CNOT, [[gate] * depth for gate in gates], cfgs, workers)
+    rows = [[*map(_fmt, c), _fmt(entangling_power(gate)), _fmt(1.0 - res.best_cost),
+             _fmt_list(res.best_params)] for c, gate, res in zip(coords, gates, results)]
     return {}, CARTAN_COLUMNS, rows
 
 
@@ -494,37 +490,41 @@ def cmd_single_optimize(cfg, workers):
 
 # --------------------------------------------------------------------- verify
 
-def _read_artifact(path):
-    lines = list(io.StringIO(read_text(path)))
-    meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
-    body = [ln for ln in lines if not ln.startswith("#")]
-    return meta, list(csv.DictReader(body, restval=""))
-
-
 def _verify_row(sweep, case, signs, row):
-    """(recomputed, stated) fidelity figure of one row of a sweep artifact,
-    its pair or device from case(eps), or of cartan-map when sweep is None.
-    A row that cannot be evaluated raises IndexError, KeyError or ValueError."""
+    """How a row of a sweep artifact (case(eps) its pair or device), or of cartan-map
+    when sweep is None, differs from what its config and parameters recompute, or None.
+    A row that cannot be evaluated, or whose method its command never writes, raises
+    IndexError, KeyError or ValueError."""
     theta = _parse_list(row["theta"])
     if sweep is None:
         gate = canonical_gate([float(row["c_x"]), float(row["c_y"]), float(row["c_z"])])
-        theta = theta.reshape(len(signs) + 1, 2, 3)
-        return 1.0 - agi_cost(theta, [gate] * len(signs), CNOT), float(row["best_agf"])
-    stated = float(row["agi"])
-    omegas = _parse_list(row["omega_mhz"])
-    t = float(row["t_ns"])
-    if row["method"] == "tpcx" and sweep.baseline is not None:
-        return sweep.baseline(case(float(row["eps"])), omegas[0], t), stated
-    theta = theta.reshape(len(signs) + 1, sweep.qubits, 3)
-    sources = _sources(sweep, case(float(row["eps"])), omegas, t, signs)
-    return agi_cost(theta, sources, sweep.target), stated
+        stated = float(row["best_agf"])
+        recomputed = 1.0 - agi_cost(theta.reshape(len(signs) + 1, 2, 3), [gate] * len(signs), CNOT)
+    else:
+        methods = ["vqgo"] if sweep.baseline is None else ["tpcx", "vqgo"]
+        if row["method"] not in methods:
+            raise ValueError(f"method {row['method']!r} is not one of {', '.join(methods)}")
+        eps, t, stated = (float(row[key]) for key in ("eps", "t_ns", "agi"))
+        omegas = _parse_list(row["omega_mhz"])
+        if row["phi_rad"] != (phi := _case_cells(eps, case(eps))[1]):
+            return f"stated {row['phi_rad']} as phi_rad, the config gives {phi!r}"
+        if row["method"] == "tpcx":
+            recomputed = sweep.baseline(case(eps), omegas[0], t)
+        else:
+            theta = theta.reshape(len(signs) + 1, sweep.qubits, 3)
+            recomputed = agi_cost(theta, _sources(sweep, case(eps), omegas, t, signs), sweep.target)
+    if abs(recomputed - stated) <= VERIFY_ATOL:
+        return None
+    return f"stated {stated:.12g} recomputed {recomputed:.12g}"
 
 
 def verify_artifact(path):
-    """Recompute every row's fidelity figure from its stored parameters;
-    returns the number of mismatches, a value that is not a number being
-    one. A row that cannot be read is a config error located at its index."""
-    meta, rows = _read_artifact(path)
+    """Recompute every row's fidelity figure from its stored parameters and its
+    phi_rad from the config; returns the number of mismatches, a value that is
+    not a number being one. A row that cannot be read is a located config error."""
+    lines = list(io.StringIO(read_text(path)))
+    meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
+    rows = list(csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval=""))
     if "command" not in meta or "config" not in meta:
         raise ConfigError(f"{path}: missing command/config metadata")
     try:
@@ -542,11 +542,11 @@ def verify_artifact(path):
     mismatches = 0
     for idx, row in enumerate(rows):
         try:
-            recomputed, stated = _verify_row(sweep, case, signs, row)
+            problem = _verify_row(sweep, case, signs, row)
         except (IndexError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: row {idx}: {exc}") from exc
-        if not abs(recomputed - stated) <= VERIFY_ATOL:
-            print(f"{path}: row {idx}: stated {stated:.12g} recomputed {recomputed:.12g}")
+        if problem:
+            print(f"{path}: row {idx}: {problem}")
             mismatches += 1
     print(f"{path}: {len(rows)} rows checked, {mismatches} mismatches")
     return mismatches

@@ -14,7 +14,9 @@ import pytest
 
 from gatesynth import cli
 from gatesynth.channels import CNOT, SWAP
-from gatesynth.optimkit import OptimizerConfig
+from gatesynth.devices import CrossResonancePair, DriveSpec, cr_gate
+from gatesynth.numkit import derive_seed
+from gatesynth.optimkit import AmplitudeBounds, OptimizerConfig, concatenated_optimize, vqgo
 
 
 def _write(path, obj):
@@ -192,6 +194,64 @@ def test_cnot_sweep_rows_and_verify(tmp_path):
     for method in ("tpcx", "vqgo"):
         omegas = {r["omega_mhz"] for r in _rows(out) if r["method"] == method}
         assert len(omegas) == 1 and float(omegas.pop()) > 0
+    assert cli.main(["--verify", out]) == 0
+
+
+def _hex(cells):
+    return [float(x).hex() for x in cells.split(";")]
+
+
+def _tiny_cnot_sources(eps, omegas, t):
+    """TINY_CNOT's two source layers, built from the library alone."""
+    pair = CrossResonancePair(200.0, 5.0, eps, np.pi / 4)
+    return [cr_gate(pair, DriveSpec(float(omegas[0]), t))] * 2
+
+
+def _tiny_cnot_optimizer(seed):
+    return OptimizerConfig(**TINY_CNOT["optimizer"], seed=seed)
+
+
+def test_vqgo_rows_are_the_search_and_grid_designs_run_alone(tmp_path):
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, eps_cases=[0.0, 0.1]))
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
+    rows = {(float(r["eps"]), float(r["t_ns"])): r for r in _rows(out) if r["method"] == "vqgo"}
+    # each case's row at t_opt 75 is its amplitude search's design
+    for case, eps in enumerate((0.0, 0.1)):
+        w, res, _ = concatenated_optimize(
+            CNOT, lambda w: _tiny_cnot_sources(eps, w, 75.0), 50.0, AmplitudeBounds(0.0, 200.0),
+            _tiny_cnot_optimizer(derive_seed(0, 1, case)), outer_maxiter=4, max_sweeps=1)
+        assert _hex(rows[eps, 75.0]["omega_mhz"]) == [x.hex() for x in w]
+        _assert_row_is(rows[eps, 75.0], res)
+    # a grid row is its design alone: case 1 at t 90, grid index 2
+    sources = _tiny_cnot_sources(0.1, [float(rows[0.1, 90.0]["omega_mhz"])], 90.0)
+    _assert_row_is(rows[0.1, 90.0], vqgo(CNOT, sources, cfg=_tiny_cnot_optimizer(
+        derive_seed(0, 2, 1, 2))))
+
+
+def _assert_row_is(row, res):
+    assert _hex(row["agi"]) == [res.best_cost.hex()]
+    assert _hex(row["theta"]) == [x.hex() for x in res.best_params.ravel()]
+    assert row["restarts"] == str(len(res.restart_diagnostics))
+    assert row["iterations"] == str(res.iterations_used)
+
+
+def test_restarts_column_counts_the_restarts_run(tmp_path):
+    optimizer = dict(TINY_CNOT["optimizer"], restarts=3, stop_below=0.5)
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, optimizer=optimizer))
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
+    # every design's first restart ends below stop_below, so it runs no other
+    assert [r["restarts"] for r in _rows(out) if r["method"] == "vqgo"] == ["1"] * 3
+
+
+def test_t_opt_off_the_grid_adds_its_own_rows(tmp_path):
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, t_opt_ns=67.5))
+    out = str(tmp_path / "sweep.csv")
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
+    for method in ("tpcx", "vqgo"):
+        assert [r["t_ns"] for r in _rows(out) if r["method"] == method] == [
+            "60", "67.5", "75", "90"]
     assert cli.main(["--verify", out]) == 0
 
 
@@ -533,7 +593,8 @@ def test_pool_has_no_more_processes_than_designs(tmp_path, monkeypatch):
 
         map = staticmethod(map)
 
-    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, t_stop_ns=75.0))  # times 60 and 75
+    # times 60, 75 and 90: the amplitude search is the design at t_opt 75, so two grid designs
+    cfg = _write(tmp_path / "c.json", TINY_CNOT)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli.main(["cnot-sweep", "--config", cfg, "--output", a]) == 0
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -564,6 +625,9 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
 @pytest.mark.parametrize("command, base", [
     ("cnot-sweep", TINY_CNOT),
     ("syndrome-sweep", dict(TINY_SYNDROME, crosstalk_cases=[0.0, 1.0], opposite_sign_layers=True)),
+    ("cnot-sweep", dict(TINY_CNOT, eps_cases=[0.0, 0.1])),
+    # the README's one-gate-time recipe: no grid design besides the search's
+    ("cnot-sweep", dict(TINY_CNOT, eps_cases=[0.1], phi_rad=0.5, t_start_ns=75, t_stop_ns=75)),
 ])
 def test_sweep_workers_match_serial(tmp_path, command, base):
     cfg = _write(tmp_path / "c.json", base)
@@ -623,8 +687,8 @@ _BASE_META = ["command", "version", "timestamp", "seed", "config_hash", "config"
 
 @pytest.mark.parametrize("command, keys", [
     ("cartan-map", _BASE_META),
-    ("cnot-sweep", _BASE_META + ["case0_agi_vqgo_at_t_opt", "case0_outer_evaluations"]),
-    ("syndrome-sweep", _BASE_META + ["case0_agi_vqgo_at_t_opt", "case0_outer_evaluations"]),
+    ("cnot-sweep", _BASE_META + ["case0_outer_evaluations"]),
+    ("syndrome-sweep", _BASE_META + ["case0_outer_evaluations"]),
 ])
 def test_header_states_only_what_config_and_rows_do_not(artifacts, command, keys):
     # a case's value, amplitudes and source time are in the config or the rows
@@ -636,8 +700,7 @@ def test_sweep_header_numbers_every_case(tmp_path):
     cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, eps_cases=[0.0, 0.1]))
     out = str(tmp_path / "sweep.csv")
     assert cli.main(["cnot-sweep", "--config", cfg, "--output", out]) == 0
-    assert list(_meta(out))[len(_BASE_META):] == [
-        f"case{i}_{key}" for i in (0, 1) for key in ("agi_vqgo_at_t_opt", "outer_evaluations")]
+    assert list(_meta(out))[len(_BASE_META):] == [f"case{i}_outer_evaluations" for i in (0, 1)]
     assert int(_meta(out)["case1_outer_evaluations"]) >= 1
 
 
@@ -660,6 +723,8 @@ def _tamper(text, row_index, column, value):
     ("cnot-sweep", 3, "t_ns", "x", "could not convert string to float: 'x'"),
     ("cnot-sweep", 0, "omega_mhz", "", "index 0 is out of bounds"),
     ("cnot-sweep", 3, "eps", "-1", "eps must be a finite number >= 0"),
+    ("cnot-sweep", 3, "method", "foo", "method 'foo' is not one of tpcx, vqgo"),
+    ("syndrome-sweep", 0, "method", "tpcx", "method 'tpcx' is not one of vqgo"),
 ])
 def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row_index,
                                        column, value, message):
@@ -695,6 +760,8 @@ def test_verify_rejects_malformed_config_header(tmp_path, capsys, artifacts, con
     ("cartan-map", 1, "best_agf"),
     ("cnot-sweep", 0, "agi"),
     ("cnot-sweep", 4, "agi"),
+    ("cnot-sweep", 2, "phi_rad"),
+    ("syndrome-sweep", 0, "phi_rad"),
 ])
 def test_verify_counts_nan_as_mismatch(tmp_path, capsys, artifacts, command, row_index, column):
     out = tmp_path / "art.csv"
