@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .analysis import canonical_gate, entangling_power
 from .ansatz import agi_cost
-from .channels import CNOT, SWAP, agi
+from .channels import CNOT, SWAP, agf_from_trace
 from .devices import (
     CrossResonancePair,
     DriveSpec,
@@ -46,7 +46,7 @@ from .devices import (
     tpcx,
 )
 from .inputs import ADDRESSABLE_BYTES, ConfigError, canonical_json, read, read_json, read_text
-from .numkit import PhaseError, derive_rng, derive_seed, haar_unitary, qubit_count
+from .numkit import PhaseError, dagger, derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
@@ -198,7 +198,8 @@ class Sweep:
     """One sweep command's problem, read by its run, pool jobs and --verify:
     `target` from CR drives. A value of cfg[cases_key] (eps column) is a case;
     case(cfg, value) builds its pair or device, source(case, omegas, t) evolves
-    it. baseline(pair, omega, t): echoed-CR CNOT AGI (method tpcx)."""
+    it. baseline(pair, omega, t): echoed-CR CNOT AGI (method tpcx), an array of
+    them for an array of amplitudes."""
 
     target: np.ndarray
     cases_key: str
@@ -209,6 +210,10 @@ class Sweep:
     @property
     def qubits(self):
         return qubit_count(self.target.shape[0])
+
+    @property
+    def methods(self):
+        return ("vqgo",) if self.baseline is None else ("tpcx", "vqgo")
 
 
 def _sources(sweep, case, omegas, t, signs):
@@ -238,6 +243,22 @@ def _finite_gate(where, source, *args):
     raise ConfigError(f"{where} gives a gate that is not finite")
 
 
+def _gate_times(cfg):
+    """(t_opt_ns, the grid of gate times, the row times: the grid and t_opt_ns)."""
+    t_opt = read(cfg, "t_opt_ns", low=0)
+    t_start = read(cfg, "t_start_ns", low=0)
+    t_stop = read(cfg, "t_stop_ns", low=t_start)
+    t_step = read(cfg, "t_step_ns", above=0)
+    span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
+    try:
+        grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
+    if not grid.size:
+        raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
+    return t_opt, grid, grid if t_opt in grid else np.append(grid, t_opt)
+
+
 def _sweep(sweep, cfg, workers):
     """Per case: the concatenated amplitude+angle search at t_opt_ns fixes the
     drive amplitudes and is the t_opt vqgo row; the grid's other times are
@@ -257,29 +278,19 @@ def _sweep(sweep, cfg, workers):
     search = {"omega0": omega0, "bounds": AmplitudeBounds(lo, hi),  # COBYLA needs amplitudes + 2
               "outer_maxiter": read(cfg, "outer_maxiter", int, low=amplitudes + 2),
               "max_sweeps": read(cfg, "max_sweeps", int, low=1)}
-    t_opt = read(cfg, "t_opt_ns", low=0)
-    t_start = read(cfg, "t_start_ns", low=0)
-    t_stop = read(cfg, "t_stop_ns", low=t_start)
-    t_step = read(cfg, "t_step_ns", above=0)
-    span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
-    try:
-        grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
-    if not grid.size:
-        raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
+    t_opt, grid, times = _gate_times(cfg)
     signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
     seed = read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
     for value, case in zip(values, cases):  # each source gate, before any search
         for where, t in ((f"{sweep.cases_key} value {value:g}", 0.0),
-                         (f"t_opt_ns {t_opt:g}", t_opt), (f"t_stop_ns {t_stop:g}", grid[-1])):
+                         (f"t_opt_ns {t_opt:g}", t_opt),
+                         (f"t_stop_ns {cfg['t_stop_ns']:g}", grid[-1])):
             _finite_gate(f"{where} at amplitude {hi:g} MHz", sweep.source, case,
                          [hi] * amplitudes, t)
     meta, rows = {}, []
     heads, results = [], []  # vqgo rows: each case's t_opt row is its amplitude search's design,
     grid_heads, sources, cfgs = [], [], []  # and the grid's other times go to one batch
-    times = grid if t_opt in grid else np.append(grid, t_opt)
     for case_idx, (value, case) in enumerate(zip(values, cases)):
         cells = _case_cells(value, case)
         if sweep.baseline is not None:
@@ -344,7 +355,11 @@ def _cnot_source(pair, omegas, t):
 
 
 def _tpcx_agi(pair, omega, t):
-    return agi(CNOT, tpcx(pair, omega, t))
+    """agi(CNOT, tpcx(pair, omega, t)), or an array of it for each of an array of amplitudes:
+    abs() per element, as in pass_costs, keeps each bitwise the call on its amplitude alone."""
+    tau = np.trace(dagger(CNOT) @ tpcx(pair, omega, t), axis1=-2, axis2=-1)
+    agis = np.array([1.0 - agf_from_trace(x, CNOT.shape[0]) for x in np.ravel(tau)])
+    return agis.reshape(tau.shape) if tau.ndim else float(agis[0])
 
 
 CNOT_SWEEP = Sweep(CNOT, "eps_cases", _cnot_case, _cnot_source, baseline=_tpcx_agi)
@@ -501,9 +516,8 @@ def _verify_row(sweep, case, signs, row):
         stated = float(row["best_agf"])
         recomputed = 1.0 - agi_cost(theta.reshape(len(signs) + 1, 2, 3), [gate] * len(signs), CNOT)
     else:
-        methods = ["vqgo"] if sweep.baseline is None else ["tpcx", "vqgo"]
-        if row["method"] not in methods:
-            raise ValueError(f"method {row['method']!r} is not one of {', '.join(methods)}")
+        if row["method"] not in sweep.methods:
+            raise ValueError(f"method {row['method']!r} is not one of {', '.join(sweep.methods)}")
         eps, t, stated = (float(row[key]) for key in ("eps", "t_ns", "agi"))
         omegas = _parse_list(row["omega_mhz"])
         if row["phi_rad"] != (phi := _case_cells(eps, case(eps))[1]):
@@ -518,10 +532,16 @@ def _verify_row(sweep, case, signs, row):
     return f"stated {stated:.12g} recomputed {recomputed:.12g}"
 
 
+def _row_name(method, eps, t):
+    return f"{method} eps {eps:g} t_ns {t:g}"
+
+
 def verify_artifact(path):
     """Recompute every row's fidelity figure from its stored parameters and its
-    phi_rad from the config; returns the number of mismatches, a value that is
-    not a number being one. A row that cannot be read is a located config error."""
+    phi_rad from the config, and check that a sweep holds one row per (method,
+    eps, t) its config gives; returns the number of mismatches, a value that is
+    not a number, a missing, repeated or unexpected row each being one. A row
+    that cannot be read is a located config error."""
     lines = list(io.StringIO(read_text(path)))
     meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
     rows = list(csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval=""))
@@ -537,17 +557,36 @@ def verify_artifact(path):
     if command != "cartan_map" and command not in _SWEEPS:
         raise ConfigError(f"{path}: cannot verify artifacts of command {command!r}")
     sweep = _SWEEPS.get(command)
-    signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
+    expected = set()  # (method, eps, t) of each row the config gives
+    try:
+        signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
+        if sweep is not None:
+            values = read(cfg, sweep.cases_key, size="any", low=0)
+            times = map(float, _gate_times(cfg)[2])
+            expected = set(itertools.product(sweep.methods, values, times))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: config header: {exc}") from exc
     case = functools.cache(lambda value: sweep.case(cfg, value))
+    missing = set(expected)
     mismatches = 0
     for idx, row in enumerate(rows):
         try:
-            problem = _verify_row(sweep, case, signs, row)
+            problems = [_verify_row(sweep, case, signs, row)]
         except (IndexError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: row {idx}: {exc}") from exc
-        if problem:
+        if sweep is not None:
+            key = (row["method"], float(row["eps"]), float(row["t_ns"]))
+            if key not in expected:
+                problems.append(f"{_row_name(*key)} is not a row its config gives")
+            elif key not in missing:
+                problems.append(f"repeats the {_row_name(*key)} row")
+            missing.discard(key)
+        for problem in filter(None, problems):
             print(f"{path}: row {idx}: {problem}")
             mismatches += 1
+    for key in sorted(missing):
+        print(f"{path}: no {_row_name(*key)} row")
+        mismatches += 1
     print(f"{path}: {len(rows)} rows checked, {mismatches} mismatches")
     return mismatches
 
@@ -564,7 +603,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The CLI's parser, built on the first call of a process (not at import)."""
     parser = argparse.ArgumentParser(
         prog="gatesynth",
         description="Reproducible gate-synthesis experiments (CSV/JSON artifacts).",
@@ -578,6 +619,11 @@ def main(argv=None):
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--output", help="artifact path")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
 
     try:

@@ -89,7 +89,7 @@ def _cr_term(pair, omega):
     return (
         pair.delta * _CR_N1
         + pair.g * _CR_HOP
-        + 0.5 * omega * (_CR_DRIVE1 + pair.eps * drive2)
+        + (0.5 * np.asarray(omega))[..., None, None] * (_CR_DRIVE1 + pair.eps * drive2)
     )
 
 
@@ -99,6 +99,8 @@ def cr_hamiltonian(pair, omega):
         2*pi*1e-3 * [ delta*n_1 + g*(sp_1 sm_2 + sm_1 sp_2)
                       + (omega/2)*((sp_1 + sm_1)
                                    + eps*(e^{-i phi} sm_2 + e^{i phi} sp_2)) ]
+
+    An array of amplitudes gives the stack of their Hamiltonians.
     """
     return MHZ_TO_RAD_PER_NS * _cr_term(pair, omega)
 
@@ -158,10 +160,12 @@ def tpcx(pair, omega, t):
     with fixed frames A = (S X)(x)I, B = X(x)I (the echo pi-pulse on the
     driven qubit), C = I(x)exp(-i*(pi/4)*X). Substituting the ideal-limit
     segments exp(-+i*(pi/8)*Z(x)X) makes the product equal CNOT up to
-    global phase.
+    global phase. An array of amplitudes gives the stack of their gates,
+    each bitwise the call with that amplitude alone: every segment of
+    every amplitude is one stacked evolution.
     """
-    seg_minus = cr_gate(pair, DriveSpec(-omega, t))
-    seg_plus = cr_gate(pair, DriveSpec(omega, t))
+    omega = np.asarray(omega, dtype=float)
+    seg_minus, seg_plus = expm_hermitian(cr_hamiltonian(pair, np.stack([-omega, omega])), t)
     return TPCX_A @ seg_minus @ TPCX_B @ seg_plus @ TPCX_C
 
 

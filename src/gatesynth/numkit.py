@@ -48,8 +48,8 @@ def qubit_count(dim):
 
 
 def dagger(a):
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., D, D)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def is_hermitian(h, atol=HERMITIAN_ATOL):
@@ -59,20 +59,23 @@ def is_hermitian(h, atol=HERMITIAN_ATOL):
 
 def is_unitary(u, atol=UNITARY_ATOL):
     u = np.asarray(u)
-    return np.abs(u @ dagger(u) - np.eye(u.shape[0])).max() < atol
+    return np.abs(u @ dagger(u) - np.eye(u.shape[-1])).max() < atol
 
 
 def expm_hermitian(h, t=1.0):
-    """exp(-i*h*t) for Hermitian h (rad/ns) over duration t (ns); PhaseError
-    if a finite phase w*t is above 2**52 rad, where exp(-i*w*t) is noise."""
+    """exp(-i*h*t) for Hermitian h (rad/ns) over duration t (ns), or for each
+    matrix of a stack (..., D, D) by one batched eigh, each bitwise the call on
+    that matrix alone; PhaseError if a finite phase w*t of any of them is above
+    2**52 rad, where exp(-i*w*t) is noise."""
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian")
     w, v = np.linalg.eigh(h)
-    phase = max(-w[0], w[-1]) * abs(t)  # eigh sorts w ascending
-    if 2.0**52 < phase < np.inf:
+    phase = np.maximum(-w[..., 0], w[..., -1]) * abs(t)  # eigh sorts w ascending
+    phase = np.where(phase < np.inf, phase, 0.0).max()  # the largest finite one
+    if phase > 2.0**52:
         raise PhaseError(f"phase {phase:.3g} rad is above 2**52 rad, where floats are 1 rad apart")
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w[..., None, :] * t)) @ dagger(v)
 
 
 def derive_rng(seed, *key):

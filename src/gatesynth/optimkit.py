@@ -22,6 +22,7 @@ of one. concatenated_optimize wraps vqgo in an outer derivative-free
 search over source-drive amplitudes.
 """
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -139,9 +140,9 @@ def _quasi_newton_steps(x0, cfg):
     x = np.asarray(x0, dtype=float).copy()
     fx = yield from cost(x)
     gx = yield from gradient(x)
-    if not (np.isfinite(fx) and np.isfinite(gx).all()):
+    if not (math.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
-    pairs = deque(maxlen=cfg.memory_depth)
+    pairs = deque(maxlen=cfg.memory_depth)  # (s, y, 1/(s.y), s.y, y.y), products kept from append
     cost_history = [fx]
     reason = "budget"
     nit = 0
@@ -154,20 +155,20 @@ def _quasi_newton_steps(x0, cfg):
         # two-loop recursion for the L-BFGS direction
         q = gx.copy()
         alphas = []
-        for s, y, rho in reversed(pairs):
-            a = rho * (s @ q)
+        for s, y, rho, _, _ in reversed(pairs):
+            a = rho * np.dot(s, q)
             alphas.append(a)
             q -= a * y
         if pairs:
-            s, y, _ = pairs[-1]
-            q *= (s @ y) / (y @ y)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * (y @ q)) * s
+            _, _, _, sy, yy = pairs[-1]
+            q *= sy / yy
+        for (s, y, rho, _, _), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * np.dot(y, q)) * s
         p = -q
-        dphi = gx @ p
+        dphi = np.dot(gx, p)
         if dphi >= 0:
             p = -gx
-            dphi = gx @ p
+            dphi = np.dot(gx, p)
         # parabola through f(x), dphi, f(x+p); its minimizer is exact on
         # quadratic costs, giving finite termination there
         xn = x + p
@@ -182,13 +183,13 @@ def _quasi_newton_steps(x0, cfg):
                 if fstar < ft:
                     t, ft, xn = tstar, fstar, xstar
         n_bt = 0
-        while not (np.isfinite(ft) and ft <= fx + 1e-4 * t * dphi) and n_bt < 60:
+        while not (math.isfinite(ft) and ft <= fx + 1e-4 * t * dphi) and n_bt < 60:
             t *= 0.5
             xn = x + t * p
             ft = yield from cost(xn)
             n_bt += 1
         # a step that rounds away leaves x where it is: no progress, not convergence
-        if not np.isfinite(ft) or ft > fx or np.array_equal(xn, x):
+        if not math.isfinite(ft) or ft > fx or (xn == x).all():
             reason = "line_search"
             break
         gn = yield from gradient(xn)
@@ -196,9 +197,9 @@ def _quasi_newton_steps(x0, cfg):
             raise ValueError("non-finite gradient during descent")
         s = xn - x
         y = gn - gx
-        sy = s @ y
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
+        sy, yy = np.dot(s, y), np.dot(y, y)
+        if sy > 1e-10 * math.sqrt(np.dot(s, s)) * math.sqrt(yy):  # np.linalg.norm computes these
+            pairs.append((s, y, 1.0 / sy, sy, yy))
         df = fx - ft
         x, fx, gx = xn, ft, gn
         cost_history.append(fx)
@@ -279,15 +280,17 @@ INTERVAL_GRID_POINTS = 41
 def minimize_on_interval(f, lower, upper):
     """Deterministic bounded 1-D minimization; returns (x*, f*, diagnostics).
 
-    f (a function of one float) is evaluated on INTERVAL_GRID_POINTS
-    evenly spaced points over [lower, upper], including both ends; bounded
-    Brent (scipy's minimize_scalar) then refines the bracket between the
-    best grid point's neighbours. The result is the better of Brent's
-    point and that grid point, so it lies in the bounds, is never worse
-    than the best grid value, and does not depend on any start point.
-    diagnostics = {nfev, bracket}: the total number of evaluations and
+    f is a batch objective: it maps a 1-D array of points to as many finite
+    values. One call evaluates INTERVAL_GRID_POINTS evenly spaced points
+    over [lower, upper], including both ends; bounded Brent (scipy's
+    minimize_scalar) then refines the bracket between the best grid
+    point's neighbours, one point a call. The result is the better of
+    Brent's point and that grid point, so it lies in the bounds, is never
+    worse than the best grid value, and does not depend on any start point.
+    diagnostics = {nfev, bracket}: the total number of points evaluated and
     the bracket Brent refined.
-    Raises ValueError on bad bounds or a non-finite value.
+    Raises ValueError on bad bounds, a non-finite value, or a call that
+    returns another number of values than it was given points.
     """
     import scipy.optimize
 
@@ -296,20 +299,23 @@ def minimize_on_interval(f, lower, upper):
     upper = read(bounds, "upper", above=lower)
     nfev = 0
 
-    def value(x):
+    def values(xs):
         nonlocal nfev
-        nfev += 1
-        v = float(f(float(x)))
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite value at {x}")
-        return v
+        nfev += xs.size
+        vs = np.asarray(f(xs), dtype=float)
+        if vs.shape != xs.shape:
+            raise ValueError(f"the objective gave {vs.size} value(s) for {xs.size} point(s)")
+        if not np.isfinite(vs).all():
+            raise ValueError(f"non-finite value at {xs[~np.isfinite(vs)][0]}")
+        return vs
 
     grid = np.linspace(lower, upper, INTERVAL_GRID_POINTS)
-    values = [value(x) for x in grid]
-    k = int(np.argmin(values))
+    on_grid = values(grid)
+    k = int(np.argmin(on_grid))
     bracket = (float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)]))
-    res = scipy.optimize.minimize_scalar(value, bounds=bracket, method="bounded")
-    x, fx = float(grid[k]), values[k]
+    res = scipy.optimize.minimize_scalar(lambda x: float(values(np.array([float(x)]))[0]),
+                                         bounds=bracket, method="bounded")
+    x, fx = float(grid[k]), float(on_grid[k])
     if res.fun < fx:
         x, fx = float(res.x), float(res.fun)
     return x, fx, {"nfev": nfev, "bracket": bracket}

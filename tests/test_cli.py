@@ -738,6 +738,7 @@ def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row
 @pytest.mark.parametrize("config, message", [
     ("{{", "config header: Expecting property name enclosed in double quotes"),
     ("[2]", "config header must be a JSON object"),
+    ('{"depth": 0}', "config header: depth must be an integer >= 1, got 0"),
     # a second command line overrides the first
     ("{}\n# command: single_optimize", "cannot verify artifacts of command 'single_optimize'"),
     (None, "missing command/config metadata"),  # no header lines at all
@@ -768,6 +769,87 @@ def test_verify_counts_nan_as_mismatch(tmp_path, capsys, artifacts, command, row
     out.write_text(_tamper(artifacts[command], row_index, column, "nan"))
     assert cli.main(["--verify", str(out)]) == 1
     assert f"row {row_index}: stated nan" in capsys.readouterr().out
+
+
+def test_verify_locates_a_bad_sweep_grid_in_the_config_header(tmp_path, capsys, artifacts):
+    out = tmp_path / "art.csv"
+    out.write_text(artifacts["cnot-sweep"].replace('"t_step_ns":15.0', '"t_step_ns":-1'))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {out}: config header: t_step_ns must be a finite number > 0, got -1\n")
+
+
+def _edit_rows(text, edit):
+    """text with its body rows replaced by edit(rows), the header lines kept."""
+    lines = text.splitlines(keepends=True)
+    header = [ln for ln in lines if ln.startswith("#")]
+    body = [ln for ln in lines if not ln.startswith("#")]
+    return "".join(header + body[:1] + edit(body[1:]))
+
+
+def test_verify_of_an_untouched_sweep_reads_no_mismatch(tmp_path, capsys, artifacts):
+    out = tmp_path / "art.csv"
+    out.write_text(artifacts["cnot-sweep"])
+    assert cli.main(["--verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("6 rows checked, 0 mismatches\n")
+
+
+def test_verify_names_a_missing_row(tmp_path, capsys, artifacts):
+    out = tmp_path / "art.csv"
+    out.write_text(_edit_rows(artifacts["cnot-sweep"], lambda rows: [
+        r for r in rows if not (r.startswith("vqgo,") and ",90," in r)]))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{out}: no vqgo eps 0 t_ns 90 row", f"{out}: 5 rows checked, 1 mismatches"]
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (lambda rows: rows + rows[3:4], ["row 6: repeats the vqgo eps 0 t_ns 75 row"]),
+    (lambda rows: rows[:1] + rows, ["row 1: repeats the tpcx eps 0 t_ns 60 row"]),
+])
+def test_verify_counts_a_repeated_row(tmp_path, capsys, artifacts, edit, problems):
+    out = tmp_path / "art.csv"
+    out.write_text(_edit_rows(artifacts["cnot-sweep"], edit))
+    assert cli.main(["--verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"{out}: {p}" for p in problems]
+    assert lines[-1] == f"{out}: 7 rows checked, {len(problems)} mismatches"
+
+
+def test_verify_counts_a_row_its_config_does_not_give(tmp_path, capsys, artifacts):
+    # the t=60 tpcx row moved to t=61: its AGI, its place and the gap it leaves
+    out = tmp_path / "art.csv"
+    out.write_text(_tamper(artifacts["cnot-sweep"], 0, "t_ns", "61"))
+    assert cli.main(["--verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{out}: row 0: stated ")
+    assert lines[1:] == [f"{out}: row 0: tpcx eps 0 t_ns 61 is not a row its config gives",
+                         f"{out}: no tpcx eps 0 t_ns 60 row",
+                         f"{out}: 6 rows checked, 3 mismatches"]
+
+
+def test_successive_calls_share_one_parser_and_no_state(tmp_path, monkeypatch):
+    parser = cli._parser()
+    assert cli._parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv: parsed.append(parse_args(argv)) or parsed[-1])
+    one, grid = str(tmp_path / "one.json"), str(tmp_path / "map.csv")
+    single = _write(tmp_path / "s.json", TINY_SINGLE)
+    cartan = _write(tmp_path / "c.json", TINY_CARTAN)
+    assert cli.main(["single-optimize", "--config", single, "--output", one,
+                     "--seed", "7", "--workers", "2"]) == 0
+    assert cli.main(["cartan-map", "--config", cartan, "--output", grid]) == 0
+    assert cli.main(["--verify", grid]) == 0
+    assert [vars(args) for args in parsed] == [
+        {"verify": None, "command": "single-optimize", "config": single, "seed": 7, "workers": 2,
+         "output": one},
+        {"verify": None, "command": "cartan-map", "config": cartan, "seed": None, "workers": 1,
+         "output": grid},
+        {"verify": grid, "command": None},
+    ]
+    assert json.loads(Path(one).read_text())["seed"] == 7 and _meta(grid)["seed"] == "0"
 
 
 def test_verify_missing_file_is_io_error(tmp_path, capsys):

@@ -251,6 +251,25 @@ def test_tpcx_working_point():
     assert val_x >= 3 * val
 
 
+def test_tpcx_of_an_amplitude_array_is_bitwise_each_call_alone():
+    rng = derive_rng(31)
+    pairs = [devices.CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)]
+    pairs += [devices.CrossResonancePair(rng.uniform(-300, 300), rng.uniform(0, 20),
+                                         abs(rng.normal()), rng.uniform(-4, 4)) for _ in range(4)]
+    omegas = np.concatenate([np.linspace(0.0, 200.0, 41), rng.uniform(-300.0, 0.0, 8)])
+    for pair in pairs:
+        for t in (0.0, 75.0, rng.uniform(0, 500)):
+            stacked = devices.tpcx(pair, omegas, t)
+            assert stacked.shape == (omegas.size, 4, 4)
+            for k, omega in enumerate(omegas):
+                assert stacked[k].tobytes() == devices.tpcx(pair, float(omega), t).tobytes()
+    # the scalar call is the product of the two cr_gate segments
+    pair, omega = pairs[0], 63.4
+    segments = [devices.cr_gate(pair, devices.DriveSpec(w, 75.0)) for w in (-omega, omega)]
+    assert devices.tpcx(pair, omega, 75.0).tobytes() == (
+        devices.TPCX_A @ segments[0] @ devices.TPCX_B @ segments[1] @ devices.TPCX_C).tobytes()
+
+
 def test_syndrome_target_parity_and_involution():
     u = devices.syndrome_target()
     assert is_unitary(u)

@@ -37,6 +37,18 @@ def test_dagger():
     assert np.array_equal(numkit.dagger(m), m.conj().T)
 
 
+def test_dagger_and_predicates_act_per_matrix_of_a_stack():
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert np.array_equal(numkit.dagger(z), np.array([m.conj().T for m in z]))
+    h = z + numkit.dagger(z)
+    u = np.array([numkit.haar_unitary(4, rng) for _ in range(3)])
+    assert numkit.is_hermitian(h) and numkit.is_unitary(u)
+    # one bad member of the stack is enough
+    assert not numkit.is_hermitian(h + 1e-6j * (np.arange(3) == 1)[:, None, None] * np.eye(4))
+    assert not numkit.is_unitary(u * np.array([1.0, 1.0, 1.001])[:, None, None])
+
+
 def test_hermitian_and_unitary_predicates():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -81,6 +93,31 @@ def test_expm_hermitian_rejects_phases_beyond_float_resolution():
             numkit.expm_hermitian(h, t)
     with np.errstate(all="ignore"):  # a phase that overflows is NaN, not an error
         assert np.isnan(numkit.expm_hermitian(h, 1e308)).any()
+
+
+def test_expm_hermitian_on_a_stack_is_bitwise_each_call_alone():
+    rng = np.random.default_rng(9)
+    for dim, count in ((2, 1), (4, 82), (32, 3)):
+        z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        h = z + numkit.dagger(z)
+        for t in (0.0, 75.0, -1.3):
+            stacked = numkit.expm_hermitian(h, t)
+            assert stacked.shape == (count, dim, dim)
+            for k in range(count):
+                assert stacked[k].tobytes() == numkit.expm_hermitian(h[k], t).tobytes()
+    # a (2, 3) stack of stacks too
+    h4 = h[:1].repeat(6, axis=0).reshape(2, 3, 32, 32)
+    last = numkit.expm_hermitian(h4, 2.0)[1, 2]
+    assert last.tobytes() == numkit.expm_hermitian(h[0], 2.0).tobytes()
+
+
+def test_expm_hermitian_phase_check_covers_every_member_of_a_stack():
+    h = np.array([np.diag([1.0, -1.0]), np.diag([2.0**40, 0.0]), np.diag([0.5, 0.0])])
+    assert numkit.is_unitary(numkit.expm_hermitian(h[[0, 2]], 2.0**51))
+    with pytest.raises(numkit.PhaseError, match="above 2\\*\\*52 rad"):
+        numkit.expm_hermitian(h, 2.0**13)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        numkit.expm_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
 def test_expm_hermitian_unitary_output():

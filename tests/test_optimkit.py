@@ -1,10 +1,13 @@
 """Optimizers: quasi-Newton descent, bounded derivative-free search, the
 multistart circuit synthesizer, and the two-level amplitude search."""
 
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from gatesynth import optimkit
+from gatesynth import cli, devices, optimkit
 from gatesynth.ansatz import (
     agi_cost,
     make_emulated_cost,
@@ -623,7 +626,7 @@ def test_interval_search_stays_in_bounds_and_beats_the_grid():
         seen = []
 
         def g(x):
-            seen.append(x)
+            seen.extend(np.atleast_1d(x))
             return f(x)
 
         x, fx, diag = optimkit.minimize_on_interval(g, lower, upper)
@@ -637,6 +640,54 @@ def test_interval_search_stays_in_bounds_and_beats_the_grid():
     assert optimkit.minimize_on_interval(lambda x: -x, 2.0, 9.0)[0] == 9.0
 
 
+def _interval_search_one_point_a_call(f, lower, upper):
+    """minimize_on_interval with a scalar objective f, every point its own call:
+    the reference the batch objective must match bitwise."""
+    import scipy.optimize
+
+    seen = []
+
+    def value(x):
+        seen.append(x)
+        return float(f(float(x)))
+
+    grid = np.linspace(lower, upper, optimkit.INTERVAL_GRID_POINTS)
+    values = [value(x) for x in grid]
+    k = int(np.argmin(values))
+    bracket = (float(grid[max(k - 1, 0)]), float(grid[min(k + 1, grid.size - 1)]))
+    res = scipy.optimize.minimize_scalar(value, bounds=bracket, method="bounded")
+    x, fx = float(grid[k]), values[k]
+    if res.fun < fx:
+        x, fx = float(res.x), float(res.fun)
+    return x, fx, {"nfev": len(seen), "bracket": bracket}
+
+
+def _cr_baseline(eps):
+    pair = CrossResonancePair(200.0, 5.0, eps, np.pi / 4)
+    return (lambda w: cli._tpcx_agi(pair, w, 75.0),
+            lambda w: agi(CNOT, devices.tpcx(pair, w, 75.0)))
+
+
+@pytest.mark.parametrize("objectives", [
+    pytest.param((_two_wells, _two_wells), id="two_wells"),
+    *(pytest.param(_cr_baseline(eps), id=f"cr_baseline_eps{eps}") for eps in (0.0, 0.1, 1.0)),
+])
+def test_batch_interval_search_is_bitwise_one_point_a_call(objectives):
+    batch, scalar = objectives
+    x, fx, diag = optimkit.minimize_on_interval(batch, 0.0, 200.0)
+    rx, rfx, rdiag = _interval_search_one_point_a_call(scalar, 0.0, 200.0)
+    assert (x.hex(), fx.hex()) == (rx.hex(), rfx.hex())
+    assert [b.hex() for b in diag["bracket"]] == [b.hex() for b in rdiag["bracket"]]
+    assert diag["nfev"] == rdiag["nfev"] > optimkit.INTERVAL_GRID_POINTS
+
+
+def test_interval_search_rejects_a_wrong_number_of_values():
+    for f in (lambda x: x[:-1], lambda x: np.append(x, 0.0), lambda x: 0.0,
+              lambda x: x[:, None]):
+        with pytest.raises(ValueError, match=r"value\(s\) for 41 point\(s\)"):
+            optimkit.minimize_on_interval(f, 0.0, 1.0)
+
+
 def test_interval_search_is_deterministic_and_rejects_bad_input():
     a = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
     b = optimkit.minimize_on_interval(_two_wells, 0.0, 200.0)
@@ -645,4 +696,31 @@ def test_interval_search_is_deterministic_and_rejects_bad_input():
         with pytest.raises(ValueError):
             optimkit.minimize_on_interval(_two_wells, lower, upper)
     with pytest.raises(ValueError):
-        optimkit.minimize_on_interval(lambda x: np.nan, 0.0, 1.0)
+        optimkit.minimize_on_interval(lambda x: np.full(np.shape(x), np.nan), 0.0, 1.0)
+
+
+# (float.hex of the AGI, iterations, sha256 of the angles' bytes), recorded
+# before the quasi-Newton step kept its curvature products with each pair
+_PINNED = {
+    "cnot_from_cr": ("0x1.529da264c0000p-19", 120,
+                     "0d4772e86f15acd95c00eae21ecc554ebf1d71eb37b6acfa6dbe8f21e04a9ef3"),
+    "syndrome": ("0x1.d01b096b3a060p-5", 25,
+                 "c1d0fe65219906d0b6f09c1c46854b19580edc8bedd1dcdcf1846b08658071c1"),
+}
+
+
+def test_vqgo_results_are_pinned_bitwise():
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    cfg = optimkit.OptimizerConfig(restarts=2, max_iterations=60, gradient_tolerance=1e-8,
+                                   cost_tolerance=1e-13, seed=5)
+    designs = {"cnot_from_cr": optimkit.vqgo(CNOT, [cr_gate(pair, DriveSpec(120.0, 75.0))] * 2,
+                                             cfg)}
+    dev, raw = devices.load_device(
+        resources.files("gatesynth") / "fixtures" / "syndrome_device.json")
+    gate = devices.four_cr_gate(dev, raw["reference_omega_mhz"]["crosstalk"], 75.0)
+    designs["syndrome"] = optimkit.vqgo(devices.syndrome_target(), [gate] * 2,
+                                        optimkit.OptimizerConfig(restarts=1, max_iterations=25,
+                                                                 seed=3))
+    for name, res in designs.items():
+        assert (res.best_cost.hex(), res.iterations_used,
+                hashlib.sha256(res.best_params.tobytes()).hexdigest()) == _PINNED[name], name
