@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from .numkit import dagger, kron_qubits, qubit_count
+from .numkit import block_length, dagger, kron_qubits, qubit_count
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,9 +23,6 @@ PAULI_STACK.flags.writeable = False
 # each letter as a signed permutation, P[r, perm[r]] = phase[r]
 _LETTER_PERM = np.abs(PAULI_STACK).argmax(axis=2)
 _LETTER_PHASE = np.take_along_axis(PAULI_STACK, _LETTER_PERM[:, :, None], axis=2)[:, :, 0]
-# columns of the transfer matrix per block of `ptm`: its transients take
-# four times 256 * D^2 complex values (4 MB each at five qubits)
-_PTM_BLOCK = 256
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1, 1j]).astype(complex)
@@ -120,11 +117,12 @@ def agi(u, v):
 def ptm(u):
     """Pauli transfer matrix R_ij = Tr[s_i u s_j u†]/D of a unitary channel.
 
-    For a block of columns j, M_j = u s_j u† comes from one batched matmul,
-    s_j u† being the rows of u† gathered and signed. With s_i = i^(x.z)
-    X^x Z^z for bit masks x and z, Tr[s_i M] = (-i)^(x.z) sum_r (-1)^(z.r)
-    M[r ^ x, r]: a Walsh-Hadamard transform of the x-diagonals of M, one
-    matmul for every row i at once."""
+    For a block of columns j (numkit.block_length of them, so that each
+    (block, D, D) transient stays in cache), M_j = u s_j u† comes from one
+    batched matmul, s_j u† being the rows of u† gathered and signed. With
+    s_i = i^(x.z) X^x Z^z for bit masks x and z, Tr[s_i M] = (-i)^(x.z)
+    sum_r (-1)^(z.r) M[r ^ x, r]: a Walsh-Hadamard transform of the
+    x-diagonals of M, one matmul for every row i at once."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     n = qubit_count(d)
@@ -135,10 +133,12 @@ def ptm(u):
     z_masks = (codes >= 2) @ 2 ** np.arange(n - 1, -1, -1)  # Y and Z letters
     signs = np.array([1, -1j, -1, 1j])[(codes == 2).sum(axis=1) % 4]  # (-i)^(x.z), x.z = #Y
     walsh = kron_qubits(np.broadcast_to([[1.0, 1.0], [1.0, -1.0]], (n, 2, 2)))  # (-1)^(z.r)
+    u_dag = dagger(u)
     r = np.empty((d * d, d * d))
-    for start in range(0, d * d, _PTM_BLOCK):
-        block = slice(start, start + _PTM_BLOCK)
-        m = u @ (u.conj().T[perm[block]] * phase[block, :, None])
+    step = block_length(d)
+    for start in range(0, d * d, step):
+        block = slice(start, start + step)
+        m = u @ (u_dag[perm[block]] * phase[block, :, None])
         diagonals = m[:, rows ^ rows[:, None], rows]  # [j, x, r] = M_j[r ^ x, r]
         traces = (diagonals @ walsh)[:, x_masks, z_masks]  # [j, i]
         r[:, block] = (signs * traces).real.T / d

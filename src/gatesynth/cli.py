@@ -417,17 +417,22 @@ CARTAN_MAP_DEFAULTS = {
 }
 
 
+def _cartan_axis(cfg):
+    """(grid_points, the grid_points coordinates in [0, pi/4] of each axis)."""
+    npts = read(cfg, "grid_points", int, low=2)
+    _check_buildable("grid_points", npts, npts**3, CNOT.shape[0])
+    return npts, np.linspace(0.0, np.pi / 4, npts)
+
+
 def cmd_cartan_map(cfg, workers):
     """Grid over canonical coordinates in [0, pi/4]^3: each point reports
     the entangling power of its canonical gate and the best fidelity of a
     depth-`depth` synthesis of CNOT from identical copies of that gate."""
-    npts = read(cfg, "grid_points", int, low=2)
-    _check_buildable("grid_points", npts, npts**3, CNOT.shape[0])
+    npts, axis = _cartan_axis(cfg)
     depth = read(cfg, "depth", int, low=1)
     _check_buildable("depth", depth, npts**3 * depth, CNOT.shape[0])
     seed = read(cfg, "seed", int, low=0)
     opt = optimizer_from_dict(cfg["optimizer"], seed)
-    axis = np.linspace(0.0, np.pi / 4, npts)
     grid = list(itertools.product(range(npts), repeat=3))
     coords = [tuple(axis[list(index)]) for index in grid]
     gates = [canonical_gate(c) for c in coords]
@@ -532,16 +537,27 @@ def _verify_row(sweep, case, signs, row):
     return f"stated {stated:.12g} recomputed {recomputed:.12g}"
 
 
-def _row_name(method, eps, t):
-    return f"{method} eps {eps:g} t_ns {t:g}"
+def _row_key(sweep, row):
+    """Where a row sits in its artifact: (method, eps, t) in a sweep, the
+    canonical coordinates (c_x, c_y, c_z) in cartan-map (sweep None)."""
+    if sweep is None:
+        return tuple(float(row[col]) for col in CARTAN_COLUMNS[:3])
+    return row["method"], float(row["eps"]), float(row["t_ns"])
+
+
+def _row_name(key):
+    if isinstance(key[0], str):
+        return "{} eps {:g} t_ns {:g}".format(*key)
+    return "c_x {:g} c_y {:g} c_z {:g}".format(*key)
 
 
 def verify_artifact(path):
     """Recompute every row's fidelity figure from its stored parameters and its
-    phi_rad from the config, and check that a sweep holds one row per (method,
-    eps, t) its config gives; returns the number of mismatches, a value that is
-    not a number, a missing, repeated or unexpected row each being one. A row
-    that cannot be read is a located config error."""
+    phi_rad from the config, and check that the artifact holds one row per key
+    its config gives, (method, eps, t) in a sweep and the grid point in
+    cartan-map; returns the number of mismatches, a value that is not a number,
+    a missing, repeated or unexpected row each being one. A row that cannot be
+    read is a located config error."""
     lines = list(io.StringIO(read_text(path)))
     meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
     rows = list(csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval=""))
@@ -557,10 +573,11 @@ def verify_artifact(path):
     if command != "cartan_map" and command not in _SWEEPS:
         raise ConfigError(f"{path}: cannot verify artifacts of command {command!r}")
     sweep = _SWEEPS.get(command)
-    expected = set()  # (method, eps, t) of each row the config gives
     try:
         signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
-        if sweep is not None:
+        if sweep is None:
+            expected = set(itertools.product(_cartan_axis(cfg)[1].tolist(), repeat=3))
+        else:
             values = read(cfg, sweep.cases_key, size="any", low=0)
             times = map(float, _gate_times(cfg)[2])
             expected = set(itertools.product(sweep.methods, values, times))
@@ -572,20 +589,19 @@ def verify_artifact(path):
     for idx, row in enumerate(rows):
         try:
             problems = [_verify_row(sweep, case, signs, row)]
+            key = _row_key(sweep, row)
         except (IndexError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: row {idx}: {exc}") from exc
-        if sweep is not None:
-            key = (row["method"], float(row["eps"]), float(row["t_ns"]))
-            if key not in expected:
-                problems.append(f"{_row_name(*key)} is not a row its config gives")
-            elif key not in missing:
-                problems.append(f"repeats the {_row_name(*key)} row")
-            missing.discard(key)
+        if key not in expected:
+            problems.append(f"{_row_name(key)} is not a row its config gives")
+        elif key not in missing:
+            problems.append(f"repeats the {_row_name(key)} row")
+        missing.discard(key)
         for problem in filter(None, problems):
             print(f"{path}: row {idx}: {problem}")
             mismatches += 1
     for key in sorted(missing):
-        print(f"{path}: no {_row_name(*key)} row")
+        print(f"{path}: no {_row_name(key)} row")
         mismatches += 1
     print(f"{path}: {len(rows)} rows checked, {mismatches} mismatches")
     return mismatches

@@ -29,15 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import PAULI_LETTERS, pauli_action, pauli_codes, pauli_label, pauli_matrix
+from .channels import PAULI_LETTERS, pauli_action, pauli_codes, pauli_matrix
 from .inputs import ADDRESSABLE_BYTES, ConfigError, read
-from .numkit import kron_qubits, qubit_count
+from .numkit import block_length, kron_qubits, qubit_count
 
 PLAN_SUPPORT_ATOL = 1e-12
-# entries per block of the expectation table: the block's evolved
-# eigenstates and their gathered, signed rows take 128 * D^2 complex values
-# each (2 MB at five qubits)
-_TABLE_BLOCK = 128
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -183,31 +179,34 @@ def dfe_plan(r_target):
     rows, cols = np.nonzero(np.abs(r_target) > PLAN_SUPPORT_ATOL)
     if rows.size == 0:
         raise ValueError("target PTM has no support")
-    entries = tuple(
-        (pauli_label(i, n), pauli_label(j, n), float(r_target[i, j]),
-         float(r_target[i, j] ** 2 / dim**2))
-        for i, j in zip(rows, cols)
-    )
-    targets = np.array([e[2] for e in entries])
-    weights = np.array([e[3] for e in entries])
-    in_codes = pauli_codes(cols, n)
+    out_codes, in_codes = pauli_codes(rows, n), pauli_codes(cols, n)
+    targets = r_target[rows, cols].astype(float)
+    # pow(R, 2), not the R * R that ** 2 on an array computes: they differ in the last bit
+    weights = np.float_power(targets, 2) / dim**2
+    # a row of n one-letter strings read as one string of n letters
+    letters = np.array(list(PAULI_LETTERS))
+    labels = [letters[codes].view(f"<U{n}").ravel().tolist() for codes in (out_codes, in_codes)]
+    entries = tuple(zip(*labels, targets.tolist(), weights.tolist()))
     eigenvalues = np.ones((rows.size, 1))
     for q in range(n):
         eigenvalues = eigenvalues[:, :, None] * _EIGENVALUES[in_codes[:, q], None, :]
         eigenvalues = eigenvalues.reshape(rows.size, -1)
     return DfePlan(
-        entries=entries, dim=dim, out_codes=pauli_codes(rows, n), in_codes=in_codes,
+        entries=entries, dim=dim, out_codes=out_codes, in_codes=in_codes,
         targets=targets, probs=weights / weights.sum(), eigenvalues=eigenvalues,
     )
 
 
 def _expectation_table(u, plan):
     """Exact expectations E[e, k] of entry e's output Pauli on u applied to
-    the k-th eigenstate of its input Pauli, shape (m, D)."""
+    the k-th eigenstate of its input Pauli, shape (m, D), in blocks of
+    numkit.block_length entries, so that each block's (block, D, D)
+    transients stay in cache."""
     evolved = np.asarray(u, dtype=complex) @ plan.bases
     table = np.empty(plan.eigenvalues.shape)
-    for start in range(0, len(plan.targets), _TABLE_BLOCK):
-        block = slice(start, start + _TABLE_BLOCK)
+    step = block_length(plan.dim)
+    for start in range(0, len(plan.targets), step):
+        block = slice(start, start + step)
         index = plan.basis_index[block]
         phi = evolved[index]
         # sigma_i phi: the rows of phi gathered and signed

@@ -11,6 +11,10 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
+# working-set budget of the blocked kernels (channels.ptm, the DFE expectation
+# table): bytes of one (block, D, D) complex transient, so that the few a
+# block holds stay in a core's 2 MB L2 cache; 16 matrices at D = 32
+BLOCK_BYTES = 2**18
 
 
 class PhaseError(ValueError):
@@ -45,6 +49,12 @@ def qubit_count(dim):
     if dim < 1 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
+
+
+def block_length(dim):
+    """Matrices per block of a kernel over stacks of dim x dim complex
+    matrices: as many as BLOCK_BYTES holds, and at least one."""
+    return max(1, BLOCK_BYTES // (16 * dim * dim))
 
 
 def dagger(a):

@@ -828,6 +828,34 @@ def test_verify_counts_a_row_its_config_does_not_give(tmp_path, capsys, artifact
                          f"{out}: 6 rows checked, 3 mismatches"]
 
 
+@pytest.mark.parametrize("edit, problems", [
+    (lambda rows: rows[:3] + rows[4:], ["no c_x 0 c_y 0.785398 c_z 0.785398 row"]),
+    (lambda rows: rows + rows[2:3], ["row 8: repeats the c_x 0 c_y 0.785398 c_z 0 row"]),
+    (lambda rows: rows[:-2], ["no c_x 0.785398 c_y 0.785398 c_z 0 row",
+                              "no c_x 0.785398 c_y 0.785398 c_z 0.785398 row"]),
+])
+def test_verify_checks_the_cartan_grid_row_set(tmp_path, capsys, artifacts, edit, problems):
+    out = tmp_path / "map.csv"
+    out.write_text(_edit_rows(artifacts["cartan-map"], edit))
+    assert cli.main(["--verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = len(edit(list(range(8))))
+    assert lines == [f"{out}: {p}" for p in problems] + [
+        f"{out}: {rows} rows checked, {len(problems)} mismatches"]
+
+
+def test_verify_counts_a_cartan_row_off_the_grid(tmp_path, capsys, artifacts):
+    # the first row's c_z moved off the axis: its fidelity, its place and its gap
+    out = tmp_path / "map.csv"
+    out.write_text(_tamper(artifacts["cartan-map"], 0, "c_z", "0.5"))
+    assert cli.main(["--verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{out}: row 0: stated ")
+    assert lines[1:] == [f"{out}: row 0: c_x 0 c_y 0 c_z 0.5 is not a row its config gives",
+                         f"{out}: no c_x 0 c_y 0 c_z 0 row",
+                         f"{out}: 8 rows checked, 3 mismatches"]
+
+
 def test_successive_calls_share_one_parser_and_no_state(tmp_path, monkeypatch):
     parser = cli._parser()
     assert cli._parser() is parser

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatesynth import ansatz, dfe
+from gatesynth import ansatz, dfe, numkit
 from gatesynth.channels import (
     CNOT,
     HADAMARD,
     agf_unitary,
+    pauli_label,
     pauli_labels,
     pauli_matrix,
     ptm,
@@ -92,6 +93,23 @@ def test_dfe_plan_weights_sum_to_one():
         plan = dfe.dfe_plan(ptm(u))
         total = sum(w for (_, _, _, w) in plan.entries)
         assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("target", ["cnot", "syndrome", "haar3"])
+def test_dfe_plan_entries_follow_the_per_entry_formula(target):
+    u = {"cnot": CNOT, "syndrome": syndrome_target(),
+         "haar3": haar_unitary(8, derive_rng(45))}[target]
+    r = ptm(u)
+    n = u.shape[0].bit_length() - 1
+    rows, cols = np.nonzero(np.abs(r) > dfe.PLAN_SUPPORT_ATOL)
+    plan = dfe.dfe_plan(r)
+    # labels, values and weights exactly as one entry at a time computes them
+    assert plan.entries == tuple(
+        (pauli_label(i, n), pauli_label(j, n), float(r[i, j]), float(r[i, j] ** 2 / 4**n))
+        for i, j in zip(rows, cols))
+    assert plan.targets.tobytes() == np.array([e[2] for e in plan.entries]).tobytes()
+    weights = np.array([e[3] for e in plan.entries])
+    assert plan.probs.tobytes() == (weights / weights.sum()).tobytes()
 
 
 def test_dfe_plan_rejects_zero_ptm():
@@ -294,3 +312,21 @@ def test_plan_arrays_and_vanishing_target_rejected():
     with pytest.raises(ValueError, match="vanishing"):
         dfe.DfePlan(plan.entries, plan.dim, plan.out_codes, plan.in_codes, targets,
                     plan.probs, plan.eigenvalues)
+
+
+@pytest.mark.parametrize("target", ["cnot", "syndrome", "haar3"])
+def test_blocked_kernels_do_not_depend_on_block_length(monkeypatch, target):
+    # one matrix a block, the default budget, and the whole stack as one block
+    u = {"cnot": CNOT, "syndrome": syndrome_target(),
+         "haar3": haar_unitary(8, derive_rng(52))}[target]
+    v = haar_unitary(u.shape[0], derive_rng(52, 1))
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
+    outputs = []
+    for budget in (1, numkit.BLOCK_BYTES, 2**62):
+        monkeypatch.setattr(numkit, "BLOCK_BYTES", budget)
+        r = ptm(u)
+        plan = dfe.dfe_plan(r)
+        outputs.append((r.tobytes(), dfe._expectation_table(v, plan).tobytes(),
+                        float.hex(dfe.dfe_estimate(v, r, plan)),
+                        float.hex(dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(52, 2)))))
+    assert outputs[0] == outputs[1] == outputs[2]

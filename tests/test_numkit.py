@@ -25,6 +25,14 @@ def test_kron_qubits_matches_kron_all_fold():
             assert np.array_equal(out[b], numkit.kron_all(gates[b]))
 
 
+def test_block_length_fills_the_budget_with_at_least_one_matrix(monkeypatch):
+    # a (block, D, D) complex stack takes block * D^2 * 16 bytes
+    assert numkit.block_length(32) * 32**2 * 16 <= numkit.BLOCK_BYTES
+    assert (numkit.block_length(32) + 1) * 32**2 * 16 > numkit.BLOCK_BYTES
+    monkeypatch.setattr(numkit, "BLOCK_BYTES", 1)
+    assert numkit.block_length(2) == numkit.block_length(32) == 1
+
+
 def test_qubit_count():
     assert [numkit.qubit_count(d) for d in (1, 2, 32)] == [0, 1, 5]
     for dim in (0, 3, 6):
