@@ -32,7 +32,7 @@ def main():
     plan = dfe_plan(r_target)
     exact = agf_unitary(CNOT, channel)
     print(f"exact AGF of the noisy channel: {exact:.5f}")
-    print(f"measurement plan: {len(plan.entries)} Pauli settings with "
+    print(f"measurement plan: {len(plan.targets)} Pauli settings with "
           f"nonzero target weight")
     print()
 

@@ -12,15 +12,12 @@ from .analysis import (
     cartan_coordinates,
     entangling_power,
     entangling_power_mc,
-    local_invariants,
     operator_entanglement,
     operator_schmidt,
 )
 from .ansatz import (
     agi_cost,
     build_circuit,
-    build_layer,
-    euler_gate,
     make_emulated_cost,
     parameter_shift_gradient,
     random_params,
@@ -32,10 +29,6 @@ from .channels import (
     agf_from_ptms,
     agf_unitary,
     agi,
-    pauli_basis,
-    pauli_index,
-    pauli_label,
-    pauli_labels,
     pauli_matrix,
     ptm,
 )
@@ -56,8 +49,6 @@ from .dfe import (
     DfeSamplingConfig,
     dfe_estimate,
     dfe_plan,
-    pauli_eigenbasis,
-    ptm_entry_measured,
     simulate_expectation,
 )
 from .numkit import (

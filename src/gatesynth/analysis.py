@@ -5,7 +5,7 @@ operator entanglement, and entangling power (analytic and Monte-Carlo).
 
 import numpy as np
 
-from .channels import SWAP, pauli_basis, pauli_matrix
+from .channels import PAULI_STACK, SWAP, pauli_matrix
 from .numkit import dagger, expm_hermitian, is_unitary
 
 # Magic basis: transforms local gates to real orthogonal matrices, so the
@@ -26,18 +26,6 @@ def canonical_gate(c):
     cx, cy, cz = c
     h = cx * pauli_matrix("XX") + cy * pauli_matrix("YY") + cz * pauli_matrix("ZZ")
     return expm_hermitian(h, -1.0)
-
-
-def local_invariants(u):
-    """The pair of local-equivalence invariants (g1, g2) of a two-qubit
-    gate; equal iff two gates differ only by single-qubit factors."""
-    m = dagger(MAGIC) @ u @ MAGIC
-    det = np.linalg.det(u)
-    mtm = m.T @ m
-    tr = np.trace(mtm)
-    g1 = tr**2 / (16 * det)
-    g2 = (tr**2 - np.trace(mtm @ mtm)) / (4 * det)
-    return complex(g1), complex(g2)
 
 
 def cartan_coordinates(u):
@@ -101,9 +89,8 @@ def operator_schmidt(u):
     values of its realignment in the normalized Pauli product basis,
     descending; the spectrum sums to 4."""
     u = np.asarray(u, dtype=complex)
-    p1 = pauli_basis(1)
     ur = u.reshape(2, 2, 2, 2)
-    coeffs = np.einsum("iab,jcd,bdac->ij", p1, p1, ur) / 2.0
+    coeffs = np.einsum("iab,jcd,bdac->ij", PAULI_STACK, PAULI_STACK, ur) / 2.0
     s = np.linalg.svd(coeffs, compute_uv=False)
     return s**2
 

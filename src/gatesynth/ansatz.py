@@ -7,7 +7,8 @@ The circuit is
 
     U(theta) = L_0 @ S_1 @ L_1 @ ... @ S_d @ L_d,
 
-where L_i is the tensor product over qubits of euler_gate(theta[i, j, :])
+where L_i is the tensor product over qubits of the Euler gates
+exp(-i*t0*sx) @ exp(-i*t1*sy) @ exp(-i*t2*sx) of (t0, t1, t2) = theta[i, j, :],
 and the leftmost factor acts last in time. Single-qubit gates use the
 full-angle convention exp(-i*t*sigma).
 
@@ -48,17 +49,6 @@ def _euler_factors(angles):
     return rx[..., 0, :, :], ry, rx[..., 2, :, :]
 
 
-def _euler_gates(angles):
-    """euler_gate over angles of shape (..., 3), stacked to (..., 2, 2)."""
-    rx0, ry1, rx2 = _euler_factors(angles)
-    return rx0 @ ry1 @ rx2
-
-
-def euler_gate(t0, t1, t2):
-    """exp(-i*t0*sx) @ exp(-i*t1*sy) @ exp(-i*t2*sx)."""
-    return _euler_gates(np.array([t0, t1, t2], dtype=float))
-
-
 def wrap_angles(theta):
     """Canonical angle representative in [0, 2*pi)."""
     return np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
@@ -89,11 +79,6 @@ def _one_problem(theta, sources, target=None):
     if target is not None and np.shape(target) != (dim, dim):
         raise ValueError(f"target shape {np.shape(target)} != ({dim}, {dim})")
     return theta, stack_sources(sources, dim)
-
-
-def build_layer(theta_i):
-    """Tensor product of per-qubit Euler gates for one layer."""
-    return kron_qubits(_euler_gates(np.asarray(theta_i, dtype=float)))
 
 
 class CircuitPass(NamedTuple):

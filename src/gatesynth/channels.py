@@ -1,13 +1,12 @@
 """Pauli algebra, average gate fidelity, and Pauli transfer matrices.
 
-Pauli labels are strings over {I, X, Y, Z}, one letter per qubit, qubit 1
-first. Their index is the base-4 reading of the string in the letter codes
-I=0, X=1, Y=2, Z=3 (the rows of the read-only PAULI_STACK); index 0 is I...I.
+A Pauli string is a row of letter codes I=0, X=1, Y=2, Z=3 (the rows of the
+read-only PAULI_STACK), qubit 1 first, or for pauli_matrix a label over {I, X,
+Y, Z}; its index is the base-4 reading of the codes, so index 0 is I...I.
 """
 
 import math
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -24,7 +23,6 @@ PAULI_STACK.flags.writeable = False
 _LETTER_PERM = np.abs(PAULI_STACK).argmax(axis=2)
 _LETTER_PHASE = np.take_along_axis(PAULI_STACK, _LETTER_PERM[:, :, None], axis=2)[:, :, 0]
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1, 1j]).astype(complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -34,25 +32,9 @@ SWAP = np.array(
 )
 
 
-def pauli_labels(n):
-    """All 4**n labels in index order."""
-    return ["".join(p) for p in product(PAULI_LETTERS, repeat=n)]
-
-
-def pauli_index(label):
-    idx = 0
-    for ch in label:
-        idx = 4 * idx + PAULI_LETTERS.index(ch)
-    return idx
-
-
 def pauli_codes(indices, n):
     """Base-4 digits of Pauli indices, first qubit first: shape (..., n)."""
     return (np.asarray(indices)[..., None] // 4 ** np.arange(n - 1, -1, -1)) % 4
-
-
-def pauli_label(index, n):
-    return "".join(PAULI_LETTERS[c] for c in pauli_codes(index, n))
 
 
 @lru_cache(maxsize=4096)
@@ -65,17 +47,6 @@ def pauli_matrix(label):
     mat = kron_qubits(PAULI_STACK[[PAULI_LETTERS.index(ch) for ch in label]])
     mat.flags.writeable = False
     return mat
-
-
-@lru_cache(maxsize=8)
-def pauli_basis(n):
-    """Stacked array of all 4**n Pauli matrices, shape (4**n, 2**n, 2**n).
-    Cached; treat the returned array as read-only."""
-    if n < 1:
-        raise ValueError(f"a Pauli basis needs at least one qubit, got {n}")
-    basis = kron_qubits(PAULI_STACK[pauli_codes(np.arange(4**n), n)])
-    basis.flags.writeable = False
-    return basis
 
 
 def pauli_action(codes):

@@ -243,6 +243,15 @@ def _finite_gate(where, source, *args):
     raise ConfigError(f"{where} gives a gate that is not finite")
 
 
+def _case_values(sweep, cfg):
+    """cfg[sweep.cases_key]: numbers >= 0, none repeated (0.0 and -0.0 are one value)."""
+    values = read(cfg, sweep.cases_key, size="any", low=0)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{sweep.cases_key} repeats a value, "
+                          f"got {canonical_json(cfg[sweep.cases_key])}")
+    return values
+
+
 def _gate_times(cfg):
     """(t_opt_ns, the grid of gate times, the row times: the grid and t_opt_ns)."""
     t_opt = read(cfg, "t_opt_ns", low=0)
@@ -264,7 +273,7 @@ def _sweep(sweep, cfg, workers):
     drive amplitudes and is the t_opt vqgo row; the grid's other times are
     synthesized with them held fixed. One row per (method, case, t in grid and
     t_opt). The baseline's amplitude is tuned by minimize_on_interval."""
-    values = read(cfg, sweep.cases_key, size="any", low=0)
+    values = _case_values(sweep, cfg)
     cases = [sweep.case(cfg, value) for value in values]
     amplitudes = sweep.qubits - 1
     lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
@@ -578,9 +587,8 @@ def verify_artifact(path):
         if sweep is None:
             expected = set(itertools.product(_cartan_axis(cfg)[1].tolist(), repeat=3))
         else:
-            values = read(cfg, sweep.cases_key, size="any", low=0)
             times = map(float, _gate_times(cfg)[2])
-            expected = set(itertools.product(sweep.methods, values, times))
+            expected = set(itertools.product(sweep.methods, _case_values(sweep, cfg), times))
     except ConfigError as exc:
         raise ConfigError(f"{path}: config header: {exc}") from exc
     case = functools.cache(lambda value: sweep.case(cfg, value))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import CNOT, I2, S_GATE, SIGMA_X, pauli_matrix
+from .channels import CNOT, I2, S_GATE, SIGMA_X
 from .inputs import ConfigError, canonical_json, read, read_json
 from .numkit import expm_hermitian
 
@@ -142,14 +142,6 @@ def four_cr_gate(dev, omegas, t):
 TPCX_A = np.kron(S_GATE @ SIGMA_X, I2)
 TPCX_B = np.kron(SIGMA_X, I2)
 TPCX_C = np.kron(I2, expm_hermitian(SIGMA_X, np.pi / 4))
-
-
-def tpcx_ideal_limit_segments():
-    """The two-qubit rotations the CR segments approach when detuning,
-    coupling, and crosstalk idealize away: exp(-+i*(pi/8)*Z(x)X) for the
-    (-omega, +omega) slots respectively."""
-    zx = pauli_matrix("ZX")
-    return expm_hermitian(zx, np.pi / 8), expm_hermitian(zx, -np.pi / 8)
 
 
 def tpcx(pair, omega, t):

@@ -19,58 +19,28 @@ entries then gives the table's rows. The full-support mode
 sums its eigenvalue-weighted rows; the sampled mode draws the settings'
 entries, eigenstates and single-shot outcomes as arrays and reads the
 Born probabilities (1 + E) / 2 from the table. `simulate_expectation`
-and `ptm_entry_measured` remain as exact per-entry references.
+remains as the exact per-setting reference.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .channels import PAULI_LETTERS, pauli_action, pauli_codes, pauli_matrix
+from .channels import pauli_action, pauli_codes
 from .inputs import ADDRESSABLE_BYTES, ConfigError, read
 from .numkit import block_length, kron_qubits, qubit_count
 
 PLAN_SUPPORT_ATOL = 1e-12
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
 _SQ2 = 1.0 / np.sqrt(2.0)
-
-# (state, eigenvalue) lists per single-qubit letter. Identity letters use
-# the sigma_z eigenstates with eigenvalue +1 for both, so every labelled
-# preparation stays inside the six-state set {|0>,|1>,|+>,|->,|i+>,|i->}.
-_LETTER_EIGENSYSTEM = {
-    "I": [(_KET0, 1.0), (_KET1, 1.0)],
-    "X": [(_SQ2 * (_KET0 + _KET1), 1.0), (_SQ2 * (_KET0 - _KET1), -1.0)],
-    "Y": [(_SQ2 * (_KET0 + 1j * _KET1), 1.0), (_SQ2 * (_KET0 - 1j * _KET1), -1.0)],
-    "Z": [(_KET0, 1.0), (_KET1, -1.0)],
-}
-# the same systems indexed by letter code (I, X, Y, Z = 0..3): eigenvector
-# matrices with the states as columns and their eigenvalues
-_EIGENVECTORS = np.stack([
-    np.column_stack([state for state, _ in _LETTER_EIGENSYSTEM[c]]) for c in PAULI_LETTERS
-])
-_EIGENVALUES = np.array([[lam for _, lam in _LETTER_EIGENSYSTEM[c]] for c in PAULI_LETTERS])
-
-
-@lru_cache(maxsize=4096)
-def pauli_eigenbasis(label):
-    """Orthonormal product eigenstates of the labelled Pauli with their
-    eigenvalues, as a list of (state vector, +-1) in tensor order. Cached;
-    treat the returned arrays as read-only."""
-    out = []
-    for parts in itertools.product(*(_LETTER_EIGENSYSTEM[c] for c in label)):
-        state = parts[0][0]
-        value = parts[0][1]
-        for vec, lam in parts[1:]:
-            state = np.kron(state, vec)
-            value *= lam
-        state.setflags(write=False)
-        out.append((state, value))
-    return out
+# per letter code (I, X, Y, Z = 0..3) its eigenvectors as the columns of a
+# matrix and their eigenvalues. Identity letters use the sigma_z eigenstates
+# with eigenvalue +1 for both, so every preparation stays inside the
+# six-state set {|0>,|1>,|+>,|->,|i+>,|i->}.
+_EIGENVECTORS = np.array([[[1, 0], [0, 1]], [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
+                          [[_SQ2, _SQ2], [1j * _SQ2, -1j * _SQ2]], [[1, 0], [0, 1]]], dtype=complex)
+_EIGENVALUES = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, -1.0], [1.0, -1.0]])
 
 
 def simulate_expectation(u, rho, obs):
@@ -78,33 +48,18 @@ def simulate_expectation(u, rho, obs):
     return float(np.real(np.trace(np.asarray(obs) @ u @ rho @ u.conj().T)))
 
 
-def ptm_entry_measured(u, i_label, j_label):
-    """PTM entry R_ij of the unitary channel u from eigenstate
-    preparations: (1/D) * sum_k lambda_jk * <sigma_i> on u|psi_jk>,
-    which reproduces channels.ptm(u)[i, j]."""
-    dim = u.shape[0]
-    obs = pauli_matrix(i_label)
-    total = 0.0
-    for state, lam in pauli_eigenbasis(j_label):
-        rho = np.outer(state, state.conj())
-        total += lam * simulate_expectation(u, rho, obs)
-    return total / dim
-
-
 @dataclass(frozen=True, eq=False)
 class DfePlan:
     """Measurement plan over the PTM entries of a target gate.
 
-    entries: tuples (i_label, j_label, target_value, weight), output Pauli
-    first, with weight the importance probability target_value**2 / D**2.
-    The arrays hold the same entries, row e for entries[e]:
-    out_codes and in_codes, shape (m, n), are the letters of i_label and
-    j_label as codes I, X, Y, Z = 0..3; targets, shape (m,), the target
-    values; probs, shape (m,), the weights normalised to sum to one, by
+    Row e of each array is entry e = (i, j), output Pauli first:
+    out_codes and in_codes, shape (m, n), are the letter codes of sigma_i
+    and sigma_j; targets, shape (m,), the target values R_ij; probs, shape
+    (m,), the importance weights R_ij**2 / D**2 normalised to sum to one, by
     which the sampled mode draws entries; eigenvalues, shape (m, D), the
-    +-1 eigenvalue of each product eigenstate of the input Pauli, in the
-    order of pauli_eigenbasis(j_label). A plan whose targets include a
-    value at or below PLAN_SUPPORT_ATOL in magnitude is rejected.
+    +-1 eigenvalue of each product eigenstate of the input Pauli, in
+    tensor order. A plan whose targets include a value at or below
+    PLAN_SUPPORT_ATOL in magnitude is rejected.
 
     Derived from these, read-only: out_perm and out_phase, shape (m, D),
     the output Paulis as signed permutations (channels.pauli_action);
@@ -113,7 +68,6 @@ class DfePlan:
     row of bases.
     """
 
-    entries: tuple
     dim: int
     out_codes: np.ndarray
     in_codes: np.ndarray
@@ -183,16 +137,12 @@ def dfe_plan(r_target):
     targets = r_target[rows, cols].astype(float)
     # pow(R, 2), not the R * R that ** 2 on an array computes: they differ in the last bit
     weights = np.float_power(targets, 2) / dim**2
-    # a row of n one-letter strings read as one string of n letters
-    letters = np.array(list(PAULI_LETTERS))
-    labels = [letters[codes].view(f"<U{n}").ravel().tolist() for codes in (out_codes, in_codes)]
-    entries = tuple(zip(*labels, targets.tolist(), weights.tolist()))
     eigenvalues = np.ones((rows.size, 1))
     for q in range(n):
         eigenvalues = eigenvalues[:, :, None] * _EIGENVALUES[in_codes[:, q], None, :]
         eigenvalues = eigenvalues.reshape(rows.size, -1)
     return DfePlan(
-        entries=entries, dim=dim, out_codes=out_codes, in_codes=in_codes,
+        dim=dim, out_codes=out_codes, in_codes=in_codes,
         targets=targets, probs=weights / weights.sum(), eigenvalues=eigenvalues,
     )
 

@@ -427,12 +427,14 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
                 at = [next((cpass, row) for y, cpass, row in recent[b] if y is x)
                       for b, x in zip(batch, xs)]
                 values = pass_gradients(_gather(at), _rows(stacked, batch), target)
+                del at  # the line search's next costs may drop these passes from recent
                 values = values.reshape(len(batch), -1)
             for b, value in zip(batch, values):
                 try:
                     requests[b] = steps[b].send(value)
                 except StopIteration as done:
                     results[b] = done.value
+                    recent[b] = None  # its passes hold every row of their rounds
                     active.remove(b)
     return results
 

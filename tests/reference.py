@@ -1,0 +1,126 @@
+"""Exact references the tests compare the package against. Each restates,
+one item at a time, what gatesynth computes in array form: Pauli labels
+and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
+entries, a plan's entries as labelled tuples, single Euler gates and
+layers, the Makhlin local invariants, and the ideal echoed-CR segments.
+Nothing in the package needs them."""
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+
+from gatesynth.analysis import MAGIC
+from gatesynth.ansatz import _euler_factors
+from gatesynth.channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_matrix
+from gatesynth.dfe import simulate_expectation
+from gatesynth.numkit import dagger, expm_hermitian, kron_qubits
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def pauli_labels(n):
+    """All 4**n labels in index order."""
+    return ["".join(p) for p in itertools.product(PAULI_LETTERS, repeat=n)]
+
+
+def pauli_label(index, n):
+    return "".join(PAULI_LETTERS[c] for c in pauli_codes(index, n))
+
+
+@lru_cache(maxsize=8)
+def pauli_basis(n):
+    """Stacked array of all 4**n Pauli matrices, shape (4**n, 2**n, 2**n).
+    Cached; treat the returned array as read-only."""
+    if n < 1:
+        raise ValueError(f"a Pauli basis needs at least one qubit, got {n}")
+    basis = kron_qubits(PAULI_STACK[pauli_codes(np.arange(4**n), n)])
+    basis.flags.writeable = False
+    return basis
+
+
+_KET0 = np.array([1.0, 0.0], dtype=complex)
+_KET1 = np.array([0.0, 1.0], dtype=complex)
+_SQ2 = 1.0 / np.sqrt(2.0)
+
+# (state, eigenvalue) lists per single-qubit letter. Identity letters use
+# the sigma_z eigenstates with eigenvalue +1 for both, so every labelled
+# preparation stays inside the six-state set {|0>,|1>,|+>,|->,|i+>,|i->}.
+LETTER_EIGENSYSTEM = {
+    "I": [(_KET0, 1.0), (_KET1, 1.0)],
+    "X": [(_SQ2 * (_KET0 + _KET1), 1.0), (_SQ2 * (_KET0 - _KET1), -1.0)],
+    "Y": [(_SQ2 * (_KET0 + 1j * _KET1), 1.0), (_SQ2 * (_KET0 - 1j * _KET1), -1.0)],
+    "Z": [(_KET0, 1.0), (_KET1, -1.0)],
+}
+
+
+@lru_cache(maxsize=4096)
+def pauli_eigenbasis(label):
+    """Orthonormal product eigenstates of the labelled Pauli with their
+    eigenvalues, as a list of (state vector, +-1) in tensor order. Cached;
+    treat the returned arrays as read-only."""
+    out = []
+    for parts in itertools.product(*(LETTER_EIGENSYSTEM[c] for c in label)):
+        state = parts[0][0]
+        value = parts[0][1]
+        for vec, lam in parts[1:]:
+            state = np.kron(state, vec)
+            value *= lam
+        state.setflags(write=False)
+        out.append((state, value))
+    return out
+
+
+def ptm_entry_measured(u, i_label, j_label):
+    """PTM entry R_ij of the unitary channel u from eigenstate
+    preparations: (1/D) * sum_k lambda_jk * <sigma_i> on u|psi_jk>,
+    which reproduces channels.ptm(u)[i, j]."""
+    dim = u.shape[0]
+    obs = pauli_matrix(i_label)
+    total = 0.0
+    for state, lam in pauli_eigenbasis(j_label):
+        rho = np.outer(state, state.conj())
+        total += lam * simulate_expectation(u, rho, obs)
+    return total / dim
+
+
+def plan_entries(plan):
+    """The plan's entries as tuples (i_label, j_label, target_value, weight),
+    output Pauli first, rebuilt from its arrays: weight is target_value**2 / D**2
+    as the plan computes it before normalising to probs."""
+    labels = [["".join(PAULI_LETTERS[c] for c in row) for row in codes]
+              for codes in (plan.out_codes, plan.in_codes)]
+    weights = np.float_power(plan.targets, 2) / plan.dim**2
+    return tuple(zip(*labels, plan.targets.tolist(), weights.tolist()))
+
+
+def euler_gate(t0, t1, t2):
+    """exp(-i*t0*sx) @ exp(-i*t1*sy) @ exp(-i*t2*sx)."""
+    rx0, ry1, rx2 = _euler_factors(np.array([t0, t1, t2], dtype=float))
+    return rx0 @ ry1 @ rx2
+
+
+def build_layer(theta_i):
+    """Tensor product of per-qubit Euler gates for one layer."""
+    rx0, ry1, rx2 = _euler_factors(np.asarray(theta_i, dtype=float))
+    return kron_qubits(rx0 @ ry1 @ rx2)
+
+
+def local_invariants(u):
+    """The pair of local-equivalence invariants (g1, g2) of a two-qubit
+    gate; equal iff two gates differ only by single-qubit factors."""
+    m = dagger(MAGIC) @ u @ MAGIC
+    det = np.linalg.det(u)
+    mtm = m.T @ m
+    tr = np.trace(mtm)
+    g1 = tr**2 / (16 * det)
+    g2 = (tr**2 - np.trace(mtm @ mtm)) / (4 * det)
+    return complex(g1), complex(g2)
+
+
+def tpcx_ideal_limit_segments():
+    """The two-qubit rotations the CR segments approach when detuning,
+    coupling, and crosstalk idealize away: exp(-+i*(pi/8)*Z(x)X) for the
+    (-omega, +omega) slots respectively."""
+    zx = pauli_matrix("ZX")
+    return expm_hermitian(zx, np.pi / 8), expm_hermitian(zx, -np.pi / 8)

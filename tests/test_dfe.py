@@ -9,37 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatesynth import ansatz, dfe, numkit
-from gatesynth.channels import (
-    CNOT,
-    HADAMARD,
-    agf_unitary,
-    pauli_label,
-    pauli_labels,
-    pauli_matrix,
-    ptm,
-)
+from gatesynth.channels import CNOT, agf_unitary, pauli_matrix, ptm
 from gatesynth.devices import four_cr_gate, load_device, syndrome_target
 from gatesynth.numkit import derive_rng, haar_unitary
+from reference import (
+    HADAMARD,
+    LETTER_EIGENSYSTEM,
+    pauli_eigenbasis,
+    pauli_label,
+    pauli_labels,
+    plan_entries,
+    ptm_entry_measured,
+)
 
 
 def test_eigenbasis_z_and_x():
-    (s0, v0), (s1, v1) = dfe.pauli_eigenbasis("Z")
+    (s0, v0), (s1, v1) = pauli_eigenbasis("Z")
     assert np.allclose(s0, [1, 0]) and v0 == 1
     assert np.allclose(s1, [0, 1]) and v1 == -1
-    (s0, v0), (s1, v1) = dfe.pauli_eigenbasis("X")
+    (s0, v0), (s1, v1) = pauli_eigenbasis("X")
     assert np.allclose(s0, np.array([1, 1]) / np.sqrt(2))
     assert (v0, v1) == (1, -1)
 
 
 def test_eigenbasis_identity_letter_measures_in_z():
-    (s0, v0), (s1, v1) = dfe.pauli_eigenbasis("I")
+    (s0, v0), (s1, v1) = pauli_eigenbasis("I")
     assert np.allclose(s0, [1, 0]) and np.allclose(s1, [0, 1])
     assert (v0, v1) == (1, 1)
 
 
 def test_eigenbasis_orthonormal():
     for label in ["ZX", "XY", "IZ", "YI", "XXZ"]:
-        basis = dfe.pauli_eigenbasis(label)
+        basis = pauli_eigenbasis(label)
         d = 2 ** len(label)
         assert len(basis) == d
         states = np.array([s for s, _ in basis])
@@ -52,8 +53,17 @@ def test_eigenbasis_values_match_observable():
     # actual eigenvalue of the Pauli observable
     for label in ["Z", "X", "ZX", "YY"]:
         obs = pauli_matrix(label)
-        for state, lam in dfe.pauli_eigenbasis(label):
+        for state, lam in pauli_eigenbasis(label):
             assert np.abs(obs @ state - lam * state).max() < 1e-12
+
+
+def test_plan_eigensystem_is_the_letter_table_bitwise():
+    # dfe keeps the letter table as two arrays, by letter code I, X, Y, Z = 0..3
+    vectors = np.stack([np.column_stack([s for s, _ in LETTER_EIGENSYSTEM[c]]) for c in "IXYZ"])
+    values = np.array([[lam for _, lam in LETTER_EIGENSYSTEM[c]] for c in "IXYZ"])
+    for kept, table in ((dfe._EIGENVECTORS, vectors), (dfe._EIGENVALUES, values)):
+        assert (kept.dtype, kept.shape) == (table.dtype, table.shape)
+        assert kept.tobytes() == table.tobytes()
 
 
 def test_simulate_expectation_exact():
@@ -71,7 +81,7 @@ def test_ptm_entry_measured_matches_ptm():
     labels = pauli_labels(2)
     for i, li in enumerate(labels):
         for j, lj in enumerate(labels):
-            est = dfe.ptm_entry_measured(u, li, lj)
+            est = ptm_entry_measured(u, li, lj)
             assert abs(est - r[i, j]) < 1e-10
 
 
@@ -79,8 +89,8 @@ def test_dfe_plan_cnot():
     r = ptm(CNOT)
     plan = dfe.dfe_plan(r)
     # CNOT PTM has 16 nonzero entries, all +-1, each with weight 1/16
-    assert len(plan.entries) == 16
-    for (li, lj, target, weight) in plan.entries:
+    assert len(plan_entries(plan)) == 16
+    for (li, lj, target, weight) in plan_entries(plan):
         assert abs(abs(target) - 1.0) < 1e-12
         assert abs(weight - 1.0 / 16.0) < 1e-15
     assert plan.dim == 4
@@ -91,7 +101,7 @@ def test_dfe_plan_weights_sum_to_one():
     for k in range(5):
         u = haar_unitary(4, rng)
         plan = dfe.dfe_plan(ptm(u))
-        total = sum(w for (_, _, _, w) in plan.entries)
+        total = sum(w for (_, _, _, w) in plan_entries(plan))
         assert abs(total - 1.0) < 1e-12
 
 
@@ -104,11 +114,11 @@ def test_dfe_plan_entries_follow_the_per_entry_formula(target):
     rows, cols = np.nonzero(np.abs(r) > dfe.PLAN_SUPPORT_ATOL)
     plan = dfe.dfe_plan(r)
     # labels, values and weights exactly as one entry at a time computes them
-    assert plan.entries == tuple(
+    assert plan_entries(plan) == tuple(
         (pauli_label(i, n), pauli_label(j, n), float(r[i, j]), float(r[i, j] ** 2 / 4**n))
         for i, j in zip(rows, cols))
-    assert plan.targets.tobytes() == np.array([e[2] for e in plan.entries]).tobytes()
-    weights = np.array([e[3] for e in plan.entries])
+    assert plan.targets.tobytes() == np.array([e[2] for e in plan_entries(plan)]).tobytes()
+    weights = np.array([e[3] for e in plan_entries(plan)])
     assert plan.probs.tobytes() == (weights / weights.sum()).tobytes()
 
 
@@ -204,7 +214,7 @@ def test_identity_letter_sampling_uses_z_basis():
     u = np.kron(HADAMARD, np.eye(2))
     r = ptm(u)
     plan = dfe.dfe_plan(r)
-    assert any("I" in li or "I" in lj for (li, lj, _, _) in plan.entries)
+    assert any("I" in li or "I" in lj for (li, lj, _, _) in plan_entries(plan))
     cfg = dfe.DfeSamplingConfig(eps_fail=0.2, delta_acc=0.2)
     est = dfe.dfe_estimate(u, r, plan, cfg=cfg, rng=derive_rng(47))
     assert np.isfinite(est)
@@ -219,14 +229,14 @@ def test_expectation_table_matches_per_setting_reference(n, seed):
     plan = dfe.dfe_plan(ptm(target))
     dim = 2**n
     table = dfe._expectation_table(channel, plan)
-    assert table.shape == plan.eigenvalues.shape == (len(plan.entries), dim)
+    assert table.shape == plan.eigenvalues.shape == (len(plan_entries(plan)), dim)
     # per input label: the D eigenstate projectors rho_k, evolved as U rho_k U^dag
     prepared = {}
-    for e, (i_label, j_label, target_value, weight) in enumerate(plan.entries):
+    for e, (i_label, j_label, target_value, weight) in enumerate(plan_entries(plan)):
         assert plan.targets[e] == target_value
         assert abs(plan.probs[e] - weight) < 1e-12
         if j_label not in prepared:
-            basis = dfe.pauli_eigenbasis(j_label)
+            basis = pauli_eigenbasis(j_label)
             states = np.array([state for state, _ in basis])
             rhos = np.einsum("ka,kb->kab", states, states.conj())
             evolved = np.einsum("ab,kbc,dc->kad", channel, rhos, channel.conj())
@@ -287,12 +297,13 @@ def test_sampled_estimate_follows_drawn_settings():
     est = dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(51, 1))
     assert type(est) is float
     ref_rng = derive_rng(51, 1)
-    draws = ref_rng.choice(len(plan.entries), size=cfg.num_settings(), p=plan.probs)
+    entries = plan_entries(plan)
+    draws = ref_rng.choice(len(entries), size=cfg.num_settings(), p=plan.probs)
     ks = ref_rng.integers(8, size=cfg.num_settings())
     acc = 0.0
     for idx, k in zip(draws, ks):
-        i_label, j_label, target_value, _ = plan.entries[idx]
-        state, lam = dfe.pauli_eigenbasis(j_label)[k]
+        i_label, j_label, target_value, _ = entries[idx]
+        state, lam = pauli_eigenbasis(j_label)[k]
         exact = dfe.simulate_expectation(v, np.outer(state, state.conj()),
                                          pauli_matrix(i_label))
         ups = ref_rng.binomial(1, min(1.0, max(0.0, 0.5 * (1.0 + exact))))
@@ -303,14 +314,14 @@ def test_sampled_estimate_follows_drawn_settings():
 def test_plan_arrays_and_vanishing_target_rejected():
     plan = dfe.dfe_plan(ptm(CNOT))
     assert plan.out_codes.shape == plan.in_codes.shape == (16, 2)
-    for e, (li, lj, _, _) in enumerate(plan.entries):
+    for e, (li, lj, _, _) in enumerate(plan_entries(plan)):
         assert "".join("IXYZ"[c] for c in plan.out_codes[e]) == li
         assert "".join("IXYZ"[c] for c in plan.in_codes[e]) == lj
     assert abs(plan.probs.sum() - 1.0) < 1e-15
     targets = plan.targets.copy()
     targets[3] = 0.0
     with pytest.raises(ValueError, match="vanishing"):
-        dfe.DfePlan(plan.entries, plan.dim, plan.out_codes, plan.in_codes, targets,
+        dfe.DfePlan(plan.dim, plan.out_codes, plan.in_codes, targets,
                     plan.probs, plan.eigenvalues)
 
 

@@ -5,7 +5,8 @@
 (modules of one rank do not import each other). Every import statement is
 read from the source with ast, including imports inside functions, so a
 lazy import cannot hide a cycle. Importing the package, CLI included, does
-not import scipy.optimize: only the derivative-free searches use it."""
+not import scipy.optimize: only the derivative-free searches use it. Every
+name the package exports has a reader besides the unit tests."""
 
 import ast
 import os
@@ -65,3 +66,35 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _references(tree):
+    """The names a module reads: loaded names, attributes, and string constants
+    (the benchmark's tracer finds what it wraps by attribute name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    # a name only the unit tests read belongs in tests/reference.py
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    root = PACKAGE.parents[1]
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    readers += [*root.glob("demos/*.py"), *root.glob("perfbench/*.py"),
+                root / "tests" / "test_acceptance.py"]
+    read = set().union(*(_references(ast.parse(p.read_text())) for p in readers))
+    assert sorted(exported - read) == []
+
+
+def test_references_count_reads_not_definitions():
+    tree = ast.parse('def f():\n    """g is named here"""\n    x = g(h.k)\n    wrap(m, "n")\n')
+    assert _references(tree) == {"g is named here", "g", "h", "k", "wrap", "m", "n"}

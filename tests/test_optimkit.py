@@ -2,12 +2,14 @@
 multistart circuit synthesizer, and the two-level amplitude search."""
 
 import hashlib
+import weakref
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from gatesynth import cli, devices, optimkit
+from gatesynth.analysis import cartan_coordinates
 from gatesynth.ansatz import (
     agi_cost,
     make_emulated_cost,
@@ -17,7 +19,7 @@ from gatesynth.ansatz import (
 )
 from gatesynth.channels import CNOT, SIGMA_X, SWAP, agi
 from gatesynth.devices import CrossResonancePair, DriveSpec, cr_gate
-from gatesynth.numkit import derive_rng, expm_hermitian
+from gatesynth.numkit import derive_rng, derive_seed, expm_hermitian
 
 
 def test_optimizer_config_validation():
@@ -407,6 +409,49 @@ def test_vqgo_batch_emulated_rows_match_each_design_alone():
 def test_vqgo_batch_of_no_designs_is_empty():
     assert optimkit.vqgo_batch(CNOT, [], []) == []
     assert optimkit.vqgo_batch(CNOT, [], [], backend="emulated") == []
+
+
+def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
+    # one design stops after one iteration, the other runs on: once the short one is
+    # done, only the running design's last two passes may stay alive
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    short_sources, long_sources = ([cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0))
+    build = optimkit.circuit_pass
+    made, calls = [], []  # weakrefs to each pass's arrays; per call (short row in it, alive)
+
+    def tracked(theta, sources):
+        short = any(np.array_equal(s, short_sources) for s in sources)
+        calls.append((short, sum(ref() is not None for ref in made)))
+        cpass = build(theta, sources)
+        made.append(weakref.ref(cpass.ahead))
+        return cpass
+
+    monkeypatch.setattr(optimkit, "circuit_pass", tracked)
+    cfgs = [optimkit.OptimizerConfig(restarts=1, max_iterations=m, seed=3) for m in (1, 60)]
+    short, long = optimkit.vqgo_batch(CNOT, [short_sources, long_sources], cfgs)
+    assert short.iterations_used == 1 and long.iterations_used > 10
+    last_short = max(k for k, (has_short, _) in enumerate(calls) if has_short)
+    later = [alive for _, alive in calls[last_short + 1:]]
+    assert len(later) > 10 and max(later) <= 2
+
+
+def test_vqgo_reaches_cnot_exactly_when_the_source_straddles_pi_over_8():
+    # the rule of criterion 09 as an oracle the optimizer does not share: depth-2
+    # synthesis of CNOT from two copies of a gate succeeds iff the gate's canonical
+    # coordinates are neither all above nor all below pi/8. The 75 ns, eps 0.1 CR
+    # gate starts to straddle between 100 and 110 MHz; each amplitude here keeps
+    # every coordinate more than 0.05 rad from pi/8.
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    omegas = (40.0, 60.0, 80.0, 130.0, 160.0, 190.0)
+    gates = [cr_gate(pair, DriveSpec(w, 75.0)) for w in omegas]
+    coords = np.array([cartan_coordinates(g) for g in gates])
+    assert np.abs(coords - np.pi / 8).min() > 0.05
+    straddles = [not (all(c > np.pi / 8) or all(c < np.pi / 8)) for c in coords]
+    assert straddles == [False] * 3 + [True] * 3
+    cfgs = [optimkit.OptimizerConfig(seed=derive_seed(0, k), stop_below=1e-12)
+            for k in range(len(omegas))]
+    results = optimkit.vqgo_batch(CNOT, [[g, g] for g in gates], cfgs)  # each row is its vqgo
+    assert [res.best_cost < 1e-6 for res in results] == straddles
 
 
 def test_vqgo_keeps_per_restart_diagnostics():
