@@ -22,6 +22,7 @@ gives the exact derivative as the difference of two cost evaluations
 shifted by +/- pi/4 (no finite differencing).
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,6 @@ from .dfe import dfe_estimate, dfe_plan
 from .numkit import dagger, kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
-_MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
-_MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
 
 
 def _euler_factors(angles):
@@ -105,7 +104,7 @@ def circuit_pass(theta, sources):
     ahead = np.empty_like(layers)
     ahead[:, 0] = layers[:, 0]
     for i in range(sources.shape[1]):
-        ahead[:, i + 1] = ahead[:, i] @ sources[:, i] @ layers[:, i + 1]
+        np.matmul(ahead[:, i] @ sources[:, i], layers[:, i + 1], out=ahead[:, i + 1])
     return CircuitPass(rx0, ry1, rx2, gates, layers, ahead)
 
 
@@ -116,6 +115,24 @@ def pass_costs(cpass, target):
     # abs() per element: numpy's vectorized complex abs can differ from the
     # scalar one in the last bit
     return [1.0 - agf_from_trace(t, target.shape[0]) for t in tau]
+
+
+@lru_cache(maxsize=8)
+def _trace_index(n):
+    """Flat indices into a (2^n, 2^n) matrix W, shape (2^(n-1), n, 2, 2):
+    entry [t, j, a, b] is W[(p, a, q), (p, b, q)] for qubit j, with p the
+    j qubits before it, q the n - 1 - j after it and t = p * 2^(n-1-j) + q.
+    Summing over t gives each qubit's 2x2 partial trace. Read-only."""
+    dim = 2**n
+    terms = np.arange(dim // 2)
+    index = np.empty((dim // 2, n, 2, 2), dtype=np.intp)
+    for j in range(n):
+        rest = 2 ** (n - 1 - j)
+        p, q = np.divmod(terms, rest)
+        rows = (2 * rest * p + q)[:, None] + rest * np.arange(2)
+        index[:, j] = rows[:, :, None] * dim + rows[:, None, :]
+    index.flags.writeable = False
+    return index
 
 
 def pass_gradients(cpass, sources, target):
@@ -131,6 +148,14 @@ def pass_gradients(cpass, sources, target):
     Rx @ (-i*sy) @ Ry @ Rx and g @ (-i*sx). The cost
     1 - (|tau|^2/D + 1)/(D + 1) then has derivative
     -2 Re(conj(tau) d(tau)) / (D (D + 1)).
+
+    All n partial traces are one gather of W's entries through
+    _trace_index and one sum over its term axis. That axis is not the
+    innermost, so np.add.reduce adds the terms one after another in
+    (p, q) order, the order of einsum("xipaqpbq->xiab") per qubit, and
+    the traces are bitwise the einsum's. Multiplying by -i*sx or -i*sy
+    only moves and signs entries, so those factors are row or column
+    swaps, times -1j or negated: exact, and bitwise the 2x2 products.
     """
     rx0, ry1, rx2, gates, layers, ahead = cpass
     count, depth1, n = gates.shape[:3]
@@ -140,18 +165,16 @@ def pass_gradients(cpass, sources, target):
         behind.append(sources[:, i] @ layers[:, i + 1] @ behind[-1])
     envs = np.empty_like(ahead)
     for i, b in enumerate(reversed(behind)):
-        envs[:, i] = b @ ahead[:, i]
+        np.matmul(b, ahead[:, i], out=envs[:, i])
     tau = envs[:, 0].trace(axis1=-2, axis2=-1)
 
-    reduced = np.empty((count, depth1, n, 2, 2), dtype=complex)
-    for j in range(n):
-        rest = 2 ** (n - 1 - j)
-        reduced[:, :, j] = np.einsum(
-            "xipaqpbq->xiab", envs.reshape(count, depth1, 2**j, 2, rest, 2**j, 2, rest))
+    entries = envs.reshape(count * depth1, dim * dim)[:, _trace_index(n)]
+    reduced = np.add.reduce(entries, axis=1).reshape(count, depth1, n, 2, 2)
     dgates = np.empty(gates.shape[:3] + (3, 2, 2), dtype=complex)
-    dgates[:, :, :, 0] = _MINUS_I_SX @ gates
-    dgates[:, :, :, 1] = rx0 @ _MINUS_I_SY @ ry1 @ rx2
-    dgates[:, :, :, 2] = gates @ _MINUS_I_SX
+    np.multiply(gates[..., ::-1, :], -1j, out=dgates[:, :, :, 0])  # -i*sx @ g
+    rx0_sy = np.stack((rx0[..., 1], -rx0[..., 0]), axis=-1)  # rx0 @ (-i*sy)
+    dgates[:, :, :, 1] = rx0_sy @ ry1 @ rx2
+    np.multiply(gates[..., ::-1], -1j, out=dgates[:, :, :, 2])  # g @ (-i*sx)
     h = gates.conj().swapaxes(-1, -2)[..., None, :, :] @ dgates
     if depth1 * n > 1:
         dtau = np.einsum("xijab,xijkba->xijk", reduced, h)

@@ -12,7 +12,8 @@ starts from one exact expectation table of the channel U,
 over the plan entries e = (i, j) and the D product eigenstates psi_jk of
 sigma_j. The plan keeps the distinct eigenbases S_b of its input Paulis,
 tensor products of per-letter eigenvector matrices: I and Z letters share
-theirs, so there are at most 3^n. The table takes U @ S_b once per basis.
+theirs, so there are at most 3^n. The table visits the entries grouped
+by basis, in blocks, and takes U @ S_b for the bases of each block only.
 A Pauli string is a signed permutation, so sigma_i U S_b is U S_b with
 its rows gathered and signed; one column-wise inner product per block of
 entries then gives the table's rows. The full-support mode
@@ -64,8 +65,9 @@ class DfePlan:
     Derived from these, read-only: out_perm and out_phase, shape (m, D),
     the output Paulis as signed permutations (channels.pauli_action);
     bases, shape (b, D, D), the distinct eigenvector matrices of the input
-    Paulis, states as columns, and basis_index, shape (m,), each entry's
-    row of bases.
+    Paulis, states as columns; basis_index, shape (m,), each entry's
+    row of bases; and order, shape (m,), the entries sorted stably by
+    basis_index, the order in which the expectation table visits them.
     """
 
     dim: int
@@ -79,6 +81,7 @@ class DfePlan:
     out_phase: np.ndarray = field(init=False, repr=False)
     bases: np.ndarray = field(init=False, repr=False)
     basis_index: np.ndarray = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(np.abs(self.targets) <= PLAN_SUPPORT_ATOL):
@@ -89,8 +92,9 @@ class DfePlan:
         codes, index = np.unique(np.where(self.in_codes == 0, 3, self.in_codes), axis=0,
                                  return_inverse=True)
         bases = kron_qubits(_EIGENVECTORS[codes])
+        index = index.reshape(-1)
         for name, value in (("out_perm", perm), ("out_phase", phase), ("bases", bases),
-                            ("basis_index", index.reshape(-1))):
+                            ("basis_index", index), ("order", np.argsort(index, kind="stable"))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -130,7 +134,8 @@ def dfe_plan(r_target):
     if 4**n != r_target.shape[0]:
         raise ValueError(f"PTM side {r_target.shape[0]} is not a power of 4")
     dim = 2**n
-    rows, cols = np.nonzero(np.abs(r_target) > PLAN_SUPPORT_ATOL)
+    # two comparisons, not np.abs(r_target) > tol: no copy of a dense PTM
+    rows, cols = np.nonzero((r_target > PLAN_SUPPORT_ATOL) | (r_target < -PLAN_SUPPORT_ATOL))
     if rows.size == 0:
         raise ValueError("target PTM has no support")
     out_codes, in_codes = pauli_codes(rows, n), pauli_codes(cols, n)
@@ -150,18 +155,21 @@ def dfe_plan(r_target):
 def _expectation_table(u, plan):
     """Exact expectations E[e, k] of entry e's output Pauli on u applied to
     the k-th eigenstate of its input Pauli, shape (m, D), in blocks of
-    numkit.block_length entries, so that each block's (block, D, D)
+    numkit.block_length entries taken in plan.order, so that each block
+    evolves only its own contiguous range of bases and its (block, D, D)
     transients stay in cache."""
-    evolved = np.asarray(u, dtype=complex) @ plan.bases
+    u = np.asarray(u, dtype=complex)
     table = np.empty(plan.eigenvalues.shape)
     step = block_length(plan.dim)
     for start in range(0, len(plan.targets), step):
-        block = slice(start, start + step)
-        index = plan.basis_index[block]
+        rows = plan.order[start:start + step]
+        index = plan.basis_index[rows]
+        evolved = u @ plan.bases[index[0]:index[-1] + 1]
+        index = index - index[0]
         phi = evolved[index]
         # sigma_i phi: the rows of phi gathered and signed
-        sigma_phi = plan.out_phase[block, :, None] * evolved[index[:, None], plan.out_perm[block]]
-        table[block] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
+        sigma_phi = plan.out_phase[rows, :, None] * evolved[index[:, None], plan.out_perm[rows]]
+        table[rows] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
     return table
 
 

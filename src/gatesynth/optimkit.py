@@ -377,13 +377,15 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
     cfgs[b]. Returns the B results, each bitwise the one vqgo gives for its
     design alone, and [] for no designs.
 
-    Each round answers every pending cost request, then every pending
-    gradient request (those the costs just led to included); a design that
-    finishes drops out. The exact backend answers a round's costs with one
-    circuit_pass and its gradients with one pass_gradients, which reuses
-    the circuit pass of its point's cost. The emulated backend answers each
-    row with its design's make_emulated_cost, and with the shift-rule
-    gradient of that cost.
+    Rounds answer the pending cost requests until no design wants a cost;
+    a design whose line search ends sooner waits with its gradient request.
+    Then one round answers every design's gradient, so designs whose line
+    searches take different numbers of costs still share each gradient
+    round. A design that finishes drops out. The exact backend answers a
+    round's costs with one circuit_pass and its gradients with one
+    pass_gradients, which reuses the circuit pass of its point's cost. The
+    emulated backend answers each row with its design's make_emulated_cost,
+    and with the shift-rule gradient of that cost.
     """
     if backend not in ("exact", "emulated"):
         raise ValueError(f"backend must be 'exact' or 'emulated', got {backend!r}")
@@ -406,36 +408,35 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
     results = [None] * len(steps)
     active = list(range(len(steps)))
     while active:
-        for kind in (COST, GRADIENT):
-            batch = [b for b in active if requests[b][0] is kind]
-            if not batch:
-                continue
-            xs = [requests[b][1] for b in batch]
-            if backend == "emulated" and kind is COST:
-                values = [emulated[b](x.reshape(d + 1, n, 3)) for b, x in zip(batch, xs)]
-            elif backend == "emulated":
-                values = [parameter_shift_gradient(x.reshape(d + 1, n, 3), sources[b], target,
-                                                   cost=emulated[b]).ravel()
-                          for b, x in zip(batch, xs)]
-            elif kind is COST:
-                theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
-                cpass = circuit_pass(theta, _rows(stacked, batch))
-                for row, (b, x) in enumerate(zip(batch, xs)):
-                    recent[b] = [(x, cpass, row)] + recent[b][:1]
-                values = pass_costs(cpass, target)
-            else:
-                at = [next((cpass, row) for y, cpass, row in recent[b] if y is x)
+        # a design that wants a gradient waits until no design wants a cost
+        batch = [b for b in active if requests[b][0] is COST] or list(active)
+        kind = requests[batch[0]][0]
+        xs = [requests[b][1] for b in batch]
+        if backend == "emulated" and kind is COST:
+            values = [emulated[b](x.reshape(d + 1, n, 3)) for b, x in zip(batch, xs)]
+        elif backend == "emulated":
+            values = [parameter_shift_gradient(x.reshape(d + 1, n, 3), sources[b], target,
+                                               cost=emulated[b]).ravel()
                       for b, x in zip(batch, xs)]
-                values = pass_gradients(_gather(at), _rows(stacked, batch), target)
-                del at  # the line search's next costs may drop these passes from recent
-                values = values.reshape(len(batch), -1)
-            for b, value in zip(batch, values):
-                try:
-                    requests[b] = steps[b].send(value)
-                except StopIteration as done:
-                    results[b] = done.value
-                    recent[b] = None  # its passes hold every row of their rounds
-                    active.remove(b)
+        elif kind is COST:
+            theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
+            cpass = circuit_pass(theta, _rows(stacked, batch))
+            for row, (b, x) in enumerate(zip(batch, xs)):
+                recent[b] = [(x, cpass, row)] + recent[b][:1]
+            values = pass_costs(cpass, target)
+        else:
+            at = [next((cpass, row) for y, cpass, row in recent[b] if y is x)
+                  for b, x in zip(batch, xs)]
+            values = pass_gradients(_gather(at), _rows(stacked, batch), target)
+            del at  # the line search's next costs may drop these passes from recent
+            values = values.reshape(len(batch), -1)
+        for b, value in zip(batch, values):
+            try:
+                requests[b] = steps[b].send(value)
+            except StopIteration as done:
+                results[b] = done.value
+                recent[b] = None  # its passes hold every row of their rounds
+                active.remove(b)
     return results
 
 

@@ -2,8 +2,9 @@
 one item at a time, what gatesynth computes in array form: Pauli labels
 and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
 entries, a plan's entries as labelled tuples, single Euler gates and
-layers, the Makhlin local invariants, and the ideal echoed-CR segments.
-Nothing in the package needs them."""
+layers, the exact gradient with one einsum partial trace per qubit and
+matmul derivative factors, the Makhlin local invariants, and the ideal
+echoed-CR segments. Nothing in the package needs them."""
 
 import itertools
 from functools import lru_cache
@@ -104,6 +105,41 @@ def build_layer(theta_i):
     """Tensor product of per-qubit Euler gates for one layer."""
     rx0, ry1, rx2 = _euler_factors(np.asarray(theta_i, dtype=float))
     return kron_qubits(rx0 @ ry1 @ rx2)
+
+
+_MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
+_MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
+
+
+def pass_gradients(cpass, sources, target):
+    """ansatz.pass_gradients with one einsum partial trace per qubit and the
+    derivative factors as 2x2 products with -i*sx and -i*sy."""
+    rx0, ry1, rx2, gates, layers, ahead = cpass
+    count, depth1, n = gates.shape[:3]
+    dim = 2**n
+    behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
+    for i in range(depth1 - 2, -1, -1):
+        behind.append(sources[:, i] @ layers[:, i + 1] @ behind[-1])
+    envs = np.empty_like(ahead)
+    for i, b in enumerate(reversed(behind)):
+        envs[:, i] = b @ ahead[:, i]
+    tau = envs[:, 0].trace(axis1=-2, axis2=-1)
+
+    reduced = np.empty((count, depth1, n, 2, 2), dtype=complex)
+    for j in range(n):
+        rest = 2 ** (n - 1 - j)
+        reduced[:, :, j] = np.einsum(
+            "xipaqpbq->xiab", envs.reshape(count, depth1, 2**j, 2, rest, 2**j, 2, rest))
+    dgates = np.empty(gates.shape[:3] + (3, 2, 2), dtype=complex)
+    dgates[:, :, :, 0] = _MINUS_I_SX @ gates
+    dgates[:, :, :, 1] = rx0 @ _MINUS_I_SY @ ry1 @ rx2
+    dgates[:, :, :, 2] = gates @ _MINUS_I_SX
+    h = gates.conj().swapaxes(-1, -2)[..., None, :, :] @ dgates
+    if depth1 * n > 1:
+        dtau = np.einsum("xijab,xijkba->xijk", reduced, h)
+    else:
+        dtau = np.stack([np.einsum("ijab,ijkba->ijk", r, g) for r, g in zip(reduced, h)])
+    return -2.0 * (np.conj(tau)[:, None, None, None] * dtau).real / (dim * (dim + 1))
 
 
 def local_invariants(u):

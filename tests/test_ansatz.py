@@ -11,7 +11,7 @@ from gatesynth import ansatz
 from gatesynth.channels import CNOT, agf_unitary
 from gatesynth.devices import four_cr_gate, load_device, syndrome_target
 from gatesynth.numkit import derive_rng, haar_unitary, is_unitary
-from reference import build_layer, euler_gate
+from reference import build_layer, euler_gate, pass_gradients
 
 
 def test_euler_gate_identity_and_unitarity():
@@ -189,3 +189,28 @@ def test_batched_pass_rows_equal_single_problems_bitwise(n, d, batch):
         assert costs[b] == ansatz.agi_cost(theta[b], sources[b], target)
         assert grads[b].tobytes() == alone.tobytes()
         assert cpass.ahead[b, -1].tobytes() == ansatz.build_circuit(theta[b], sources[b]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gathered_gradient_kernel_is_the_einsum_kernel_bitwise(n):
+    # the one-reduction partial traces and the signed-permutation derivative
+    # factors against per-qubit einsum traces and 2x2 products, on dense and
+    # permutation targets and sources, at random angles and at exactly 0 and pi/2
+    rng = derive_rng(31, n)
+    dim = 2**n
+    perm = np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    for d in range(4):
+        for batch in (1, 3, 4, 16):
+            shape = (batch, d + 1, n, 3)
+            angles = [rng.uniform(0.0, 2 * np.pi, size=shape), np.zeros(shape),
+                      np.full(shape, np.pi / 2), rng.choice([0.0, np.pi / 2, 1.0], size=shape)]
+            sources = np.array([[haar_unitary(dim, rng) if i % 2 else perm for i in range(d)]
+                                for _ in range(batch)], dtype=complex).reshape(batch, d, dim, dim)
+            for theta in angles:
+                cpass = ansatz.circuit_pass(theta, sources)
+                for i in range(d):
+                    prefix = cpass.ahead[:, i] @ sources[:, i] @ cpass.layers[:, i + 1]
+                    assert cpass.ahead[:, i + 1].tobytes() == prefix.tobytes()
+                for target in (haar_unitary(dim, rng), perm):
+                    assert (ansatz.pass_gradients(cpass, sources, target).tobytes()
+                            == pass_gradients(cpass, sources, target).tobytes()), (d, batch)

@@ -1,6 +1,7 @@
 """Direct fidelity estimation: eigenbases, measured PTM entries, sampling
 plans, and the fidelity estimator in exact and sampled modes."""
 
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -283,6 +284,24 @@ def test_estimates_are_pinned_bitwise():
     v = haar_unitary(4, derive_rng(50))
     sampled = dfe.dfe_estimate(v, r_cnot, dfe.dfe_plan(r_cnot), cfg=cfg, rng=derive_rng(50, 1))
     assert float.hex(sampled) == "0x1.3c36113404ea5p-2"
+
+
+def test_sampled_estimate_evolves_one_block_of_bases_at_a_time():
+    # the syndrome plan has 243 bases, a 4 MB stack at D = 32; an estimate evolves
+    # only the bases of one block of entries at a time, taken in plan.order
+    r = ptm(syndrome_target())
+    plan = dfe.dfe_plan(r)
+    assert plan.bases.nbytes > 3_900_000 and not plan.order.flags.writeable
+    assert (plan.order == np.argsort(plan.basis_index, kind="stable")).all()
+    v = haar_unitary(32, derive_rng(53))
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.1, delta_acc=0.1)
+    tracemalloc.start()
+    try:
+        dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(53, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_sampled_estimate_follows_drawn_settings():

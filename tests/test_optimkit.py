@@ -435,6 +435,26 @@ def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
     assert len(later) > 10 and max(later) <= 2
 
 
+def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
+    # line searches of different lengths must not split the gradient rounds: the batch
+    # makes as many pass_gradients calls as its hungriest design asks for gradients
+    pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0, 120.0)]
+    cfgs = [optimkit.OptimizerConfig(restarts=1, max_iterations=40, seed=k) for k in range(3)]
+    gradient, calls = optimkit.pass_gradients, []
+
+    def counted(cpass, stacked, target):
+        calls.append(len(cpass.gates))
+        return gradient(cpass, stacked, target)
+
+    monkeypatch.setattr(optimkit, "pass_gradients", counted)
+    batch = optimkit.vqgo_batch(CNOT, sources, cfgs)
+    runs = [res.restart_diagnostics[0] for res in batch]
+    assert len({run["nfev"] - run["ngev"] for run in runs}) > 1
+    assert len(calls) == max(run["ngev"] for run in runs)
+    assert sum(calls) == sum(run["ngev"] for run in runs)
+
+
 def test_vqgo_reaches_cnot_exactly_when_the_source_straddles_pi_over_8():
     # the rule of criterion 09 as an oracle the optimizer does not share: depth-2
     # synthesis of CNOT from two copies of a gate succeeds iff the gate's canonical
