@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import agf_from_trace, agf_unitary, ptm
+from .channels import agf_unitary, agis_from_traces, ptm
 from .dfe import dfe_estimate, dfe_plan
 from .numkit import dagger, kron_qubits
 
@@ -112,9 +112,7 @@ def pass_costs(cpass, target):
     """Infidelity of each circuit of a CircuitPass against the (D, D)
     target; row b equals agi_cost of problem b alone."""
     tau = (dagger(target) @ cpass.ahead[:, -1]).trace(axis1=-2, axis2=-1)
-    # abs() per element: numpy's vectorized complex abs can differ from the
-    # scalar one in the last bit
-    return [1.0 - agf_from_trace(t, target.shape[0]) for t in tau]
+    return agis_from_traces(tau, target.shape[0])
 
 
 @lru_cache(maxsize=8)

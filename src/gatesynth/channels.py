@@ -80,6 +80,12 @@ def agf_from_trace(tau, d):
     return min(1.0, (overlap / d + 1.0) / (d + 1.0))
 
 
+def agis_from_traces(tau, d):
+    """[1 - agf_from_trace(t, d) for each t of the array tau, in C order]: abs() per
+    element, as numpy's vectorized complex abs can differ from the scalar one in the last bit."""
+    return [1.0 - agf_from_trace(t, d) for t in np.ravel(tau)]
+
+
 def agi(u, v):
     """Average gate infidelity, 1 - AGF."""
     return 1.0 - agf_unitary(u, v)

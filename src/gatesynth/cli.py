@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .analysis import canonical_gate, entangling_power
 from .ansatz import agi_cost
-from .channels import CNOT, SWAP, agf_from_trace
+from .channels import CNOT, SWAP, agis_from_traces
 from .devices import (
     CrossResonancePair,
     DriveSpec,
@@ -51,6 +51,7 @@ from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
     concatenated_optimize,
+    least_evaluations,
     minimize_on_interval,
     vqgo,
     vqgo_batch,
@@ -277,15 +278,17 @@ def _sweep(sweep, cfg, workers):
     cases = [sweep.case(cfg, value) for value in values]
     amplitudes = sweep.qubits - 1
     lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
-    if not lo < hi:
-        raise ConfigError(f"omega_bounds_mhz must have lower < upper, "
-                          f"got {canonical_json(cfg['omega_bounds_mhz'])}")
+    try:
+        bounds = AmplitudeBounds(lo, hi)  # lower < upper, and a box COBYLA can search
+    except ValueError as exc:
+        raise ConfigError(f"omega_bounds_mhz {canonical_json(cfg['omega_bounds_mhz'])}: "
+                          f"{exc}") from exc
     omega0 = read(cfg, "omega0_mhz", size=amplitudes if amplitudes > 1 else None)
     if not all(lo <= w <= hi for w in np.atleast_1d(omega0)):
         raise ConfigError(f"omega0_mhz must lie within omega_bounds_mhz [{lo:g}, {hi:g}], "
                           f"got {canonical_json(cfg['omega0_mhz'])}")
-    search = {"omega0": omega0, "bounds": AmplitudeBounds(lo, hi),  # COBYLA needs amplitudes + 2
-              "outer_maxiter": read(cfg, "outer_maxiter", int, low=amplitudes + 2),
+    search = {"omega0": omega0, "bounds": bounds,
+              "outer_maxiter": read(cfg, "outer_maxiter", int, low=least_evaluations(amplitudes)),
               "max_sweeps": read(cfg, "max_sweeps", int, low=1)}
     t_opt, grid, times = _gate_times(cfg)
     signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
@@ -332,7 +335,7 @@ def _sweep(sweep, cfg, workers):
 _SWEEP_DEFAULTS = {
     "depth": 2,
     "omega0_mhz": 50.0,
-    "omega_bounds_mhz": [0.0, 200.0],
+    "omega_bounds_mhz": [AmplitudeBounds.lower, AmplitudeBounds.upper],
     "outer_maxiter": 40,
     "max_sweeps": 6,
     "seed": 0,
@@ -364,10 +367,10 @@ def _cnot_source(pair, omegas, t):
 
 
 def _tpcx_agi(pair, omega, t):
-    """agi(CNOT, tpcx(pair, omega, t)), or an array of it for each of an array of amplitudes:
-    abs() per element, as in pass_costs, keeps each bitwise the call on its amplitude alone."""
+    """agi(CNOT, tpcx(pair, omega, t)), or an array of it for each of an array of amplitudes,
+    each bitwise the call on its amplitude alone."""
     tau = np.trace(dagger(CNOT) @ tpcx(pair, omega, t), axis1=-2, axis2=-1)
-    agis = np.array([1.0 - agf_from_trace(x, CNOT.shape[0]) for x in np.ravel(tau)])
+    agis = np.array(agis_from_traces(tau, CNOT.shape[0]))
     return agis.reshape(tau.shape) if tau.ndim else float(agis[0])
 
 

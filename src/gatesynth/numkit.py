@@ -62,14 +62,14 @@ def dagger(a):
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def is_hermitian(h, atol=HERMITIAN_ATOL):
+def is_hermitian(h):
     h = np.asarray(h)
-    return np.abs(h - dagger(h)).max() < atol
+    return np.abs(h - dagger(h)).max() < HERMITIAN_ATOL
 
 
-def is_unitary(u, atol=UNITARY_ATOL):
+def is_unitary(u):
     u = np.asarray(u)
-    return np.abs(u @ dagger(u) - np.eye(u.shape[-1])).max() < atol
+    return np.abs(u @ dagger(u) - np.eye(u.shape[-1])).max() < UNITARY_ATOL
 
 
 def expm_hermitian(h, t=1.0):

@@ -4,12 +4,14 @@ minimize_quasi_newton is a self-contained limited-memory BFGS with a
 parabola-first line search: the first trial step is the minimizer of the
 quadratic interpolant through (f(x), directional derivative, f(x+p)),
 which makes the method terminate on quadratic costs in at most
-`dimension` iterations when the memory covers the full history. A
-standard Armijo backtracking loop guards the non-quadratic case. Its
-iteration is a generator of cost and gradient requests, so one driver can
-answer the requests of many descents together.
+`dimension` iterations when its fixed memory of LBFGS_MEMORY pairs covers
+the full history, that is up to dimension LBFGS_MEMORY. A standard Armijo
+backtracking loop guards the non-quadratic case. Its iteration is a
+generator of cost and gradient requests, so one driver can answer the
+requests of many descents together.
 
-minimize_derivative_free is a bounded COBYLA search from a start point;
+minimize_derivative_free is a bounded COBYLA search from a start point,
+whose limits are this module's COBYLA_* constants and least_evaluations;
 minimize_on_interval is a start-free 1-D search (a fixed grid, then
 bounded Brent around its best point).
 
@@ -43,18 +45,24 @@ from .ansatz import (
 from .inputs import ConfigError, read
 from .numkit import derive_rng, qubit_count
 
+# (s, y) pairs the quasi-Newton direction remembers
+LBFGS_MEMORY = 10
+# COBYLA's trust-region radius: it starts at a quarter of the narrowest side
+# of the box, at most COBYLA_MAX_START_RADIUS, and ends at COBYLA_FINAL_RADIUS
+COBYLA_MAX_START_RADIUS = 10.0
+COBYLA_FINAL_RADIUS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budgets are integers >= 1 that fit a C ssize_t (deque maxlen), and a TypeError if no
-    integer; tolerances finite numbers > 0 (stop_below may be None); the seed, which only
-    feeds a SeedSequence (derive_seed gives 64-bit ones), any integer >= 0."""
+    """Budgets are integers >= 1 that fit a C ssize_t, and a TypeError if no integer;
+    tolerances finite numbers > 0 (stop_below may be None); the seed, which only feeds a
+    SeedSequence (derive_seed gives 64-bit ones), any integer >= 0."""
 
     max_iterations: int = 5000
     gradient_tolerance: float = 1e-9
     cost_tolerance: float = 1e-12
     restarts: int = 8
-    memory_depth: int = 10
     seed: int = 0
     stop_below: float = None
 
@@ -84,13 +92,15 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class AmplitudeBounds:
-    """Box bounds (MHz) applied to every drive amplitude."""
+    """Box bounds (MHz) applied to every drive amplitude; the box must be
+    wide enough for COBYLA to search (see cobyla_start_radius)."""
 
     lower: float = 0.0
     upper: float = 200.0
 
     def __post_init__(self):
         read(vars(self), "upper", above=read(vars(self), "lower", low=0))
+        cobyla_start_radius(self.lower, self.upper)
 
     def pairs(self, k):
         return [(self.lower, self.upper)] * k
@@ -142,7 +152,7 @@ def _quasi_newton_steps(x0, cfg):
     gx = yield from gradient(x)
     if not (math.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
-    pairs = deque(maxlen=cfg.memory_depth)  # (s, y, 1/(s.y), s.y, y.y), products kept from append
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(s.y), s.y, y.y), products kept from append
     cost_history = [fx]
     reason = "budget"
     nit = 0
@@ -219,6 +229,25 @@ def _quasi_newton_steps(x0, cfg):
     return x, fx, diagnostics
 
 
+def least_evaluations(n):
+    """The fewest evaluations COBYLA takes over n variables: its start
+    simplex of n + 1 points and one step. scipy raises a smaller budget to
+    it with a warning."""
+    return n + 2
+
+
+def cobyla_start_radius(lower, upper):
+    """COBYLA's start radius in the box of sides [lower, upper] (numbers or
+    arrays); a ValueError if it is below COBYLA_FINAL_RADIUS, where scipy
+    would lower the final radius or fail."""
+    width = float(np.min(np.subtract(upper, lower)))
+    radius = min(COBYLA_MAX_START_RADIUS, 0.25 * width)
+    if not radius >= COBYLA_FINAL_RADIUS:
+        raise ValueError(f"a side {width:.3g} wide is narrower than {4 * COBYLA_FINAL_RADIUS:g}: "
+                         f"COBYLA would start below its final radius {COBYLA_FINAL_RADIUS:g}")
+    return radius
+
+
 class _TargetReached(Exception):
     """Raised by minimize_derivative_free's objective wrapper to end the
     COBYLA run once a value falls under stop_below."""
@@ -228,7 +257,8 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
     """Bounded derivative-free minimization (COBYLA) from x0, with at most
     max_evaluations evaluations of f; returns the best point seen across
     all evaluations, so the reported value is a monotone best-so-far.
-    bounds is a list of (lower, upper) pairs, and x0 must lie within them.
+    bounds is a list of (lower, upper) pairs, and x0 must lie within them;
+    a box cobyla_start_radius rejects is a ValueError before any evaluation.
 
     If stop_below is set, the search ends at the first evaluation whose
     value is under it and returns that point with converged=True; with
@@ -243,6 +273,7 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
         raise ValueError("bounds must be finite")
     if not (np.all(lo <= x0) and np.all(x0 <= hi)):
         raise ValueError(f"start point {x0} lies outside the bounds {bounds}")
+    rhobeg = cobyla_start_radius(lo, hi)
     best = {"x": None, "f": np.inf, "nfev": 0}
 
     def wrapped(x):
@@ -258,14 +289,13 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
             raise _TargetReached
         return val
 
-    rhobeg = min(10.0, 0.25 * float(np.min(hi - lo)))
     try:
         res = scipy.optimize.minimize(
             wrapped,
             x0,
             method="COBYLA",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": max_evaluations, "rhobeg": rhobeg, "tol": 1e-8},
+            options={"maxiter": max_evaluations, "rhobeg": rhobeg, "tol": COBYLA_FINAL_RADIUS},
         )
         converged = bool(res.success)
     except _TargetReached:
@@ -471,17 +501,15 @@ def concatenated_optimize(
     diagnostics = {outer_evaluations, sweeps, outer_history, inner_runs,
     cache_hits}: inner_runs counts vqgo calls, cache_hits the outer
     evaluations answered from the per-amplitude cache. Raises ValueError
-    for outer_maxiter below amplitudes + 2 (the least COBYLA starts with)
-    or max_sweeps < 1.
+    for outer_maxiter below least_evaluations(amplitudes) or max_sweeps < 1.
     """
     cfg = cfg or OptimizerConfig()
     bounds = bounds or AmplitudeBounds()
     omega0 = np.atleast_1d(np.asarray(omega0, dtype=float))
     k = omega0.size
-    if outer_maxiter < k + 2:
-        raise ValueError(
-            f"outer_maxiter {outer_maxiter} is below {k + 2}, the minimum for {k} amplitude(s)"
-        )
+    if outer_maxiter < least_evaluations(k):
+        raise ValueError(f"outer_maxiter {outer_maxiter} is below {least_evaluations(k)}, "
+                         f"the minimum for {k} amplitude(s)")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     cache = {}

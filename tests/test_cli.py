@@ -7,6 +7,7 @@ import io
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,61 @@ def test_bad_amplitude_bounds_or_gate_time_is_config_error(
     assert not out.exists()
 
 
+# an amplitude box narrower than 4e-8 MHz, where COBYLA's start radius (a quarter
+# of the width) would be below its final radius 1e-8: scipy failed with a
+# traceback at [0, 1e-15], and at [0, 1e-9] silently lowered the final radius
+@pytest.mark.parametrize("command, base, omega0", [
+    ("cnot-sweep", TINY_CNOT, 0.0), ("syndrome-sweep", TINY_SYNDROME, [0.0] * 4)])
+@pytest.mark.parametrize("bounds", [[0.0, 1e-15], [0.0, 1e-9], [0.0, 3.9e-8]])
+def test_amplitude_box_too_narrow_to_search_is_config_error(
+        tmp_path, capsys, command, base, omega0, bounds):
+    cfg = _write(tmp_path / "c.json", dict(base, omega0_mhz=omega0, omega_bounds_mhz=bounds))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: omega_bounds_mhz {json.dumps(bounds, separators=(',', ':'))}: "
+                   f"a side {bounds[1]:.3g} wide is narrower than 4e-08: "
+                   f"COBYLA would start below its final radius 1e-08\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, omega0", [
+    ("cnot-sweep", TINY_CNOT, 0.0), ("syndrome-sweep", TINY_SYNDROME, [0.0] * 4)])
+def test_narrowest_amplitude_box_runs_without_a_warning(tmp_path, command, base, omega0):
+    cfg = _write(tmp_path / "c.json", dict(base, omega0_mhz=omega0, omega_bounds_mhz=[0.0, 4e-8]))
+    out = str(tmp_path / "out.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--output", out]) == 0
+    assert cli.main(["--verify", out]) == 0
+
+
+# the least outer budget is amplitudes + 2 in the CLI and in the library alike
+@pytest.mark.parametrize("command, base, omega0", [
+    ("cnot-sweep", TINY_CNOT, 50.0), ("syndrome-sweep", TINY_SYNDROME, [80.0] * 4)])
+def test_cli_and_library_reject_the_same_outer_budget(tmp_path, capsys, command, base, omega0):
+    least = np.size(omega0) + 2
+
+    def factory(w):
+        raise LookupError("the search started")
+
+    for outer_maxiter in (least - 1, least):
+        # max_sweeps 0 is read after outer_maxiter, so an accepted budget names it
+        cfg = _write(tmp_path / "c.json", dict(base, outer_maxiter=outer_maxiter, max_sweeps=0))
+        assert cli.main([command, "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        rejected = err.startswith(f"config error: outer_maxiter must be an integer >= {least}, ")
+        assert rejected == (outer_maxiter < least)
+        assert rejected or err.startswith("config error: max_sweeps must be an integer >= 1")
+        search = dict(outer_maxiter=outer_maxiter, max_sweeps=1)
+        if outer_maxiter < least:
+            with pytest.raises(ValueError, match=f"outer_maxiter {outer_maxiter} is below {least}"):
+                concatenated_optimize(CNOT, factory, omega0, **search)
+        else:
+            with pytest.raises(LookupError, match="the search started"):
+                concatenated_optimize(CNOT, factory, omega0, **search)
+
+
 TINY_PAIR = {"delta_mhz": 200.0, "g_mhz": 5.0, "eps": 0.1, "phi_rad": 0.5}
 
 # (command, key, bad value, other overrides): every key of every command's
@@ -498,7 +554,6 @@ _BAD_OPTIMIZER_FIELDS = [
     ("gradient_tolerance", "x"),
     ("cost_tolerance", float("nan")),
     ("restarts", True),
-    ("memory_depth", 1.5),
     ("seed", 3),
     ("stop_below", float("inf")),
 ]
@@ -521,11 +576,20 @@ def test_bad_optimizer_field_is_located(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+def test_memory_depth_is_an_unknown_optimizer_key(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", {**TINY_SINGLE, "optimizer": {"memory_depth": 10}})
+    out = tmp_path / "report.json"
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: optimizer config: unknown key 'memory_depth'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, overrides, key", [
     ("cnot-sweep", {"outer_maxiter": 10**300}, "outer_maxiter"),
     ("cnot-sweep", {"depth": 10**300}, "depth"),
     ("cartan-map", {"grid_points": 10**300}, "grid_points"),
-    ("single-optimize", {"optimizer": {"memory_depth": 10**300}}, "optimizer config: memory_depth"),
+    ("single-optimize", {"optimizer": {"max_iterations": 10**300}},
+     "optimizer config: max_iterations"),
     ("syndrome-sweep", {"seed": 2**63}, "seed"),
 ])
 def test_integer_above_maxsize_is_config_error(tmp_path, capsys, command, overrides, key):

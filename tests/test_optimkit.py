@@ -2,6 +2,7 @@
 multistart circuit synthesizer, and the two-level amplitude search."""
 
 import hashlib
+import warnings
 import weakref
 from importlib import resources
 
@@ -31,14 +32,10 @@ def test_optimizer_config_validation():
         optimkit.OptimizerConfig(cost_tolerance=-1.0)
     with pytest.raises(ValueError):
         optimkit.OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        optimkit.OptimizerConfig(memory_depth=0)
     for field, value in (("restarts", 2.5), ("max_iterations", True), ("seed", "1")):
         with pytest.raises(TypeError, match=field):
             optimkit.OptimizerConfig(**{field: value})
-    with pytest.raises(ValueError, match="memory_depth"):
-        optimkit.OptimizerConfig(memory_depth=2**63)
-    for field in ("max_iterations", "restarts", "memory_depth"):
+    for field in ("max_iterations", "restarts"):
         with pytest.raises(ValueError, match=field):
             optimkit.OptimizerConfig(**{field: 10**400})
     with pytest.raises(ValueError, match="seed"):
@@ -144,12 +141,13 @@ def test_non_finite_gradient_during_descent_is_rejected(monkeypatch):
         optimkit.vqgo(CNOT, [CNOT], cfg=cfg)
 
 
-def test_quasi_newton_quadratic_termination_budget():
+def test_quasi_newton_quadratic_termination_budget(monkeypatch):
     # with memory >= dimension the parabola line search is exact on
     # quadratics, so descent finishes in at most dim + 5 iterations
     for dim in [2, 5, 10, 20]:
         f, g, sol = _quadratic(dim, dim)
-        cfg = optimkit.OptimizerConfig(memory_depth=dim, gradient_tolerance=1e-8)
+        monkeypatch.setattr(optimkit, "LBFGS_MEMORY", dim)
+        cfg = optimkit.OptimizerConfig(gradient_tolerance=1e-8)
         x, fx, diag = optimkit.minimize_quasi_newton(f, g, np.zeros(dim), cfg)
         assert diag["converged"]
         assert diag["iterations"] <= dim + 5
@@ -286,6 +284,46 @@ def test_derivative_free_rejects_bad_inputs():
         with pytest.raises(ValueError, match="outside the bounds"):
             optimkit.minimize_derivative_free(calls.append, x0, [(0.0, 1.0)], 5000)
     assert calls == []
+
+
+# boxes whose narrowest side is under 4 * COBYLA_FINAL_RADIUS: COBYLA's start
+# radius, a quarter of it, would be below its final radius
+_NARROW_BOXES = [
+    [(0.0, 1e-15)],
+    [(0.0, 1e-9)],
+    [(0.0, 3.9e-8)],
+    [(1e6, 1e6 + 1e-9)],
+    [(0.0, 200.0), (0.0, 1e-9), (0.0, 200.0), (0.0, 200.0)],
+]
+
+
+@pytest.mark.parametrize("box", _NARROW_BOXES)
+def test_derivative_free_rejects_a_box_too_narrow_before_any_evaluation(box):
+    calls = []
+    with pytest.raises(ValueError, match="narrower than 4e-08"):
+        optimkit.minimize_derivative_free(calls.append, [lo for lo, _ in box], box, 5000)
+    assert calls == []
+    if len(box) == 1:
+        with pytest.raises(ValueError, match="narrower than 4e-08"):
+            optimkit.AmplitudeBounds(*box[0])
+
+
+@pytest.mark.parametrize("lower", [0.0, 1.0, 1e6])
+@pytest.mark.parametrize("amplitudes", [1, 4])
+def test_derivative_free_searches_the_narrowest_box_without_a_warning(lower, amplitudes):
+    upper = lower + 4 * optimkit.COBYLA_FINAL_RADIUS
+    while upper - lower < 4 * optimkit.COBYLA_FINAL_RADIUS:  # the narrowest box of floats
+        upper = np.nextafter(upper, np.inf)
+    with pytest.raises(ValueError, match="narrower than 4e-08"):
+        optimkit.AmplitudeBounds(lower, np.nextafter(upper, -np.inf))
+    box = optimkit.AmplitudeBounds(lower, upper).pairs(amplitudes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _, diag = optimkit.minimize_derivative_free(
+            lambda x: float(np.sum(x)), [upper] * amplitudes, box,
+            optimkit.least_evaluations(amplitudes))
+    assert 1 <= diag["iterations"] <= optimkit.least_evaluations(amplitudes)
+    assert np.all((lower <= x) & (x <= upper))
 
 
 def test_vqgo_exact_source():
