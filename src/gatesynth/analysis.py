@@ -41,20 +41,8 @@ def cartan_coordinates(u):
     pi2, pi4 = np.pi / 2, np.pi / 4
     u = u / np.linalg.det(u) ** 0.25
     m = dagger(MAGIC) @ u @ MAGIC
-    m2 = m.T @ m
-    # m2 is symmetric unitary: diagonalize a deterministic random real
-    # combination of its real and imaginary parts until the eigenbasis
-    # also diagonalizes m2 itself (handles degenerate spectra)
-    for attempt in range(16):
-        rng = np.random.default_rng(attempt + 7)
-        a, b = rng.standard_normal(2)
-        _, p = np.linalg.eigh(a * m2.real + b * m2.imag)
-        d = p.T @ m2 @ p
-        if np.allclose(p @ np.diag(np.diagonal(d)) @ p.T, m2, atol=1e-12):
-            eigs = np.diagonal(d)
-            break
-    else:
-        raise RuntimeError("simultaneous diagonalization failed")
+    # the local invariants are spectral: the eigenvalues of M^T M (Zhang et al. 2003)
+    eigs = np.linalg.eigvals(m.T @ m)
     d = -np.angle(eigs) / 2
     d[3] = -d[0] - d[1] - d[2]
     cs = np.mod((d[:3] + d[3]) / 2, 2 * np.pi)
@@ -63,7 +51,6 @@ def cartan_coordinates(u):
     np.minimum(cstemp, pi2 - cstemp, out=cstemp)
     order = np.argsort(cstemp)[[1, 2, 0]]
     cs = cs[order]
-    d[:3] = d[order]
     if cs[0] > pi2:
         cs[0] -= 3 * pi2
     if cs[1] > pi2:

@@ -93,18 +93,14 @@ def _inline_file(cfg, key):
     return cfg[key]
 
 
-def load_config(path, defaults):
-    """Merge a JSON config file over per-command defaults; unknown keys
-    are config errors so typos fail loudly."""
+def merge_config(user, defaults, where=""):
+    """A JSON object `user` (a config) merged over a copy of per-command defaults; a key
+    the defaults lack is a config error after `where`, so typos fail loudly."""
     cfg = json.loads(json.dumps(defaults))
-    if path is not None:
-        user = read_json(path)
-        if not isinstance(user, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"{path}: unknown config key {key!r}")
-            cfg[key] = value
+    for key, value in user.items():
+        if key not in cfg:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -244,38 +240,16 @@ def _finite_gate(where, source, *args):
     raise ConfigError(f"{where} gives a gate that is not finite")
 
 
-def _case_values(sweep, cfg):
-    """cfg[sweep.cases_key]: numbers >= 0, none repeated (0.0 and -0.0 are one value)."""
+def _read_sweep(sweep, cfg):
+    """What a sweep's run and --verify read of cfg, checked: ({value: case},
+    layer signs, row keys (method, eps, t), search arguments, t_opt_ns, time
+    grid, row times (the grid and t_opt_ns), OptimizerConfig). Each source must
+    be finite at the box's top amplitude at 0 ns, t_opt_ns and the last time."""
     values = read(cfg, sweep.cases_key, size="any", low=0)
-    if len(set(values)) < len(values):
+    if len(set(values)) < len(values):  # 0.0 and -0.0 are one value
         raise ConfigError(f"{sweep.cases_key} repeats a value, "
                           f"got {canonical_json(cfg[sweep.cases_key])}")
-    return values
-
-
-def _gate_times(cfg):
-    """(t_opt_ns, the grid of gate times, the row times: the grid and t_opt_ns)."""
-    t_opt = read(cfg, "t_opt_ns", low=0)
-    t_start = read(cfg, "t_start_ns", low=0)
-    t_stop = read(cfg, "t_stop_ns", low=t_start)
-    t_step = read(cfg, "t_step_ns", above=0)
-    span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
-    try:
-        grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
-    if not grid.size:
-        raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
-    return t_opt, grid, grid if t_opt in grid else np.append(grid, t_opt)
-
-
-def _sweep(sweep, cfg, workers):
-    """Per case: the concatenated amplitude+angle search at t_opt_ns fixes the
-    drive amplitudes and is the t_opt vqgo row; the grid's other times are
-    synthesized with them held fixed. One row per (method, case, t in grid and
-    t_opt). The baseline's amplitude is tuned by minimize_on_interval."""
-    values = _case_values(sweep, cfg)
-    cases = [sweep.case(cfg, value) for value in values]
+    cases = {value: sweep.case(cfg, value) for value in values}
     amplitudes = sweep.qubits - 1
     lo, hi = read(cfg, "omega_bounds_mhz", size=2, low=0)
     try:
@@ -290,20 +264,41 @@ def _sweep(sweep, cfg, workers):
     search = {"omega0": omega0, "bounds": bounds,
               "outer_maxiter": read(cfg, "outer_maxiter", int, low=least_evaluations(amplitudes)),
               "max_sweeps": read(cfg, "max_sweeps", int, low=1)}
-    t_opt, grid, times = _gate_times(cfg)
+    t_opt = read(cfg, "t_opt_ns", low=0)
+    t_start = read(cfg, "t_start_ns", low=0)
+    t_stop = read(cfg, "t_stop_ns", low=t_start)
+    t_step = read(cfg, "t_step_ns", above=0)
+    span = f"in [t_start_ns, t_stop_ns] = [{t_start:g}, {t_stop:g}]"
+    try:
+        grid = np.arange(t_start, t_stop + 0.5 * t_step, t_step)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"t_step_ns {t_step:g} gives too many gate times {span}: {exc}") from exc
+    if not grid.size:
+        raise ConfigError(f"t_step_ns {t_step:g} gives no gate time {span}")
+    times = grid if t_opt in grid else np.append(grid, t_opt)
     signs = _layer_signs(cfg, len(cases) * grid.size, sweep.target.shape[0])
-    seed = read(cfg, "seed", int, low=0)
-    opt = optimizer_from_dict(cfg["optimizer"], seed)
-    for value, case in zip(values, cases):  # each source gate, before any search
+    opt = optimizer_from_dict(cfg["optimizer"], read(cfg, "seed", int, low=0))
+    for value, case in cases.items():  # each source gate, before any search
         for where, t in ((f"{sweep.cases_key} value {value:g}", 0.0),
                          (f"t_opt_ns {t_opt:g}", t_opt),
-                         (f"t_stop_ns {cfg['t_stop_ns']:g}", grid[-1])):
+                         (f"t_stop_ns {t_stop:g}", grid[-1])):
             _finite_gate(f"{where} at amplitude {hi:g} MHz", sweep.source, case,
                          [hi] * amplitudes, t)
+    keys = set(itertools.product(sweep.methods, values, times.tolist()))
+    return cases, signs, keys, search, t_opt, grid, times, opt
+
+
+def _sweep(sweep, cfg, workers):
+    """Per case: the concatenated amplitude+angle search at t_opt_ns fixes the
+    drive amplitudes and is the t_opt vqgo row; the grid's other times are
+    synthesized with them held fixed. One row per (method, case, t in grid and
+    t_opt). The baseline's amplitude is tuned by minimize_on_interval."""
+    cases, signs, _, search, t_opt, grid, times, opt = _read_sweep(sweep, cfg)
+    lo, hi = search["bounds"].pairs(1)[0]
     meta, rows = {}, []
     heads, results = [], []  # vqgo rows: each case's t_opt row is its amplitude search's design,
     grid_heads, sources, cfgs = [], [], []  # and the grid's other times go to one batch
-    for case_idx, (value, case) in enumerate(zip(values, cases)):
+    for case_idx, (value, case) in enumerate(cases.items()):
         cells = _case_cells(value, case)
         if sweep.baseline is not None:
             omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt), lo, hi)
@@ -311,7 +306,7 @@ def _sweep(sweep, cfg, workers):
                       _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in times]
         w_v, res_v, diag_v = concatenated_optimize(
             sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
-            cfg=replace(opt, seed=derive_seed(seed, 1, case_idx)), **search)
+            cfg=replace(opt, seed=derive_seed(opt.seed, 1, case_idx)), **search)
         meta[f"case{case_idx}_outer_evaluations"] = str(diag_v["outer_evaluations"])
         heads.append(["vqgo", *cells, _fmt_list(w_v), _fmt(t_opt)])
         results.append(res_v)
@@ -319,7 +314,7 @@ def _sweep(sweep, cfg, workers):
             if t != t_opt:
                 grid_heads.append(["vqgo", *cells, _fmt_list(w_v), _fmt(t)])
                 sources.append(_sources(sweep, case, w_v, float(t), signs))
-                cfgs.append(replace(opt, seed=derive_seed(seed, 2, case_idx, t_idx)))
+                cfgs.append(replace(opt, seed=derive_seed(opt.seed, 2, case_idx, t_idx)))
 
     results += _synthesize(sweep.target, sources, cfgs, workers)
     rows += [head + [_fmt(res.best_cost), str(len(res.restart_diagnostics)),
@@ -410,8 +405,6 @@ def _syndrome_case(cfg, scale):
 
 SYNDROME_SWEEP = Sweep(syndrome_target(), "crosstalk_cases", _syndrome_case, four_cr_gate)
 
-_SWEEPS = {"cnot_sweep": CNOT_SWEEP, "syndrome_sweep": SYNDROME_SWEEP}
-
 
 def cmd_syndrome_sweep(cfg, workers):
     """Four-qubit parity extraction from four simultaneous CR drives; a case
@@ -429,27 +422,27 @@ CARTAN_MAP_DEFAULTS = {
 }
 
 
-def _cartan_axis(cfg):
-    """(grid_points, the grid_points coordinates in [0, pi/4] of each axis)."""
+def _read_cartan(cfg):
+    """What cartan-map's run and --verify read of cfg, checked: (the axis of
+    grid_points values in [0, pi/4], layer signs, OptimizerConfig, row keys)."""
     npts = read(cfg, "grid_points", int, low=2)
     _check_buildable("grid_points", npts, npts**3, CNOT.shape[0])
-    return npts, np.linspace(0.0, np.pi / 4, npts)
+    signs = _layer_signs(cfg, npts**3, CNOT.shape[0])
+    opt = optimizer_from_dict(cfg["optimizer"], read(cfg, "seed", int, low=0))
+    axis = np.linspace(0.0, np.pi / 4, npts)
+    return axis, signs, opt, set(itertools.product(axis.tolist(), repeat=3))
 
 
 def cmd_cartan_map(cfg, workers):
     """Grid over canonical coordinates in [0, pi/4]^3: each point reports
     the entangling power of its canonical gate and the best fidelity of a
     depth-`depth` synthesis of CNOT from identical copies of that gate."""
-    npts, axis = _cartan_axis(cfg)
-    depth = read(cfg, "depth", int, low=1)
-    _check_buildable("depth", depth, npts**3 * depth, CNOT.shape[0])
-    seed = read(cfg, "seed", int, low=0)
-    opt = optimizer_from_dict(cfg["optimizer"], seed)
-    grid = list(itertools.product(range(npts), repeat=3))
+    axis, signs, opt, _ = _read_cartan(cfg)
+    grid = list(itertools.product(range(axis.size), repeat=3))
     coords = [tuple(axis[list(index)]) for index in grid]
     gates = [canonical_gate(c) for c in coords]
-    cfgs = [replace(opt, seed=derive_seed(seed, *index)) for index in grid]
-    results = _synthesize(CNOT, [[gate] * depth for gate in gates], cfgs, workers)
+    cfgs = [replace(opt, seed=derive_seed(opt.seed, *index)) for index in grid]
+    results = _synthesize(CNOT, [[gate] * len(signs) for gate in gates], cfgs, workers)
     rows = [[*map(_fmt, c), _fmt(entangling_power(gate)), _fmt(1.0 - res.best_cost),
              _fmt_list(res.best_params)] for c, gate, res in zip(coords, gates, results)]
     return {}, CARTAN_COLUMNS, rows
@@ -522,98 +515,102 @@ def cmd_single_optimize(cfg, workers):
 
 # --------------------------------------------------------------------- verify
 
-def _verify_row(sweep, case, signs, row):
-    """How a row of a sweep artifact (case(eps) its pair or device), or of cartan-map
-    when sweep is None, differs from what its config and parameters recompute, or None.
-    A row that cannot be evaluated, or whose method its command never writes, raises
-    IndexError, KeyError or ValueError."""
-    theta = _parse_list(row["theta"])
-    if sweep is None:
-        gate = canonical_gate([float(row["c_x"]), float(row["c_y"]), float(row["c_z"])])
-        stated = float(row["best_agf"])
-        recomputed = 1.0 - agi_cost(theta.reshape(len(signs) + 1, 2, 3), [gate] * len(signs), CNOT)
-    else:
+def _verify_sweep(sweep, cfg):
+    """--verify's (row check, row keys, row name) of a sweep config. check(row)
+    gives its (method, eps, t_ns), and its phase (phi_rad, "" read as 0) and AGI
+    as stated and as recomputed; an eps no case of cfg gets its case built once."""
+    cases, signs, keys = _read_sweep(sweep, cfg)[:3]
+    case = functools.cache(lambda value: cases[value] if value in cases else sweep.case(cfg, value))
+
+    def check(row):  # an unreadable row, or a method its command never writes, raises
+        theta = _parse_list(row["theta"])
         if row["method"] not in sweep.methods:
             raise ValueError(f"method {row['method']!r} is not one of {', '.join(sweep.methods)}")
-        eps, t, stated = (float(row[key]) for key in ("eps", "t_ns", "agi"))
-        omegas = _parse_list(row["omega_mhz"])
-        if row["phi_rad"] != (phi := _case_cells(eps, case(eps))[1]):
-            return f"stated {row['phi_rad']} as phi_rad, the config gives {phi!r}"
+        eps, t, agi = (float(row[key]) for key in ("eps", "t_ns", "agi"))
+        omegas, pair = _parse_list(row["omega_mhz"]), case(eps)
         if row["method"] == "tpcx":
-            recomputed = sweep.baseline(case(eps), omegas[0], t)
+            recomputed = sweep.baseline(pair, omegas[0], t)
         else:
             theta = theta.reshape(len(signs) + 1, sweep.qubits, 3)
-            recomputed = agi_cost(theta, _sources(sweep, case(eps), omegas, t, signs), sweep.target)
-    if abs(recomputed - stated) <= VERIFY_ATOL:
-        return None
-    return f"stated {stated:.12g} recomputed {recomputed:.12g}"
+            recomputed = agi_cost(theta, _sources(sweep, pair, omegas, t, signs), sweep.target)
+        phi = float(_case_cells(eps, pair)[1] or 0)  # "" for a device
+        return (row["method"], eps, t), (float(row["phi_rad"] or 0), agi), (phi, recomputed)
+
+    return check, keys, "{} eps {:g} t_ns {:g}"
 
 
-def _row_key(sweep, row):
-    """Where a row sits in its artifact: (method, eps, t) in a sweep, the
-    canonical coordinates (c_x, c_y, c_z) in cartan-map (sweep None)."""
-    if sweep is None:
-        return tuple(float(row[col]) for col in CARTAN_COLUMNS[:3])
-    return row["method"], float(row["eps"]), float(row["t_ns"])
+def _verify_cartan(cfg):
+    """--verify's (row check, row keys, row name) of a cartan-map config.
+    check(row) gives its coordinates, and its best_agf stated and recomputed."""
+    _, signs, _, keys = _read_cartan(cfg)
+
+    def check(row):
+        theta = _parse_list(row["theta"]).reshape(len(signs) + 1, 2, 3)
+        key = tuple(float(row[col]) for col in CARTAN_COLUMNS[:3])
+        recomputed = 1.0 - agi_cost(theta, [canonical_gate(key)] * len(signs), CNOT)
+        return key, (float(row["best_agf"]),), (recomputed,)
+
+    return check, keys, "c_x {:g} c_y {:g} c_z {:g}"
 
 
-def _row_name(key):
-    if isinstance(key[0], str):
-        return "{} eps {:g} t_ns {:g}".format(*key)
-    return "c_x {:g} c_y {:g} c_z {:g}".format(*key)
+# each CSV command's defaults and its --verify reading of a config
+_VERIFIERS = {
+    "cnot_sweep": (CNOT_SWEEP_DEFAULTS, functools.partial(_verify_sweep, CNOT_SWEEP)),
+    "syndrome_sweep": (SYNDROME_SWEEP_DEFAULTS, functools.partial(_verify_sweep, SYNDROME_SWEEP)),
+    "cartan_map": (CARTAN_MAP_DEFAULTS, _verify_cartan),
+}
 
 
 def verify_artifact(path):
-    """Recompute every row's fidelity figure from its stored parameters and its
-    phi_rad from the config, and check that the artifact holds one row per key
-    its config gives, (method, eps, t) in a sweep and the grid point in
-    cartan-map; returns the number of mismatches, a value that is not a number,
-    a missing, repeated or unexpected row each being one. A row that cannot be
-    read is a located config error."""
+    """Recompute each row's fidelity figure from its stored parameters and its
+    phase from the config, and check that the artifact holds one row per key
+    its config gives ((method, eps, t) or the grid point); returns the number of
+    mismatches, each bad value or missing, repeated or unexpected row being one.
+    The header config, read by its command's reader, must match the seed and
+    config_hash lines; an unreadable header or row is a located config error."""
     lines = list(io.StringIO(read_text(path)))
     meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
     rows = list(csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval=""))
     if "command" not in meta or "config" not in meta:
         raise ConfigError(f"{path}: missing command/config metadata")
     try:
-        cfg = json.loads(meta["config"])
+        header = json.loads(meta["config"])
     except (ValueError, RecursionError) as exc:  # malformed, or past a parser limit
         raise ConfigError(f"{path}: config header: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(header, dict):
         raise ConfigError(f"{path}: config header must be a JSON object")
-    command = meta["command"]
-    if command != "cartan_map" and command not in _SWEEPS:
-        raise ConfigError(f"{path}: cannot verify artifacts of command {command!r}")
-    sweep = _SWEEPS.get(command)
+    if meta["command"] not in _VERIFIERS:
+        raise ConfigError(f"{path}: cannot verify artifacts of command {meta['command']!r}")
+    defaults, verifier = _VERIFIERS[meta["command"]]
     try:
-        signs = _layer_signs(cfg, 1, (CNOT if sweep is None else sweep.target).shape[0])
-        if sweep is None:
-            expected = set(itertools.product(_cartan_axis(cfg)[1].tolist(), repeat=3))
-        else:
-            times = map(float, _gate_times(cfg)[2])
-            expected = set(itertools.product(sweep.methods, _case_values(sweep, cfg), times))
+        cfg = merge_config(header, defaults)
+        check, keys, name = verifier(cfg)
+        if meta.get("config_hash") != (digest := _config_hash(header)):  # header as parsed
+            raise ConfigError(f"config_hash {meta.get('config_hash')} is not the config's {digest}")
+        if meta.get("seed") != (seed := canonical_json(cfg["seed"])):
+            raise ConfigError(f"seed {meta.get('seed')} is not the config's seed {seed}")
     except ConfigError as exc:
         raise ConfigError(f"{path}: config header: {exc}") from exc
-    case = functools.cache(lambda value: sweep.case(cfg, value))
-    missing = set(expected)
+    missing = set(keys)
     mismatches = 0
     for idx, row in enumerate(rows):
         try:
-            problems = [_verify_row(sweep, case, signs, row)]
-            key = _row_key(sweep, row)
+            key, stated, recomputed = check(row)
         except (IndexError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: row {idx}: {exc}") from exc
-        if key not in expected:
-            problems.append(f"{_row_name(key)} is not a row its config gives")
+        problems = [f"stated {s:.12g} recomputed {r:.12g}"
+                    for s, r in zip(stated, recomputed) if not abs(r - s) <= VERIFY_ATOL]
+        if key not in keys:
+            problems.append(f"{name.format(*key)} is not a row its config gives")
         elif key not in missing:
-            problems.append(f"repeats the {_row_name(key)} row")
+            problems.append(f"repeats the {name.format(*key)} row")
         missing.discard(key)
-        for problem in filter(None, problems):
+        for problem in problems:
             print(f"{path}: row {idx}: {problem}")
-            mismatches += 1
+        mismatches += len(problems)
     for key in sorted(missing):
-        print(f"{path}: no {_row_name(key)} row")
-        mismatches += 1
+        print(f"{path}: no {name.format(*key)} row")
+    mismatches += len(missing)
     print(f"{path}: {len(rows)} rows checked, {mismatches} mismatches")
     return mismatches
 
@@ -662,7 +659,10 @@ def main(argv=None):
         if args.workers < 1:
             raise ConfigError(f"--workers must be an integer >= 1, got {args.workers}")
         command, defaults, fn, default_output = _COMMANDS[args.command]
-        cfg = load_config(args.config, defaults)
+        user = {} if args.config is None else read_json(args.config)
+        if not isinstance(user, dict):
+            raise ConfigError(f"{args.config}: top level must be a JSON object")
+        cfg = merge_config(user, defaults, f"{args.config}: ")
         if args.seed is not None:
             cfg["seed"] = args.seed
         output = args.output or default_output

@@ -231,8 +231,8 @@ def _quasi_newton_steps(x0, cfg):
 
 def least_evaluations(n):
     """The fewest evaluations COBYLA takes over n variables: its start
-    simplex of n + 1 points and one step. scipy raises a smaller budget to
-    it with a warning."""
+    simplex of n + 1 points and one step. scipy would raise a smaller
+    budget to it with a warning; minimize_derivative_free rejects it."""
     return n + 2
 
 
@@ -258,7 +258,8 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
     max_evaluations evaluations of f; returns the best point seen across
     all evaluations, so the reported value is a monotone best-so-far.
     bounds is a list of (lower, upper) pairs, and x0 must lie within them;
-    a box cobyla_start_radius rejects is a ValueError before any evaluation.
+    a box cobyla_start_radius rejects, or a budget below least_evaluations,
+    is a ValueError before any evaluation.
 
     If stop_below is set, the search ends at the first evaluation whose
     value is under it and returns that point with converged=True; with
@@ -273,6 +274,9 @@ def minimize_derivative_free(f, x0, bounds, max_evaluations, stop_below=None):
         raise ValueError("bounds must be finite")
     if not (np.all(lo <= x0) and np.all(x0 <= hi)):
         raise ValueError(f"start point {x0} lies outside the bounds {bounds}")
+    if max_evaluations < least_evaluations(x0.size):
+        raise ValueError(f"max_evaluations {max_evaluations} is below {least_evaluations(x0.size)}, "
+                         f"the fewest COBYLA takes over {x0.size} variable(s)")
     rhobeg = cobyla_start_radius(lo, hi)
     best = {"x": None, "f": np.inf, "nfev": 0}
 

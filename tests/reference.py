@@ -3,8 +3,9 @@ one item at a time, what gatesynth computes in array form: Pauli labels
 and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
 entries, a plan's entries as labelled tuples, single Euler gates and
 layers, the exact gradient with one einsum partial trace per qubit and
-matmul derivative factors, the Makhlin local invariants, and the ideal
-echoed-CR segments. Nothing in the package needs them."""
+matmul derivative factors, the Makhlin local invariants, canonical
+coordinates by simultaneous diagonalization, and the ideal echoed-CR
+segments. Nothing in the package needs them."""
 
 import itertools
 from functools import lru_cache
@@ -15,7 +16,7 @@ from gatesynth.analysis import MAGIC
 from gatesynth.ansatz import _euler_factors
 from gatesynth.channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_matrix
 from gatesynth.dfe import simulate_expectation
-from gatesynth.numkit import dagger, expm_hermitian, kron_qubits
+from gatesynth.numkit import dagger, expm_hermitian, is_unitary, kron_qubits
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -152,6 +153,54 @@ def local_invariants(u):
     g1 = tr**2 / (16 * det)
     g2 = (tr**2 - np.trace(mtm @ mtm)) / (4 * det)
     return complex(g1), complex(g2)
+
+
+def cartan_coordinates(u):
+    """analysis.cartan_coordinates by its first method: read the eigenvalues
+    of M^T M off an eigenbasis of a seeded random real combination of its
+    real and imaginary parts that also diagonalizes M^T M itself."""
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u) or u.shape != (4, 4):
+        raise ValueError("input must be a 4x4 unitary")
+    pi2, pi4 = np.pi / 2, np.pi / 4
+    u = u / np.linalg.det(u) ** 0.25
+    m = dagger(MAGIC) @ u @ MAGIC
+    m2 = m.T @ m
+    for attempt in range(16):
+        rng = np.random.default_rng(attempt + 7)
+        a, b = rng.standard_normal(2)
+        _, p = np.linalg.eigh(a * m2.real + b * m2.imag)
+        d = p.T @ m2 @ p
+        if np.allclose(p @ np.diag(np.diagonal(d)) @ p.T, m2, atol=1e-12):
+            eigs = np.diagonal(d)
+            break
+    else:
+        raise RuntimeError("simultaneous diagonalization failed")
+    d = -np.angle(eigs) / 2
+    d[3] = -d[0] - d[1] - d[2]
+    cs = np.mod((d[:3] + d[3]) / 2, 2 * np.pi)
+    cstemp = np.mod(cs, pi2)
+    np.minimum(cstemp, pi2 - cstemp, out=cstemp)
+    order = np.argsort(cstemp)[[1, 2, 0]]
+    cs = cs[order]
+    if cs[0] > pi2:
+        cs[0] -= 3 * pi2
+    if cs[1] > pi2:
+        cs[1] -= 3 * pi2
+    conjs = 0
+    if cs[0] > pi4:
+        cs[0] = pi2 - cs[0]
+        conjs += 1
+    if cs[1] > pi4:
+        cs[1] = pi2 - cs[1]
+        conjs += 1
+    if cs[2] > pi2:
+        cs[2] -= 3 * pi2
+    if conjs == 1:
+        cs[2] = pi2 - cs[2]
+    if cs[2] > pi4:
+        cs[2] -= pi2
+    return cs[[1, 0, 2]]
 
 
 def tpcx_ideal_limit_segments():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gatesynth import analysis
 from gatesynth.channels import CNOT, SWAP, agf_unitary
 from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary
-from reference import local_invariants
+from reference import cartan_coordinates as cartan_by_diagonalization, local_invariants
 
 PI4 = np.pi / 4
 
@@ -163,3 +163,18 @@ def test_best_local_approximation_of_cnot():
     rng = derive_rng(67)
     best = max(agf_unitary(CNOT, _random_local(rng)) for _ in range(300))
     assert best <= 0.6 + 1e-9
+
+
+def test_cartan_from_eigenvalues_matches_simultaneous_diagonalization():
+    # Haar gates, locally scrambled canonical gates and the degenerate corners,
+    # whose M^T M has repeated eigenvalues
+    rng = derive_rng(61)
+    corners = [np.eye(4), CNOT, SWAP, analysis.canonical_gate([PI4, PI4, 0.0]),
+               analysis.canonical_gate([PI4 / 2, 0.0, 0.0])]
+    gates = [haar_unitary(4, rng) for _ in range(40)] + [
+        _random_local(rng) @ g @ _random_local(rng)
+        for g in corners + [analysis.canonical_gate(_random_chamber_point(rng))
+                            for _ in range(20)]]
+    for u in gates:
+        got, ref = analysis.cartan_coordinates(u), cartan_by_diagonalization(u)
+        assert np.abs(got - ref).max() < 1e-12, (got, ref)

@@ -932,6 +932,83 @@ def test_verify_counts_a_cartan_row_off_the_grid(tmp_path, capsys, artifacts):
                          f"{out}: 8 rows checked, 3 mismatches"]
 
 
+
+def _with_config(text, edit):
+    """Artifact text whose '# config:' line holds its config after edit(config)
+    (in place), written as a run writes it; every other line is kept."""
+    def rewrite(match):
+        cfg = json.loads(match.group(1))
+        edit(cfg)
+        return "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return re.sub(r"^# config: (.*)$", rewrite, text, count=1, flags=re.M)
+
+
+@pytest.mark.parametrize("command, rows", [("cartan-map", 8), ("cnot-sweep", 6),
+                                           ("syndrome-sweep", 1)])
+def test_verify_of_untouched_artifacts_reads_no_mismatch(tmp_path, capsys, artifacts, command,
+                                                         rows):
+    out = tmp_path / "art.csv"
+    for text in (artifacts[command], _with_config(artifacts[command], lambda cfg: None)):
+        out.write_text(text)
+        assert cli.main(["--verify", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}: {rows} rows checked, 0 mismatches\n"
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("cnot-sweep", lambda cfg: cfg.update(foo=1), "unknown config key 'foo'"),
+    ("cartan-map", lambda cfg: cfg.update(foo=1), "unknown config key 'foo'"),
+    # a syndrome-sweep key, which cnot-sweep rejects in a run
+    ("cnot-sweep", lambda cfg: cfg.update(opposite_sign_layers=True),
+     "unknown config key 'opposite_sign_layers'"),
+    ("cnot-sweep", lambda cfg: cfg["optimizer"].update(seed=3),
+     "optimizer config: seed is not an optimizer field; set the top-level seed"),
+])
+def test_verify_reads_the_header_config_by_its_commands_rules(tmp_path, capsys, artifacts,
+                                                              command, edit, message):
+    out = tmp_path / "art.csv"
+    out.write_text(_with_config(artifacts[command], edit))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {out}: config header: {message}\n")
+
+
+def test_verify_rejects_a_header_value_with_the_runs_message(tmp_path, capsys, artifacts):
+    outside = {"omega0_mhz": 250.0}  # the box is [0, 200]
+    cfg = _write(tmp_path / "c.json", dict(TINY_CNOT, **outside))
+    assert cli.main(["cnot-sweep", "--config", cfg, "--output", str(tmp_path / "run.csv")]) == 1
+    run = capsys.readouterr().err
+    assert run == ("config error: omega0_mhz must lie within omega_bounds_mhz [0, 200], "
+                   "got 250.0\n")
+    out = tmp_path / "art.csv"
+    out.write_text(_with_config(artifacts["cnot-sweep"], lambda cfg: cfg.update(outside)))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", run.replace("config error: ", f"config error: {out}: config header: ", 1))
+
+
+def test_verify_rejects_a_header_config_its_hash_does_not_match(tmp_path, capsys, artifacts):
+    # optimizer.restarts edited from 1 to 7, the config_hash line left as written
+    out = tmp_path / "art.csv"
+    text = artifacts["cnot-sweep"]
+    out.write_text(_with_config(text, lambda cfg: cfg["optimizer"].update(restarts=7)))
+    assert cli.main(["--verify", str(out)]) == 1
+    stated = re.search(r"^# config_hash: (\w+)$", text, flags=re.M).group(1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"config error: {re.escape(str(out))}: config header: "
+                        f"config_hash {stated} is not the config's [0-9a-f]{{64}}\n", captured.err)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("# seed: 0\n", "# seed: 7\n"), "seed 7 is not the config's seed 0"),
+    (lambda text: text.replace("# seed: 0\n", ""), "seed None is not the config's seed 0"),
+])
+def test_verify_rejects_a_seed_line_the_config_does_not_give(tmp_path, capsys, artifacts, edit,
+                                                             message):
+    out = tmp_path / "art.csv"
+    out.write_text(edit(artifacts["cnot-sweep"]))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {out}: config header: {message}\n")
+
 def test_successive_calls_share_one_parser_and_no_state(tmp_path, monkeypatch):
     parser = cli._parser()
     assert cli._parser() is parser

@@ -286,6 +286,17 @@ def test_derivative_free_rejects_bad_inputs():
     assert calls == []
 
 
+def test_derivative_free_rejects_a_budget_below_the_least_before_any_evaluation():
+    calls = []
+    with pytest.raises(ValueError, match=r"max_evaluations 2 is below 3, .* over 1 variable"):
+        optimkit.minimize_derivative_free(calls.append, [0.5], [(0.0, 1.0)], 2)
+    assert calls == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, diag = optimkit.minimize_derivative_free(
+            lambda x: float(x[0]), [0.5], [(0.0, 1.0)], optimkit.least_evaluations(1))
+    assert diag["iterations"] == 3
+
 # boxes whose narrowest side is under 4 * COBYLA_FINAL_RADIUS: COBYLA's start
 # radius, a quarter of it, would be below its final radius
 _NARROW_BOXES = [
