@@ -1,7 +1,7 @@
 """Exact gradients and depth-3 universality.
 
 The infidelity depends on the circuit only through Tr(T^dag U), which is
-linear in every single-qubit gate, so the exact backend takes each angle's
+linear in every single-qubit gate, so the gradient takes each angle's
 derivative as a 2x2 trace against its layer's environment. A
 measurement-driven cost gets the same gradient from the parameter-shift
 rule: it is trigonometric in every angle, so two shifted evaluations per

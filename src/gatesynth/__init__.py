@@ -18,7 +18,6 @@ from .analysis import (
 from .ansatz import (
     agi_cost,
     build_circuit,
-    make_emulated_cost,
     parameter_shift_gradient,
     random_params,
     wrap_angles,

@@ -13,13 +13,13 @@ and the leftmost factor acts last in time. Single-qubit gates use the
 full-angle convention exp(-i*t*sigma).
 
 The cost depends on U only through tau = Tr(T^dag U), which is linear in
-each single-qubit gate. The exact backend therefore differentiates tau
-against each layer's environment (post_i @ T^dag @ pre_i), the adjoint
-method of GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)). A
-measurement-driven cost has no tau to differentiate; for it the cost is
-trigonometric in each angle with period pi, so the parameter-shift rule
-gives the exact derivative as the difference of two cost evaluations
-shifted by +/- pi/4 (no finite differencing).
+each single-qubit gate. Its gradient therefore differentiates tau against
+each layer's environment (post_i @ T^dag @ pre_i), the adjoint method of
+GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)). A measured cost,
+such as 1 - dfe_estimate(build_circuit(theta, sources), ...), has no tau;
+it is trigonometric in each angle with period pi, so the parameter-shift
+rule gives its exact derivative as the difference of two costs shifted by
++/- pi/4 (no finite differencing).
 """
 
 from functools import lru_cache
@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import agf_unitary, agis_from_traces, ptm
-from .dfe import dfe_estimate, dfe_plan
+from .channels import agf_unitary, agis_from_traces
 from .numkit import dagger, kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
@@ -197,9 +196,9 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
 
     With `cost` given (a callable of the full theta tensor), each component
     is cost(theta_ijk + PARAMETER_SHIFT) - cost(theta_ijk - PARAMETER_SHIFT),
-    which equals the derivative exactly for the shift of pi/4;
-    measurement-driven cost backends get their matching gradient this way.
-    Without `cost` (the exact backend) it is pass_gradients for a batch of one.
+    which equals the derivative exactly for the shift of pi/4; a measured
+    cost gets its matching gradient this way. Without `cost` it is
+    pass_gradients for a batch of one.
     """
     theta, stacked = _one_problem(theta, sources, target)
     if cost is None:
@@ -214,18 +213,3 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
         grad[idx] = cost(tp) - cost(tm)
     return grad
 
-
-def make_emulated_cost(sources, target):
-    """Measurement-driven cost backend: infidelity from a full-support
-    fidelity-estimation plan over the target's Pauli transfer matrix.
-
-    Returns a callable mapping a theta tensor to an infidelity estimate.
-    """
-    r_target = ptm(target)
-    plan = dfe_plan(r_target)
-
-    def cost(theta):
-        u = build_circuit(theta, sources)
-        return 1.0 - dfe_estimate(u, r_target, plan)
-
-    return cost

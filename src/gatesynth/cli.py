@@ -540,15 +540,16 @@ def _verify_sweep(sweep, cfg):
 
 
 def _verify_cartan(cfg):
-    """--verify's (row check, row keys, row name) of a cartan-map config.
-    check(row) gives its coordinates, and its best_agf stated and recomputed."""
+    """--verify's (row check, row keys, row name) of a cartan-map config. check(row)
+    gives its coordinates, and its best_agf and entangling_power stated and recomputed."""
     _, signs, _, keys = _read_cartan(cfg)
 
     def check(row):
         theta = _parse_list(row["theta"]).reshape(len(signs) + 1, 2, 3)
         key = tuple(float(row[col]) for col in CARTAN_COLUMNS[:3])
-        recomputed = 1.0 - agi_cost(theta, [canonical_gate(key)] * len(signs), CNOT)
-        return key, (float(row["best_agf"]),), (recomputed,)
+        gate = canonical_gate(key)
+        recomputed = 1.0 - agi_cost(theta, [gate] * len(signs), CNOT), entangling_power(gate)
+        return key, (float(row["best_agf"]), float(row["entangling_power"])), recomputed
 
     return check, keys, "c_x {:g} c_y {:g} c_z {:g}"
 

@@ -154,9 +154,10 @@ def tpcx(pair, omega, t):
     segments exp(-+i*(pi/8)*Z(x)X) makes the product equal CNOT up to
     global phase. An array of amplitudes gives the stack of their gates,
     each bitwise the call with that amplitude alone: every segment of
-    every amplitude is one stacked evolution.
+    every amplitude is one stacked evolution. t must be finite and >= 0.
     """
     omega = np.asarray(omega, dtype=float)
+    t = read({"t": t}, "t", low=0)
     seg_minus, seg_plus = expm_hermitian(cr_hamiltonian(pair, np.stack([-omega, omega])), t)
     return TPCX_A @ seg_minus @ TPCX_B @ seg_plus @ TPCX_C
 

@@ -17,11 +17,11 @@ bounded Brent around its best point).
 
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
 vqgo_batch, the one loop that serves design requests, runs many such
-designs of one target in lockstep, on the exact backend with one stacked
-circuit pass and one stacked gradient a round, and on the emulated
-(measurement-driven) backend one design row at a time. vqgo is its batch
-of one. concatenated_optimize wraps vqgo in an outer derivative-free
-search over source-drive amplitudes.
+designs of one target in lockstep, with one stacked circuit pass and one
+stacked gradient a round. vqgo is its batch of one. concatenated_optimize
+wraps vqgo in an outer derivative-free search over source-drive
+amplitudes. minimize_quasi_newton descends a measured cost with its
+shift-rule gradient, ansatz.parameter_shift_gradient(..., cost=).
 """
 
 import math
@@ -34,8 +34,6 @@ import numpy as np
 from .ansatz import (
     CircuitPass,
     circuit_pass,
-    make_emulated_cost,
-    parameter_shift_gradient,
     pass_costs,
     pass_gradients,
     random_params,
@@ -387,7 +385,7 @@ def _vqgo_steps(n, d, cfg):
     )
 
 
-def vqgo(target, sources, cfg=None, backend="exact"):
+def vqgo(target, sources, cfg=None):
     """Multistart synthesis of `target` from the fixed `sources`:
     cfg.restarts independent quasi-Newton descents of the infidelity cost,
     each from a fresh uniform-random angle tensor, keeping the best.
@@ -399,13 +397,12 @@ def vqgo(target, sources, cfg=None, backend="exact"):
     wrapped into [0, 2*pi); iterations_used sums the restarts actually
     run while cost_history and the converged flag belong to the winner,
     and restart_diagnostics holds the iterations, reason, nfev and ngev of
-    each restart run. This is vqgo_batch with one design, on either
-    backend.
+    each restart run. This is vqgo_batch with one design.
     """
-    return vqgo_batch(target, [sources], [cfg or OptimizerConfig()], backend)[0]
+    return vqgo_batch(target, [sources], [cfg or OptimizerConfig()])[0]
 
 
-def vqgo_batch(target, sources, cfgs, backend="exact"):
+def vqgo_batch(target, sources, cfgs):
     """vqgo of B designs of one target in lockstep: design b synthesizes
     `target` from the source list sources[b] (all of one depth) under
     cfgs[b]. Returns the B results, each bitwise the one vqgo gives for its
@@ -415,14 +412,10 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
     a design whose line search ends sooner waits with its gradient request.
     Then one round answers every design's gradient, so designs whose line
     searches take different numbers of costs still share each gradient
-    round. A design that finishes drops out. The exact backend answers a
-    round's costs with one circuit_pass and its gradients with one
-    pass_gradients, which reuses the circuit pass of its point's cost. The
-    emulated backend answers each row with its design's make_emulated_cost,
-    and with the shift-rule gradient of that cost.
+    round. A design that finishes drops out. A round's costs are one
+    circuit_pass and its gradients one pass_gradients, which reuses the
+    circuit pass of its point's cost.
     """
-    if backend not in ("exact", "emulated"):
-        raise ValueError(f"backend must be 'exact' or 'emulated', got {backend!r}")
     target = np.asarray(target)
     dim = target.shape[0]
     n = qubit_count(dim)
@@ -434,8 +427,6 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
         return []
     stacked = np.array([stack_sources(s, dim) for s in sources])
     d = stacked.shape[1]
-    if backend == "emulated":
-        emulated = [make_emulated_cost(s, target) for s in sources]
     steps = [_vqgo_steps(n, d, cfg) for cfg in cfgs]
     requests = [next(design) for design in steps]
     recent = [[] for _ in steps]  # per design: (x, pass, row) of its last two costs
@@ -446,13 +437,7 @@ def vqgo_batch(target, sources, cfgs, backend="exact"):
         batch = [b for b in active if requests[b][0] is COST] or list(active)
         kind = requests[batch[0]][0]
         xs = [requests[b][1] for b in batch]
-        if backend == "emulated" and kind is COST:
-            values = [emulated[b](x.reshape(d + 1, n, 3)) for b, x in zip(batch, xs)]
-        elif backend == "emulated":
-            values = [parameter_shift_gradient(x.reshape(d + 1, n, 3), sources[b], target,
-                                               cost=emulated[b]).ravel()
-                      for b, x in zip(batch, xs)]
-        elif kind is COST:
+        if kind is COST:
             theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
             cpass = circuit_pass(theta, _rows(stacked, batch))
             for row, (b, x) in enumerate(zip(batch, xs)):

@@ -4,19 +4,22 @@ and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
 entries, a plan's entries as labelled tuples, single Euler gates and
 layers, the exact gradient with one einsum partial trace per qubit and
 matmul derivative factors, the Makhlin local invariants, canonical
-coordinates by simultaneous diagonalization, and the ideal echoed-CR
-segments. Nothing in the package needs them."""
+coordinates by simultaneous diagonalization, the ideal echoed-CR
+segments, and the README's measured-cost descent, held against vqgo.
+Nothing in the package needs them."""
 
 import itertools
 from functools import lru_cache
 
 import numpy as np
 
+from gatesynth import ansatz, channels, dfe, optimkit
 from gatesynth.analysis import MAGIC
 from gatesynth.ansatz import _euler_factors
 from gatesynth.channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_matrix
 from gatesynth.dfe import simulate_expectation
-from gatesynth.numkit import dagger, expm_hermitian, is_unitary, kron_qubits
+from gatesynth.numkit import (dagger, derive_rng, expm_hermitian, is_unitary, kron_qubits,
+                              qubit_count)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -209,3 +212,22 @@ def tpcx_ideal_limit_segments():
     (-omega, +omega) slots respectively."""
     zx = pauli_matrix("ZX")
     return expm_hermitian(zx, np.pi / 8), expm_hermitian(zx, -np.pi / 8)
+
+
+def dfe_descent(target, sources, cfg):
+    """The measured-cost path: minimize_quasi_newton of the full-support DFE
+    infidelity, with its parameter-shift gradient, from the start point of
+    vqgo's restart 0 under cfg; returns (x*, f*, diagnostics). The package
+    functions are looked up at each call, so a tracer that wraps them sees them."""
+    shape = (len(sources) + 1, qubit_count(len(target)), 3)
+    r = channels.ptm(target)
+    plan = dfe.dfe_plan(r)
+
+    def cost(x):
+        return 1.0 - dfe.dfe_estimate(ansatz.build_circuit(x.reshape(shape), sources), r, plan)
+
+    def grad(x):
+        return ansatz.parameter_shift_gradient(x.reshape(shape), sources, target, cost=cost).ravel()
+
+    x0 = ansatz.random_params(shape[1], shape[0] - 1, derive_rng(cfg.seed, 0)).ravel()
+    return optimkit.minimize_quasi_newton(cost, grad, x0, cfg)

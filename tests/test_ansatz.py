@@ -148,16 +148,6 @@ def test_environment_gradient_on_syndrome_sources():
     assert np.abs(grad - _shift_rule_gradient(th, sources, target)).max() < 1e-12
 
 
-def test_emulated_cost_matches_exact():
-    rng = derive_rng(26)
-    sources = [haar_unitary(4, rng)]
-    target = haar_unitary(4, rng)
-    cost = ansatz.make_emulated_cost(sources, target)
-    for k in range(3):
-        th = ansatz.random_params(2, 1, rng)
-        assert abs(cost(th) - ansatz.agi_cost(th, sources, target)) < 1e-10
-
-
 def test_cost_is_agi_of_built_circuit():
     rng = derive_rng(27)
     sources = [haar_unitary(4, rng), haar_unitary(4, rng)]

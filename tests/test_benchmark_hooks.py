@@ -1,6 +1,6 @@
 """The program's names that perfbench/tracing.py wraps stay in place: its
 spans see the sweep command, vqgo, minimize_quasi_newton's callables and
-the emulated backend's shift-rule gradients."""
+the shift-rule gradients of a measured cost."""
 
 import importlib.util
 import json
@@ -10,6 +10,7 @@ import numpy as np
 
 from gatesynth import cli, optimkit
 from gatesynth.channels import CNOT
+from reference import dfe_descent
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,16 +53,17 @@ def test_tracing_hooks_record_spans(tmp_path):
 
 
 def test_traced_emulated_vqgo_records_shift_rule_gradients():
+    # the descent of an emulated measurement: full-support DFE and its shift rule
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
     try:
-        res = optimkit.vqgo(CNOT, [CNOT], backend="emulated", cfg=optimkit.OptimizerConfig(
-            restarts=2, max_iterations=5, seed=1))
+        _, _, diag = dfe_descent(CNOT, [CNOT], optimkit.OptimizerConfig(max_iterations=5, seed=1))
     finally:
         tracer.uninstall()
     spans = tracing.Spans(tracer)
-    assert spans.calls("optimkit.vqgo") == 1
+    assert spans.calls("optimkit.minimize_quasi_newton") == 1
+    assert spans.calls("optimkit.minimize_quasi_newton.gradient") == diag["ngev"]
     notes = spans.notes("ansatz.parameter_shift_gradient")
     assert notes and all(note == {"callable": True} for note in notes)
-    assert len(notes) == sum(run["ngev"] for run in res.restart_diagnostics)
+    assert len(notes) == diag["ngev"]

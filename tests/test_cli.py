@@ -921,15 +921,25 @@ def test_verify_checks_the_cartan_grid_row_set(tmp_path, capsys, artifacts, edit
 
 
 def test_verify_counts_a_cartan_row_off_the_grid(tmp_path, capsys, artifacts):
-    # the first row's c_z moved off the axis: its fidelity, its place and its gap
+    # the first row's c_z moved off the axis: its fidelity, its entangling power,
+    # its place and its gap
     out = tmp_path / "map.csv"
     out.write_text(_tamper(artifacts["cartan-map"], 0, "c_z", "0.5"))
     assert cli.main(["--verify", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{out}: row 0: stated ")
-    assert lines[1:] == [f"{out}: row 0: c_x 0 c_y 0 c_z 0.5 is not a row its config gives",
+    assert lines[1].startswith(f"{out}: row 0: stated 0 recomputed ")
+    assert lines[2:] == [f"{out}: row 0: c_x 0 c_y 0 c_z 0.5 is not a row its config gives",
                          f"{out}: no c_x 0 c_y 0 c_z 0 row",
-                         f"{out}: 8 rows checked, 3 mismatches"]
+                         f"{out}: 8 rows checked, 4 mismatches"]
+
+
+def test_verify_recomputes_a_cartan_rows_entangling_power(tmp_path, capsys, artifacts):
+    out = tmp_path / "map.csv"
+    out.write_text(_tamper(artifacts["cartan-map"], 0, "entangling_power", "0.5"))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{out}: row 0: stated 0.5 recomputed 0", f"{out}: 8 rows checked, 1 mismatches"]
 
 
 

@@ -271,6 +271,15 @@ def test_tpcx_of_an_amplitude_array_is_bitwise_each_call_alone():
         devices.TPCX_A @ segments[0] @ devices.TPCX_B @ segments[1] @ devices.TPCX_C).tobytes()
 
 
+def test_tpcx_rejects_a_gate_time_no_evolution_has():
+    # as cr_gate and four_cr_gate do: a negative time ran the segments backwards
+    pair = devices.CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
+    for t, shown in ((-75.0, "-75.0"), (np.nan, "NaN"), (np.inf, "Infinity")):
+        message = f"^t must be a finite number >= 0, got {shown}$"
+        with pytest.raises(devices.ConfigError, match=message):
+            devices.tpcx(pair, 50.0, t)
+
+
 def test_syndrome_target_parity_and_involution():
     u = devices.syndrome_target()
     assert is_unitary(u)

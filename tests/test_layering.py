@@ -1,6 +1,6 @@
 """Module layering: each gatesynth module imports only modules below it in
 
-    {numkit, inputs} -> channels -> {analysis, devices, dfe} -> ansatz -> optimkit -> cli
+    {numkit, inputs} -> channels -> {analysis, ansatz, devices, dfe} -> optimkit -> cli
 
 (modules of one rank do not import each other). Every import statement is
 read from the source with ast, including imports inside functions, so a
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parents[1] / "src" / "gatesynth"
-LAYERS = [{"numkit", "inputs"}, {"channels"}, {"analysis", "devices", "dfe"}, {"ansatz"},
+LAYERS = [{"numkit", "inputs"}, {"channels"}, {"analysis", "ansatz", "devices", "dfe"},
           {"optimkit"}, {"cli"}]
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 
