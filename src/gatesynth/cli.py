@@ -489,7 +489,7 @@ def gate_from_spec(spec, where="gate"):
 
 def cmd_single_optimize(cfg, workers):
     """One vqgo design of `target` from `sources`, one source layer per
-    entry; returns its results."""
+    entry; returns its results and each restart's diagnostics."""
     opt = optimizer_from_dict(cfg["optimizer"], read(cfg, "seed", int, low=0))
     target = gate_from_spec(cfg["target"], "target")
     if not isinstance(cfg["sources"], list):
@@ -510,6 +510,7 @@ def cmd_single_optimize(cfg, workers):
         "restart_index": res.restart_index,
         "theta": np.asarray(res.best_params).tolist(),
         "cost_history": [float(v) for v in res.cost_history],
+        "restarts": res.restart_diagnostics,
     }
 
 

@@ -1,13 +1,13 @@
 """Optimizers and the synthesis driver loop.
 
-minimize_quasi_newton is a self-contained limited-memory BFGS with a
-parabola-first line search: the first trial step is the minimizer of the
-quadratic interpolant through (f(x), directional derivative, f(x+p)),
-which makes the method terminate on quadratic costs in at most
-`dimension` iterations when its fixed memory of LBFGS_MEMORY pairs covers
-the full history, that is up to dimension LBFGS_MEMORY. A standard Armijo
-backtracking loop guards the non-quadratic case. Its iteration is a
-generator of cost and gradient requests, so one driver can answer the
+minimize_quasi_newton is a self-contained limited-memory BFGS whose line
+search costs the unit step x+p first. Up to dimension LBFGS_MEMORY, where
+its memory of pairs covers the full history, it also tries the minimizer
+of the parabola through (f(x), directional derivative, f(x+p)), which
+makes it terminate on quadratic costs in at most `dimension` iterations;
+above it, that trial is made only for a unit step that fails the Armijo
+test. Armijo backtracking guards the non-quadratic case. Its iteration is
+a generator of cost and gradient requests, so one driver can answer the
 requests of many descents together.
 
 minimize_derivative_free is a bounded COBYLA search from a start point,
@@ -45,6 +45,8 @@ from .numkit import derive_rng, qubit_count
 
 # (s, y) pairs the quasi-Newton direction remembers
 LBFGS_MEMORY = 10
+# sufficient decrease a line-search step must show: f(x+tp) <= f(x) + ARMIJO*t*(g.p)
+ARMIJO = 1e-4
 # COBYLA's trust-region radius: it starts at a quarter of the narrowest side
 # of the box, at most COBYLA_MAX_START_RADIUS, and ends at COBYLA_FINAL_RADIUS
 COBYLA_MAX_START_RADIUS = 10.0
@@ -109,6 +111,10 @@ COST, GRADIENT = "cost", "gradient"
 
 def minimize_quasi_newton(f, grad, x0, cfg=None):
     """Limited-memory BFGS descent; returns (x*, f*, diagnostics).
+
+    Each step costs x+p and, for at most LBFGS_MEMORY parameters or an x+p
+    that fails the Armijo test, the parabola's minimizer (module docstring):
+    finite termination on quadratic costs holds up to that dimension.
 
     Terminates when the max-abs gradient drops below gradient_tolerance,
     an accepted step improves the cost by less than cost_tolerance, the
@@ -177,13 +183,14 @@ def _quasi_newton_steps(x0, cfg):
         if dphi >= 0:
             p = -gx
             dphi = np.dot(gx, p)
-        # parabola through f(x), dphi, f(x+p); its minimizer is exact on
-        # quadratic costs, giving finite termination there
+        # parabola through f(x), dphi, f(x+p): its minimizer is exact on
+        # quadratic costs, giving finite termination there up to dimension
+        # LBFGS_MEMORY; above it an Armijo unit step is taken without the trial
         xn = x + p
         f1 = yield from cost(xn)
         t, ft = 1.0, f1
         b = f1 - fx - dphi
-        if b > 1e-300:
+        if b > 1e-300 and (x.size <= LBFGS_MEMORY or not f1 <= fx + ARMIJO * dphi):
             tstar = -dphi / (2.0 * b)
             if 1e-10 < tstar < 1e10 and tstar != 1.0:
                 xstar = x + tstar * p
@@ -191,7 +198,7 @@ def _quasi_newton_steps(x0, cfg):
                 if fstar < ft:
                     t, ft, xn = tstar, fstar, xstar
         n_bt = 0
-        while not (math.isfinite(ft) and ft <= fx + 1e-4 * t * dphi) and n_bt < 60:
+        while not (math.isfinite(ft) and ft <= fx + ARMIJO * t * dphi) and n_bt < 60:
             t *= 0.5
             xn = x + t * p
             ft = yield from cost(xn)

@@ -1079,6 +1079,25 @@ def test_single_optimize_report(tmp_path):
     assert np.asarray(report["theta"]).shape == (2, 2, 3)
 
 
+def test_single_optimize_reports_each_restart(tmp_path):
+    config = {**TINY_SINGLE, "seed": 4,
+              "optimizer": {"restarts": 3, "max_iterations": 40, "gradient_tolerance": 1e-6}}
+    out = tmp_path / "report.json"
+    assert cli.main(["single-optimize", "--config", _write(tmp_path / "c.json", config),
+                     "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    res = vqgo(CNOT, [CNOT], OptimizerConfig(**config["optimizer"], seed=4))
+    assert report["restarts"] == res.restart_diagnostics
+    assert [sorted(run) for run in report["restarts"]] == [["iterations", "nfev", "ngev",
+                                                            "reason"]] * 3
+    assert sum(run["iterations"] for run in report["restarts"]) == report["iterations_used"]
+    for run in report["restarts"]:
+        assert run["reason"] in ("grad_tol", "cost_tol", "line_search", "budget")
+        # a gradient at the start and after each accepted step, and a cost for each of them
+        accepted = run["iterations"] - (run["reason"] == "line_search")
+        assert run["ngev"] == accepted + 1 <= run["nfev"]
+
+
 def test_single_optimize_reports_match_up_to_volatiles(tmp_path):
     cfg = _write(tmp_path / "c.json", TINY_SINGLE)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -154,6 +154,21 @@ def test_quasi_newton_quadratic_termination_budget(monkeypatch):
         assert np.abs(x - sol).max() < 1e-6
 
 
+def test_quasi_newton_unit_step_costs_once_above_the_memory():
+    # above LBFGS_MEMORY parameters an Armijo unit step is taken without the
+    # parabola trial; at or below it every step also costs that trial
+    assert optimkit.LBFGS_MEMORY < 20
+    f, g, sol = _quadratic(20, 20)
+    x, fx, diag = optimkit.minimize_quasi_newton(f, g, np.zeros(20))
+    assert diag["converged"]
+    assert diag["nfev"] <= diag["iterations"] + 3
+    assert np.abs(x - sol).max() < 1e-6
+    f, g, sol = _quadratic(6, 6)
+    x, fx, diag = optimkit.minimize_quasi_newton(f, g, np.zeros(6))
+    assert diag["nfev"] == 2 * diag["iterations"] + 1
+    assert np.abs(x - sol).max() < 1e-8
+
+
 def test_quasi_newton_history_is_monotone():
     def f(x):
         return np.sum(np.cos(x) + 0.1 * x**2)
@@ -658,16 +673,14 @@ def _xx_interior_case(stop_below):
 
 
 def test_concatenated_without_stop_below_is_unchanged():
-    # values of the search before stop_below reached the outer loop; with
-    # stop_below None every sweep must run exactly as it did then
+    # values of the search with stop_below None, recorded when the quasi-Newton
+    # step began to take an Armijo unit step above LBFGS_MEMORY parameters
     omega, res, diag = _xx_interior_case(None)
-    assert omega[0] == 99.97500000000001
-    assert res.best_cost == 3.084259569963166e-08
-    assert diag["sweeps"] == 3
-    assert diag["outer_evaluations"] == 36
-    assert diag["outer_history"] == [
-        1.2336942084467672e-05, 8.913453371173219e-06, 3.084259569963166e-08
-    ]
+    assert omega[0] == 100.0
+    assert res.best_cost == 4.651834473179406e-14
+    assert diag["sweeps"] == 2
+    assert diag["outer_evaluations"] == 24
+    assert diag["outer_history"] == [4.651834473179406e-14, 4.651834473179406e-14]
     assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
 
 
@@ -785,12 +798,13 @@ def test_interval_search_is_deterministic_and_rejects_bad_input():
 
 
 # (float.hex of the AGI, iterations, sha256 of the angles' bytes), recorded
-# before the quasi-Newton step kept its curvature products with each pair
+# when the quasi-Newton step began to take an Armijo unit step above
+# LBFGS_MEMORY parameters without the parabola trial
 _PINNED = {
-    "cnot_from_cr": ("0x1.529da264c0000p-19", 120,
-                     "0d4772e86f15acd95c00eae21ecc554ebf1d71eb37b6acfa6dbe8f21e04a9ef3"),
-    "syndrome": ("0x1.d01b096b3a060p-5", 25,
-                 "c1d0fe65219906d0b6f09c1c46854b19580edc8bedd1dcdcf1846b08658071c1"),
+    "cnot_from_cr": ("0x1.31f7ec5c60000p-18", 120,
+                     "3e1a36f7f9d5abd086ecfa1c95014a6ca60237862b439f91f48002cf865e7632"),
+    "syndrome": ("0x1.3645a986deb94p-1", 25,
+                 "12f7c403aa4cfb6387648c35213b29c0a5dd05bcdbd968ee3001edb07ad5a1cf"),
 }
 
 
