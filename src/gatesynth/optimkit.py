@@ -7,8 +7,9 @@ of the parabola through (f(x), directional derivative, f(x+p)), which
 makes it terminate on quadratic costs in at most `dimension` iterations;
 above it, that trial is made only for a unit step that fails the Armijo
 test. Armijo backtracking guards the non-quadratic case. Its iteration is
-a generator of cost and gradient requests, so one driver can answer the
-requests of many descents together.
+a generator of points: it is sent each point's cost and a callable for the
+gradient there, which it calls only at the start and at each accepted
+point, so one driver can answer the points of many descents together.
 
 minimize_derivative_free is a bounded COBYLA search from a start point,
 whose limits are this module's COBYLA_* constants and least_evaluations;
@@ -16,23 +17,25 @@ minimize_on_interval is a start-free 1-D search (a fixed grid, then
 bounded Brent around its best point).
 
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
-vqgo_batch, the one loop that serves design requests, runs many such
-designs of one target in lockstep, with one stacked circuit pass and one
-stacked gradient a round. vqgo is its batch of one. concatenated_optimize
-wraps vqgo in an outer derivative-free search over source-drive
-amplitudes. minimize_quasi_newton descends a measured cost with its
-shift-rule gradient, ansatz.parameter_shift_gradient(..., cost=).
+vqgo_batch, the one loop that serves design points, runs many such
+designs of one target in lockstep: a round is one stacked circuit pass
+that gives every point its cost and its gradient, so in vqgo each
+point's gradient is computed with its cost, and ngev counts the ones the
+descent used. vqgo is its batch of one. concatenated_optimize wraps vqgo
+in an outer derivative-free search over source-drive amplitudes.
+minimize_quasi_newton descends a measured cost with its shift-rule
+gradient, ansatz.parameter_shift_gradient(..., cost=).
 """
 
 import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .ansatz import (
-    CircuitPass,
     circuit_pass,
     pass_costs,
     pass_gradients,
@@ -106,9 +109,6 @@ class AmplitudeBounds:
         return [(self.lower, self.upper)] * k
 
 
-COST, GRADIENT = "cost", "gradient"
-
-
 def minimize_quasi_newton(f, grad, x0, cfg=None):
     """Limited-memory BFGS descent; returns (x*, f*, diagnostics).
 
@@ -122,38 +122,41 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
     iteration budget runs out. Raises ValueError on non-finite cost or
     gradient values. diagnostics carries iterations, converged, reason
     (grad_tol, cost_tol, line_search or budget), nfev and ngev (cost and
-    gradient evaluations) and the cost_history of accepted iterates
+    gradient evaluations; grad is called only at the start point and at
+    accepted points) and the cost_history of accepted iterates
     (non-increasing).
     """
     steps = _quasi_newton_steps(x0, cfg or OptimizerConfig())
     try:
-        kind, x = next(steps)
+        x = next(steps)
         while True:
-            kind, x = steps.send(f(x) if kind is COST else grad(x))
+            x = steps.send((f(x), partial(grad, x)))
     except StopIteration as done:
         return done.value
 
 
 def _quasi_newton_steps(x0, cfg):
-    """minimize_quasi_newton as a generator: it yields (COST, x) and
-    (GRADIENT, x) requests, is sent each answer, and returns (x*, f*,
-    diagnostics). A gradient is only requested at one of the last two
-    points whose cost was requested, as the same array object."""
+    """minimize_quasi_newton as a generator: it yields points, is sent
+    (cost, gradient) for each, where gradient is a callable of no argument
+    that gives the gradient there, and returns (x*, f*, diagnostics). It
+    calls gradient only at the start point and at each accepted point, and
+    ngev counts those calls: the gradients the descent used."""
     nfev = ngev = 0
 
     def cost(z):
         nonlocal nfev
         nfev += 1
-        return float((yield COST, z))
+        fz, gradient_at = yield z
+        return float(fz), gradient_at
 
-    def gradient(z):
+    def gradient(gradient_at):
         nonlocal ngev
         ngev += 1
-        return np.asarray((yield GRADIENT, z), dtype=float)
+        return np.asarray(gradient_at(), dtype=float)
 
     x = np.asarray(x0, dtype=float).copy()
-    fx = yield from cost(x)
-    gx = yield from gradient(x)
+    fx, gradient_at = yield from cost(x)
+    gx = gradient(gradient_at)
     if not (math.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(s.y), s.y, y.y), products kept from append
@@ -187,27 +190,27 @@ def _quasi_newton_steps(x0, cfg):
         # quadratic costs, giving finite termination there up to dimension
         # LBFGS_MEMORY; above it an Armijo unit step is taken without the trial
         xn = x + p
-        f1 = yield from cost(xn)
+        f1, gradient_at = yield from cost(xn)
         t, ft = 1.0, f1
         b = f1 - fx - dphi
         if b > 1e-300 and (x.size <= LBFGS_MEMORY or not f1 <= fx + ARMIJO * dphi):
             tstar = -dphi / (2.0 * b)
             if 1e-10 < tstar < 1e10 and tstar != 1.0:
                 xstar = x + tstar * p
-                fstar = yield from cost(xstar)
+                fstar, gradient_star = yield from cost(xstar)
                 if fstar < ft:
-                    t, ft, xn = tstar, fstar, xstar
+                    t, ft, xn, gradient_at = tstar, fstar, xstar, gradient_star
         n_bt = 0
         while not (math.isfinite(ft) and ft <= fx + ARMIJO * t * dphi) and n_bt < 60:
             t *= 0.5
             xn = x + t * p
-            ft = yield from cost(xn)
+            ft, gradient_at = yield from cost(xn)
             n_bt += 1
         # a step that rounds away leaves x where it is: no progress, not convergence
         if not math.isfinite(ft) or ft > fx or (xn == x).all():
             reason = "line_search"
             break
-        gn = yield from gradient(xn)
+        gn = gradient(gradient_at)
         if not np.isfinite(gn).all():
             raise ValueError("non-finite gradient during descent")
         s = xn - x
@@ -361,8 +364,8 @@ def minimize_on_interval(f, lower, upper):
 
 
 def _vqgo_steps(n, d, cfg):
-    """One vqgo design as a request generator (see _quasi_newton_steps) that
-    returns its OptimizationResult."""
+    """One vqgo design as a generator of points (see _quasi_newton_steps)
+    that returns its OptimizationResult."""
     best = None
     total_iterations = 0
     runs = []
@@ -380,7 +383,7 @@ def _vqgo_steps(n, d, cfg):
             break
     x, fx, diag, r = best
     theta = wrap_angles(x.reshape(d + 1, n, 3))
-    final_cost = float((yield COST, theta.ravel()))
+    final_cost = float((yield theta.ravel())[0])
     return OptimizationResult(
         best_params=theta,
         best_cost=final_cost,
@@ -415,13 +418,12 @@ def vqgo_batch(target, sources, cfgs):
     cfgs[b]. Returns the B results, each bitwise the one vqgo gives for its
     design alone, and [] for no designs.
 
-    Rounds answer the pending cost requests until no design wants a cost;
-    a design whose line search ends sooner waits with its gradient request.
-    Then one round answers every design's gradient, so designs whose line
-    searches take different numbers of costs still share each gradient
-    round. A design that finishes drops out. A round's costs are one
-    circuit_pass and its gradients one pass_gradients, which reuses the
-    circuit pass of its point's cost.
+    Each round is one circuit_pass over the points of every active design,
+    from which pass_costs and pass_gradients give each point its cost and
+    its gradient; the pass is dropped before the next round. A point's
+    gradient is computed with its cost, and the descent uses it only if it
+    accepts the point, so ngev counts the gradients used. A design that
+    finishes drops out.
     """
     target = np.asarray(target)
     dim = target.shape[0]
@@ -435,48 +437,27 @@ def vqgo_batch(target, sources, cfgs):
     stacked = np.array([stack_sources(s, dim) for s in sources])
     d = stacked.shape[1]
     steps = [_vqgo_steps(n, d, cfg) for cfg in cfgs]
-    requests = [next(design) for design in steps]
-    recent = [[] for _ in steps]  # per design: (x, pass, row) of its last two costs
+    points = [next(design) for design in steps]
     results = [None] * len(steps)
     active = list(range(len(steps)))
+    rows = stacked  # the sources of the active designs
     while active:
-        # a design that wants a gradient waits until no design wants a cost
-        batch = [b for b in active if requests[b][0] is COST] or list(active)
-        kind = requests[batch[0]][0]
-        xs = [requests[b][1] for b in batch]
-        if kind is COST:
-            theta = np.concatenate(xs).reshape(len(batch), d + 1, n, 3)
-            cpass = circuit_pass(theta, _rows(stacked, batch))
-            for row, (b, x) in enumerate(zip(batch, xs)):
-                recent[b] = [(x, cpass, row)] + recent[b][:1]
-            values = pass_costs(cpass, target)
-        else:
-            at = [next((cpass, row) for y, cpass, row in recent[b] if y is x)
-                  for b, x in zip(batch, xs)]
-            values = pass_gradients(_gather(at), _rows(stacked, batch), target)
-            del at  # the line search's next costs may drop these passes from recent
-            values = values.reshape(len(batch), -1)
-        for b, value in zip(batch, values):
+        theta = np.concatenate([points[b] for b in active]).reshape(len(active), d + 1, n, 3)
+        cpass = circuit_pass(theta, rows)
+        costs = pass_costs(cpass, target)
+        gradients = pass_gradients(cpass, rows, target).reshape(len(active), -1)
+        del cpass  # it holds every row of the round
+        running = []
+        for b, cost, gradient in zip(active, costs, gradients):
             try:
-                requests[b] = steps[b].send(value)
+                points[b] = steps[b].send((cost, lambda g=gradient: g))
+                running.append(b)
             except StopIteration as done:
                 results[b] = done.value
-                recent[b] = None  # its passes hold every row of their rounds
-                active.remove(b)
+        if len(running) < len(active):
+            rows = stacked[running]
+        active = running
     return results
-
-
-def _rows(array, rows):
-    """array[rows] for ascending distinct rows; array itself when they are all."""
-    return array if len(rows) == len(array) else array[rows]
-
-
-def _gather(at):
-    """One CircuitPass of the (pass, row) entries of `at`, in order."""
-    first = at[0][0]
-    if len(at) == len(first.gates) and all(cpass is first for cpass, _ in at):
-        return first  # every row of one pass: rows are ascending, so in order
-    return CircuitPass(*(np.array([cpass[k][row] for cpass, row in at]) for k in range(len(first))))
 
 
 def concatenated_optimize(

@@ -448,8 +448,8 @@ def test_vqgo_batch_of_no_designs_is_empty():
 
 
 def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
-    # one design stops after one iteration, the other runs on: once the short one is
-    # done, only the running design's last two passes may stay alive
+    # one design stops after one iteration, the other runs on: no pass of any round,
+    # the short design's included, is still alive when the next round's pass is built
     pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
     short_sources, long_sources = ([cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0))
     build = optimkit.circuit_pass
@@ -468,27 +468,33 @@ def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
     assert short.iterations_used == 1 and long.iterations_used > 10
     last_short = max(k for k, (has_short, _) in enumerate(calls) if has_short)
     later = [alive for _, alive in calls[last_short + 1:]]
-    assert len(later) > 10 and max(later) <= 2
+    assert len(later) > 10 and max(alive for _, alive in calls) == 0
 
 
 def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
-    # line searches of different lengths must not split the gradient rounds: the batch
-    # makes as many pass_gradients calls as its hungriest design asks for gradients
+    # each round is one circuit pass and one pass_gradients over every active design,
+    # so a design takes part in as many rounds as it asks for points (the costs of its
+    # restarts and its final cost), and the batch runs as many as its hungriest design
     pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
     sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0, 120.0)]
-    cfgs = [optimkit.OptimizerConfig(restarts=1, max_iterations=40, seed=k) for k in range(3)]
-    gradient, calls = optimkit.pass_gradients, []
+    cfgs = [optimkit.OptimizerConfig(restarts=2, max_iterations=40, seed=k) for k in range(3)]
+    build, gradient, passes, gradients = optimkit.circuit_pass, optimkit.pass_gradients, [], []
+
+    def built(theta, stacked):
+        passes.append(len(theta))
+        return build(theta, stacked)
 
     def counted(cpass, stacked, target):
-        calls.append(len(cpass.gates))
+        gradients.append(len(cpass.gates))
         return gradient(cpass, stacked, target)
 
+    monkeypatch.setattr(optimkit, "circuit_pass", built)
     monkeypatch.setattr(optimkit, "pass_gradients", counted)
     batch = optimkit.vqgo_batch(CNOT, sources, cfgs)
-    runs = [res.restart_diagnostics[0] for res in batch]
-    assert len({run["nfev"] - run["ngev"] for run in runs}) > 1
-    assert len(calls) == max(run["ngev"] for run in runs)
-    assert sum(calls) == sum(run["ngev"] for run in runs)
+    points = [sum(run["nfev"] for run in res.restart_diagnostics) + 1 for res in batch]
+    assert len(set(points)) > 1
+    assert gradients == passes == [sum(p > k for p in points) for k in range(max(points))]
+    assert all(run["ngev"] <= run["nfev"] for res in batch for run in res.restart_diagnostics)
 
 
 def test_vqgo_reaches_cnot_exactly_when_the_source_straddles_pi_over_8():
