@@ -32,10 +32,10 @@ def main():
     for case_idx, eps in enumerate([0.0, 0.1, 1.0]):
         pair = CrossResonancePair(200.0, 5.0, eps, np.pi / 4)
 
-        # the interval search evaluates an array of amplitudes a call
+        # the interval search evaluates an array of amplitudes a call, and
+        # agi scores the whole stack of echoed gates at once
         w_t, agi_tpcx, _ = minimize_on_interval(
-            lambda w, p=pair: [agi(CNOT, u) for u in tpcx(p, w, T_GATE_NS)],
-            0.0, 200.0,
+            lambda w, p=pair: agi(CNOT, tpcx(p, w, T_GATE_NS)), 0.0, 200.0,
         )
 
         factory = lambda w, p=pair: [cr_gate(p, DriveSpec(float(w[0]),

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import agf_unitary, agis_from_traces
+from .channels import agi
 from .numkit import dagger, kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
@@ -108,10 +108,9 @@ def circuit_pass(theta, sources):
 
 
 def pass_costs(cpass, target):
-    """Infidelity of each circuit of a CircuitPass against the (D, D)
-    target; row b equals agi_cost of problem b alone."""
-    tau = (dagger(target) @ cpass.ahead[:, -1]).trace(axis1=-2, axis2=-1)
-    return agis_from_traces(tau, target.shape[0])
+    """Array of the infidelity of each circuit of a CircuitPass against the
+    (D, D) target; row b equals agi_cost of problem b alone."""
+    return agi(target, cpass.ahead[:, -1])
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +187,7 @@ def build_circuit(theta, sources):
 
 def agi_cost(theta, sources, target):
     """Average gate infidelity between the target and the built circuit."""
-    return 1.0 - agf_unitary(target, build_circuit(theta, sources))
+    return agi(target, build_circuit(theta, sources))
 
 
 def parameter_shift_gradient(theta, sources, target, cost=None):

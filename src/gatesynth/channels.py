@@ -1,5 +1,8 @@
 """Pauli algebra, average gate fidelity, and Pauli transfer matrices.
 
+agi, the closed-form average gate infidelity of Pedersen, Moller and Molmer
+(Phys. Lett. A 367, 47 (2007)), scores one unitary or a stack of them.
+
 A Pauli string is a row of letter codes I=0, X=1, Y=2, Z=3 (the rows of the
 read-only PAULI_STACK), qubit 1 first, or for pauli_matrix a label over {I, X,
 Y, Z}; its index is the base-4 reading of the codes, so index 0 is I...I.
@@ -64,31 +67,25 @@ def pauli_action(codes):
     return perm, phase
 
 
-def agf_unitary(u, v):
-    """Average gate fidelity between two unitaries of equal dimension."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch {u.shape} vs {v.shape}")
-    return agf_from_trace(np.trace(dagger(u) @ v), u.shape[0])
-
-
-def agf_from_trace(tau, d):
-    """Average gate fidelity from tau = Tr(U^dag V) of two d x d unitaries."""
-    overlap = abs(tau) ** 2
-    # rounding can push the overlap a few ulp past its exact ceiling D^2
-    return min(1.0, (overlap / d + 1.0) / (d + 1.0))
-
-
-def agis_from_traces(tau, d):
-    """[1 - agf_from_trace(t, d) for each t of the array tau, in C order]: abs() per
-    element, as numpy's vectorized complex abs can differ from the scalar one in the last bit."""
-    return [1.0 - agf_from_trace(t, d) for t in np.ravel(tau)]
-
-
 def agi(u, v):
-    """Average gate infidelity, 1 - AGF."""
-    return 1.0 - agf_unitary(u, v)
+    """Average gate infidelity 1 - (|Tr u^dag v|^2/D + 1)/(D + 1) of the (D, D)
+    unitary v, or of each of a stack v (..., D, D), against u: a float, or an
+    array of the stack's batch shape whose entries are bitwise the one-unitary
+    calls. abs() is taken per element, as numpy's vectorized complex abs can
+    differ from the scalar one in the last bit."""
+    u, v = np.asarray(u), np.asarray(v)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or v.shape[-2:] != u.shape:
+        raise ValueError(f"need u (D, D) and v (..., D, D), got {u.shape} and {v.shape}")
+    d = u.shape[0]
+    tau = (dagger(u) @ v).trace(axis1=-2, axis2=-1)
+    # rounding can push the overlap |tau|^2 a few ulp past its exact ceiling D^2
+    agis = [1.0 - min(1.0, (abs(t) ** 2 / d + 1.0) / (d + 1.0)) for t in tau.flat]
+    return np.array(agis).reshape(tau.shape) if tau.ndim else agis[0]
+
+
+def agf_unitary(u, v):
+    """Average gate fidelity 1 - agi(u, v)."""
+    return 1.0 - agi(u, v)
 
 
 def ptm(u):

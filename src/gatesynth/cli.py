@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .analysis import canonical_gate, entangling_power
 from .ansatz import agi_cost
-from .channels import CNOT, SWAP, agis_from_traces
+from .channels import CNOT, SWAP, agi
 from .devices import (
     CrossResonancePair,
     DriveSpec,
@@ -46,7 +46,7 @@ from .devices import (
     tpcx,
 )
 from .inputs import ADDRESSABLE_BYTES, ConfigError, canonical_json, read, read_json, read_text
-from .numkit import PhaseError, dagger, derive_rng, derive_seed, haar_unitary, qubit_count
+from .numkit import PhaseError, derive_rng, derive_seed, haar_unitary, qubit_count
 from .optimkit import (
     AmplitudeBounds,
     OptimizerConfig,
@@ -144,12 +144,17 @@ def _layer_signs(cfg, designs, dim):
     return (1, -1) if opposite else (1,) * depth
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (the CPU count where the platform cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _synthesize(target, sources, cfgs, workers):
     """vqgo_batch(target, sources, cfgs), split into at most `workers`
-    contiguous chunks that a pool of as many processes runs; one chunk runs
-    in-process, and no designs start nothing. The results do not depend on
-    the split."""
-    parts = min(workers, len(cfgs))
+    contiguous chunks, and no more than the usable CPUs, that a pool of as
+    many processes runs; one chunk runs in-process, and no designs start
+    nothing. The results do not depend on the split."""
+    parts = min(workers, len(cfgs), _usable_cpus())
     if parts <= 1:
         return vqgo_batch(target, sources, cfgs)
     cuts = [len(cfgs) * k // parts for k in range(parts + 1)]
@@ -362,11 +367,9 @@ def _cnot_source(pair, omegas, t):
 
 
 def _tpcx_agi(pair, omega, t):
-    """agi(CNOT, tpcx(pair, omega, t)), or an array of it for each of an array of amplitudes,
-    each bitwise the call on its amplitude alone."""
-    tau = np.trace(dagger(CNOT) @ tpcx(pair, omega, t), axis1=-2, axis2=-1)
-    agis = np.array(agis_from_traces(tau, CNOT.shape[0]))
-    return agis.reshape(tau.shape) if tau.ndim else float(agis[0])
+    """agi(CNOT, tpcx(pair, omega, t)): one AGI, or an array of them for an array
+    of amplitudes, each bitwise the call on its amplitude alone."""
+    return agi(CNOT, tpcx(pair, omega, t))
 
 
 CNOT_SWEEP = Sweep(CNOT, "eps_cases", _cnot_case, _cnot_source, baseline=_tpcx_agi)

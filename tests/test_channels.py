@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gatesynth import channels
 from gatesynth.devices import syndrome_target
-from gatesynth.numkit import derive_rng, expm_hermitian, haar_unitary, kron_all, qubit_count
+from gatesynth.numkit import dagger, derive_rng, expm_hermitian, haar_unitary, kron_all, qubit_count
 from reference import pauli_basis, pauli_label, pauli_labels
 
 
@@ -110,6 +110,55 @@ def test_agf_dimension_mismatch():
 
 def test_agf_identity_vs_cnot():
     assert abs(channels.agf_unitary(channels.CNOT, np.eye(4)) - 0.4) < 1e-12
+
+
+def _near_and_far(u, count, rng):
+    """`count` unitaries: u itself, u up to a phase, u nudged by ever smaller
+    rotations (AGIs near the clamp at 0, where rounding shows) and Haar draws."""
+    d = u.shape[0]
+    out = [u, np.exp(0.3j) * u]
+    for k in range(count - 2):
+        if k % 2:
+            out.append(haar_unitary(d, rng))
+        else:
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            out.append(u @ expm_hermitian((h + h.conj().T) * 10.0 ** -(k + 2)))
+    return np.array(out[:count])
+
+
+@pytest.mark.parametrize("d", [2, 4, 32])
+@pytest.mark.parametrize("batch", [(), (1,), (5,), (2, 3)])
+def test_agi_of_a_stack_is_each_one_unitary_call_bitwise(d, batch):
+    rng = derive_rng(31, d, len(batch))
+    u = haar_unitary(d, rng)
+    stack = _near_and_far(u, int(np.prod(batch)), rng).reshape(batch + (d, d))
+    got = channels.agi(u, stack)
+    if not batch:
+        assert isinstance(got, float)  # a Python or numpy scalar, not a 0-d array
+        got = np.array(got)
+    assert got.shape == batch
+    for idx in np.ndindex(batch):
+        alone = channels.agi(u, stack[idx])
+        assert isinstance(alone, float)
+        assert got[idx].hex() == alone.hex()
+        # the closed form on Python scalars: abs() of one complex trace at a time
+        overlap = abs(complex(np.trace(dagger(u) @ stack[idx]))) ** 2
+        assert alone == 1.0 - min(1.0, (overlap / d + 1.0) / (d + 1.0))
+        assert 0.0 <= alone <= 1.0
+        assert channels.agf_unitary(u, stack[idx]) == 1.0 - alone
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.eye(4)[0], np.eye(4)),                      # u is not 2-D
+    (np.eye(4)[None], np.eye(4)[None]),             # nor is a stack of one
+    (np.ones((2, 4)), np.ones((2, 4))),             # u is not square
+    (np.eye(4), np.eye(2)),                         # v of another D
+    (np.eye(4), np.stack([np.eye(2)] * 3)),         # a stack of another D
+    (np.eye(4), np.eye(4)[0]),                      # v is not a matrix
+])
+def test_agi_rejects_a_u_that_is_not_a_matrix_or_a_v_of_another_dimension(u, v):
+    with pytest.raises(ValueError):
+        channels.agi(u, v)
 
 
 def test_ptm_identity_channel():

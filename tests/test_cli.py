@@ -646,7 +646,9 @@ def test_time_grid_too_large_to_build_is_config_error(tmp_path, capsys, step):
     assert err.count("\n") == 1 and not out.exists()
 
 
-def test_pool_has_no_more_processes_than_designs(tmp_path, monkeypatch):
+def _recording_pool(monkeypatch, cpus):
+    """The sizes of the pools the CLI starts, with `cpus` usable CPUs; each
+    pool runs its chunks in-process."""
     sizes = []
 
     class RecordingPool:
@@ -661,14 +663,41 @@ def test_pool_has_no_more_processes_than_designs(tmp_path, monkeypatch):
 
         map = staticmethod(map)
 
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return sizes
+
+
+def test_pool_has_no_more_processes_than_designs(tmp_path, monkeypatch):
     # times 60, 75 and 90: the amplitude search is the design at t_opt 75, so two grid designs
     cfg = _write(tmp_path / "c.json", TINY_CNOT)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli.main(["cnot-sweep", "--config", cfg, "--output", a]) == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    sizes = _recording_pool(monkeypatch, cpus=64)
     assert cli.main(["cnot-sweep", "--config", cfg, "--output", b, "--workers", "64"]) == 0
     assert sizes and max(sizes) <= 2
     assert _body(a) == _body(b)
+
+
+def test_pool_has_no_more_processes_than_usable_cpus(tmp_path, monkeypatch):
+    cfg = _write(tmp_path / "c.json", TINY_CARTAN)  # 8 designs
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert cli.main(["cartan-map", "--config", cfg, "--output", a]) == 0
+    sizes = _recording_pool(monkeypatch, cpus=2)
+    assert cli.main(["cartan-map", "--config", cfg, "--output", b, "--workers", "64"]) == 0
+    assert sizes and max(sizes) <= 2
+    assert _body(a) == _body(b)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    if hasattr(cli.os, "sched_getaffinity"):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert cli._usable_cpus() == 3
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 7)
+    assert cli._usable_cpus() == 7
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("qubits", [6, 40])
@@ -962,6 +991,23 @@ def test_verify_of_untouched_artifacts_reads_no_mismatch(tmp_path, capsys, artif
         out.write_text(text)
         assert cli.main(["--verify", str(out)]) == 0
         assert capsys.readouterr().out == f"{out}: {rows} rows checked, 0 mismatches\n"
+
+
+@pytest.mark.parametrize("command, methods", [("cartan-map", {None}),
+                                              ("cnot-sweep", {"tpcx", "vqgo"}),
+                                              ("syndrome-sweep", {"vqgo"})])
+def test_verify_recomputes_every_stated_value_exactly(artifacts, command, methods):
+    # a run and --verify score a row through the same AGI kernel, so the
+    # recomputed value is the stated one to the bit, not just within VERIFY_ATOL
+    text = artifacts[command]
+    header = json.loads(re.search(r"^# config: (.*)$", text, flags=re.M).group(1))
+    defaults, verifier = cli._VERIFIERS[command.replace("-", "_")]
+    check = verifier(cli.merge_config(header, defaults))[0]
+    rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+    assert {row.get("method") for row in rows} == methods
+    for row in rows:
+        _, stated, recomputed = check(row)
+        assert stated == recomputed
 
 
 @pytest.mark.parametrize("command, edit, message", [
