@@ -13,13 +13,13 @@ and the leftmost factor acts last in time. Single-qubit gates use the
 full-angle convention exp(-i*t*sigma).
 
 The cost depends on U only through tau = Tr(T^dag U), which is linear in
-each single-qubit gate. Its gradient therefore differentiates tau against
-each layer's environment (post_i @ T^dag @ pre_i), the adjoint method of
-GRAPE (Khaneja et al., J. Magn. Reson. 172, 296 (2005)). A measured cost,
-such as 1 - dfe_estimate(build_circuit(theta, sources), ...), has no tau;
-it is trigonometric in each angle with period pi, so the parameter-shift
-rule gives its exact derivative as the difference of two costs shifted by
-+/- pi/4 (no finite differencing).
+each single-qubit gate. Its gradient differentiates tau against each
+layer's environment post_i @ T^dag @ pre_i, in closed form in each Euler
+angle: the adjoint method of GRAPE (Khaneja et al., J. Magn. Reson. 172,
+296 (2005)). A measured cost, such as 1 - dfe_estimate(build_circuit(theta,
+sources), ...), has no tau; it is trigonometric in each angle with period
+pi, so the parameter-shift rule gives its exact derivative as the
+difference of two costs shifted by +/- pi/4 (no finite differencing).
 """
 
 from functools import lru_cache
@@ -80,15 +80,11 @@ def _one_problem(theta, sources, target=None):
 
 
 class CircuitPass(NamedTuple):
-    """The forward pass over B stacked problems: the Euler factors rx0, ry1,
-    rx2 and the gates, each (B, d+1, n, 2, 2), the layers L_i and the prefix
-    products ahead[:, i] = L_0 @ S_1 @ L_1 @ ... @ S_i @ L_i, each
-    (B, d+1, D, D). ahead[:, -1] holds the circuits."""
+    """The forward pass over B stacked problems: the angles (B, d+1, n, 3),
+    the layers L_i and the prefix products ahead[:, i] = L_0 @ S_1 @ L_1
+    @ ... @ S_i @ L_i, each (B, d+1, D, D). ahead[:, -1] holds the circuits."""
 
-    rx0: np.ndarray
-    ry1: np.ndarray
-    rx2: np.ndarray
-    gates: np.ndarray
+    angles: np.ndarray
     layers: np.ndarray
     ahead: np.ndarray
 
@@ -98,13 +94,12 @@ def circuit_pass(theta, sources):
     sources (B, d, D, D). Each problem's arrays are bit-for-bit those of
     building it alone: every step is elementwise or one product per matrix."""
     rx0, ry1, rx2 = _euler_factors(theta)
-    gates = rx0 @ ry1 @ rx2
-    layers = kron_qubits(gates)
+    layers = kron_qubits(rx0 @ ry1 @ rx2)
     ahead = np.empty_like(layers)
     ahead[:, 0] = layers[:, 0]
     for i in range(sources.shape[1]):
         np.matmul(ahead[:, i] @ sources[:, i], layers[:, i + 1], out=ahead[:, i + 1])
-    return CircuitPass(rx0, ry1, rx2, gates, layers, ahead)
+    return CircuitPass(theta, layers, ahead)
 
 
 def pass_costs(cpass, target):
@@ -131,6 +126,10 @@ def _trace_index(n):
     return index
 
 
+# (R00, R01, R10, R11) @ _PAULI_PARTS = (Tr R sx, -i Tr R sy, Tr R sz)
+_PAULI_PARTS = np.array([[0, 0, 1], [1, 1, 0], [1, -1, 0], [0, 0, -1]], dtype=complex)
+
+
 def pass_gradients(cpass, sources, target):
     """Exact gradients (B, d+1, n, 3) of the infidelity of each circuit of
     a CircuitPass, with its stacked sources (B, d, D, D), against the
@@ -140,21 +139,20 @@ def pass_gradients(cpass, sources, target):
     so tau = Tr(T^dag U) = Tr(W_i). Replacing qubit j's gate g in L_i by its
     derivative dg in angle k multiplies L_i on the right by h = g^dag @ dg
     on qubit j, which turns tau into Tr(R_ij @ h), with R_ij the 2x2
-    reduction of W_i to qubit j. The derivatives of g are -i*sx @ g,
-    Rx @ (-i*sy) @ Ry @ Rx and g @ (-i*sx). The cost
-    1 - (|tau|^2/D + 1)/(D + 1) then has derivative
-    -2 Re(conj(tau) d(tau)) / (D (D + 1)).
+    reduction of W_i to qubit j. For g = Rx(a) @ Ry(b) @ Rx(c), h is
+    -i(ux sx + uy sy + uz sz) with u = (cos 2b, sin 2b sin 2c, sin 2b cos 2c)
+    in a, (0, cos 2c, -sin 2c) in b and (1, 0, 0) in c. The cost
+    1 - (|tau|^2/D + 1)/(D + 1) has derivative -2 Re(conj(tau) dtau) /
+    (D (D + 1)), and Re(conj(tau) dtau) = u.Im(conj(tau) t) for R's Pauli
+    components t = (Tr R sx, Tr R sy, Tr R sz) = (R01 + R10, i(R01 - R10), R00 - R11).
 
-    All n partial traces are one gather of W's entries through
-    _trace_index and one sum over its term axis. That axis is not the
-    innermost, so np.add.reduce adds the terms one after another in
-    (p, q) order, the order of einsum("xipaqpbq->xiab") per qubit, and
-    the traces are bitwise the einsum's. Multiplying by -i*sx or -i*sy
-    only moves and signs entries, so those factors are row or column
-    swaps, times -1j or negated: exact, and bitwise the 2x2 products.
+    All n partial traces are one gather of W's entries through _trace_index
+    and one sum over its term axis, which np.add.reduce adds term by term in
+    (p, q) order, as it is not the innermost axis. Every later step is
+    elementwise or a sum of two entries, so no row's bits depend on B.
     """
-    rx0, ry1, rx2, gates, layers, ahead = cpass
-    count, depth1, n = gates.shape[:3]
+    angles, layers, ahead = cpass
+    count, depth1, n = angles.shape[:3]
     dim = 2**n
     behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
     for i in range(depth1 - 2, -1, -1):
@@ -165,18 +163,14 @@ def pass_gradients(cpass, sources, target):
     tau = envs[:, 0].trace(axis1=-2, axis2=-1)
 
     entries = envs.reshape(count * depth1, dim * dim)[:, _trace_index(n)]
-    reduced = np.add.reduce(entries, axis=1).reshape(count, depth1, n, 2, 2)
-    dgates = np.empty(gates.shape[:3] + (3, 2, 2), dtype=complex)
-    np.multiply(gates[..., ::-1, :], -1j, out=dgates[:, :, :, 0])  # -i*sx @ g
-    rx0_sy = np.stack((rx0[..., 1], -rx0[..., 0]), axis=-1)  # rx0 @ (-i*sy)
-    dgates[:, :, :, 1] = rx0_sy @ ry1 @ rx2
-    np.multiply(gates[..., ::-1], -1j, out=dgates[:, :, :, 2])  # g @ (-i*sx)
-    h = gates.conj().swapaxes(-1, -2)[..., None, :, :] @ dgates
-    if depth1 * n > 1:
-        dtau = np.einsum("xijab,xijkba->xijk", reduced, h)
-    else:  # one gate a problem: einsum would sum in an order that depends on the batch size
-        dtau = np.stack([np.einsum("ijab,ijkba->ijk", r, g) for r, g in zip(reduced, h)])
-    return -2.0 * (np.conj(tau)[:, None, None, None] * dtau).real / (dim * (dim + 1))
+    reduced = np.add.reduce(entries, axis=1).reshape(-1, 4)  # rows (R00, R01, R10, R11)
+    # transposed to (3, n, d+1, B), so the Pauli and Euler axes unpack
+    paulis = ((reduced @ _PAULI_PARTS).reshape(angles.shape) * np.conj(tau)[:, None, None, None]).T
+    vx, vy, vz = paulis[0].imag, paulis[1].real, paulis[2].imag
+    twice = 2.0 * angles.T[1:]
+    (cb, cc), (sb, sc) = np.cos(twice), np.sin(twice)
+    grad = np.array((cb * vx + sb * (sc * vy + cc * vz), cc * vy - sc * vz, vx)).T
+    return -2.0 * grad / (dim * (dim + 1))
 
 
 def build_circuit(theta, sources):

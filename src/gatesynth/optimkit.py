@@ -1,6 +1,7 @@
 """Optimizers and the synthesis driver loop.
 
-minimize_quasi_newton is a self-contained limited-memory BFGS whose line
+minimize_quasi_newton is a self-contained limited-memory BFGS whose
+direction is the compact form of its held pair arrays and whose line
 search costs the unit step x+p first. Up to dimension LBFGS_MEMORY, where
 its memory of pairs covers the full history, it also tries the minimizer
 of the parabola through (f(x), directional derivative, f(x+p)), which
@@ -29,7 +30,6 @@ gradient, ansatz.parameter_shift_gradient(..., cost=).
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -135,6 +135,38 @@ def minimize_quasi_newton(f, grad, x0, cfg=None):
         return done.value
 
 
+def _no_pairs(size):
+    """An L-BFGS memory (S, Y, d, W, gamma) of no pairs: its direction is -g."""
+    return np.empty((0, size)), np.empty((0, size)), np.empty(0), np.empty((0, 0)), 1.0
+
+
+def _remember(memory, s, y):
+    """The memory with (s, y) appended unless s.y fails the curvature test.
+    S and Y hold the last LBFGS_MEMORY pairs as rows, oldest first, d[i] =
+    s_i.y_i, W inverts U[i, j] = s_i.y_j (i <= j) and gamma = s.y / y.y of the
+    newest pair. Dropping the oldest pair keeps W[1:, 1:], the inverse of U's
+    trailing block; a new pair adds to W the column -W (S y) / s.y and 1 / s.y."""
+    sy, yy = np.dot(s, y), np.dot(y, y)
+    if not sy > 1e-10 * math.sqrt(np.dot(s, s)) * math.sqrt(yy):  # np.linalg.norm computes these
+        return memory
+    S, Y, d, W, _ = memory
+    if d.size == LBFGS_MEMORY:
+        S, Y, d, W = S[1:], Y[1:], d[1:], W[1:, 1:]
+    grown = np.zeros((d.size + 1, d.size + 1))
+    grown[:-1, :-1], grown[:-1, -1], grown[-1, -1] = W, W @ (S @ y) / -sy, 1.0 / sy
+    S, Y = np.concatenate((S, s[None])), np.concatenate((Y, y[None]))
+    return S, Y, np.append(d, sy), grown, sy / yy
+
+
+def _lbfgs_direction(g, memory):
+    """The L-BFGS direction -H g of a memory, the two-loop recursion's, in the
+    compact form of Byrd, Nocedal and Schnabel (Math. Prog. 63, 129 (1994))."""
+    S, Y, d, W, gamma = memory
+    a = W @ (S @ g)
+    r = gamma * (g - a @ Y)
+    return -(r + ((d * a - Y @ r) @ W) @ S)
+
+
 def _quasi_newton_steps(x0, cfg):
     """minimize_quasi_newton as a generator: it yields points, is sent
     (cost, gradient) for each, where gradient is a callable of no argument
@@ -159,7 +191,7 @@ def _quasi_newton_steps(x0, cfg):
     gx = gradient(gradient_at)
     if not (math.isfinite(fx) and np.isfinite(gx).all()):
         raise ValueError("non-finite cost or gradient at the start point")
-    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1/(s.y), s.y, y.y), products kept from append
+    memory = _no_pairs(x.size)
     cost_history = [fx]
     reason = "budget"
     nit = 0
@@ -169,19 +201,7 @@ def _quasi_newton_steps(x0, cfg):
             reason = "grad_tol"
             nit -= 1
             break
-        # two-loop recursion for the L-BFGS direction
-        q = gx.copy()
-        alphas = []
-        for s, y, rho, _, _ in reversed(pairs):
-            a = rho * np.dot(s, q)
-            alphas.append(a)
-            q -= a * y
-        if pairs:
-            _, _, _, sy, yy = pairs[-1]
-            q *= sy / yy
-        for (s, y, rho, _, _), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * np.dot(y, q)) * s
-        p = -q
+        p = _lbfgs_direction(gx, memory)
         dphi = np.dot(gx, p)
         if dphi >= 0:
             p = -gx
@@ -213,11 +233,7 @@ def _quasi_newton_steps(x0, cfg):
         gn = gradient(gradient_at)
         if not np.isfinite(gn).all():
             raise ValueError("non-finite gradient during descent")
-        s = xn - x
-        y = gn - gx
-        sy, yy = np.dot(s, y), np.dot(y, y)
-        if sy > 1e-10 * math.sqrt(np.dot(s, s)) * math.sqrt(yy):  # np.linalg.norm computes these
-            pairs.append((s, y, 1.0 / sy, sy, yy))
+        memory = _remember(memory, xn - x, gn - gx)
         df = fx - ft
         x, fx, gx = xn, ft, gn
         cost_history.append(fx)

@@ -3,12 +3,14 @@ one item at a time, what gatesynth computes in array form: Pauli labels
 and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
 entries, a plan's entries as labelled tuples, single Euler gates and
 layers, the exact gradient with one einsum partial trace per qubit and
-matmul derivative factors, the Makhlin local invariants, canonical
+matmul derivative factors, the L-BFGS direction by the two-loop
+recursion, the Makhlin local invariants, canonical
 coordinates by simultaneous diagonalization, the ideal echoed-CR
 segments, and the README's measured-cost descent, held against vqgo.
 Nothing in the package needs them."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -117,8 +119,11 @@ _MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
 
 def pass_gradients(cpass, sources, target):
     """ansatz.pass_gradients with one einsum partial trace per qubit and the
-    derivative factors as 2x2 products with -i*sx and -i*sy."""
-    rx0, ry1, rx2, gates, layers, ahead = cpass
+    derivative factors h = g^dag @ dg as 2x2 products of the Euler factors
+    of the pass's angles with -i*sx and -i*sy."""
+    angles, layers, ahead = cpass
+    rx0, ry1, rx2 = _euler_factors(angles)
+    gates = rx0 @ ry1 @ rx2
     count, depth1, n = gates.shape[:3]
     dim = 2**n
     behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
@@ -139,11 +144,33 @@ def pass_gradients(cpass, sources, target):
     dgates[:, :, :, 1] = rx0 @ _MINUS_I_SY @ ry1 @ rx2
     dgates[:, :, :, 2] = gates @ _MINUS_I_SX
     h = gates.conj().swapaxes(-1, -2)[..., None, :, :] @ dgates
-    if depth1 * n > 1:
-        dtau = np.einsum("xijab,xijkba->xijk", reduced, h)
-    else:
-        dtau = np.stack([np.einsum("ijab,ijkba->ijk", r, g) for r, g in zip(reduced, h)])
+    dtau = np.einsum("xijab,xijkba->xijk", reduced, h)
     return -2.0 * (np.conj(tau)[:, None, None, None] * dtau).real / (dim * (dim + 1))
+
+
+def remember_pair(pairs, s, y):
+    """Append (s, y, 1/(s.y), s.y, y.y) to pairs, a deque of at most
+    optimkit.LBFGS_MEMORY pairs, unless s.y fails the curvature test."""
+    sy, yy = np.dot(s, y), np.dot(y, y)
+    if sy > 1e-10 * math.sqrt(np.dot(s, s)) * math.sqrt(yy):  # np.linalg.norm computes these
+        pairs.append((s, y, 1.0 / sy, sy, yy))
+
+
+def two_loop_direction(gx, pairs):
+    """The L-BFGS direction at gradient gx by the two-loop recursion over
+    the pairs remember_pair keeps, oldest first."""
+    q = gx.copy()
+    alphas = []
+    for s, y, rho, _, _ in reversed(pairs):
+        a = rho * np.dot(s, q)
+        alphas.append(a)
+        q -= a * y
+    if pairs:
+        _, _, _, sy, yy = pairs[-1]
+        q *= sy / yy
+    for (s, y, rho, _, _), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * np.dot(y, q)) * s
+    return -q
 
 
 def local_invariants(u):

@@ -4,6 +4,7 @@ multistart circuit synthesizer, and the two-level amplitude search."""
 import hashlib
 import warnings
 import weakref
+from collections import deque
 from importlib import resources
 
 import numpy as np
@@ -20,7 +21,7 @@ from gatesynth.ansatz import (
 from gatesynth.channels import CNOT, SIGMA_X, SWAP, agi
 from gatesynth.devices import CrossResonancePair, DriveSpec, cr_gate
 from gatesynth.numkit import derive_rng, derive_seed, expm_hermitian
-from reference import dfe_descent
+from reference import dfe_descent, remember_pair, two_loop_direction
 
 
 def test_optimizer_config_validation():
@@ -83,6 +84,32 @@ def test_quasi_newton_quadratic():
     x, fx, diag = optimkit.minimize_quasi_newton(f, g, np.zeros(6))
     assert np.abs(x - sol).max() < 1e-8
     assert diag["converged"]
+
+
+@pytest.mark.parametrize("size", [6, 18, 45])
+def test_quasi_newton_direction_is_the_two_loop_recursion(size):
+    # pairs from a quadratic of condition 100 fill the memory, fill it exactly,
+    # wrap past it and, once, fail the curvature test; at each length the
+    # compact form's direction is the two-loop recursion's to rounding
+    rng = derive_rng(41, size)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    hessian = q @ np.diag(np.logspace(-1, 1, size)) @ q.T
+    pairs = deque(maxlen=optimkit.LBFGS_MEMORY)
+    memory = optimkit._no_pairs(size)
+    lengths = []
+    for k in range(2 * optimkit.LBFGS_MEMORY + 3):
+        for g in rng.standard_normal((3, size)):
+            expected = two_loop_direction(g, pairs)
+            gap = np.linalg.norm(optimkit._lbfgs_direction(g, memory) - expected)
+            assert gap <= 1e-13 * np.linalg.norm(expected), (k, len(pairs))
+        s = rng.standard_normal(size)
+        y = -s if k == optimkit.LBFGS_MEMORY // 2 else hessian @ s
+        remember_pair(pairs, s, y)
+        memory = optimkit._remember(memory, s, y)
+        assert len(memory[2]) == len(pairs)
+        lengths.append(len(pairs))
+    m = optimkit.LBFGS_MEMORY
+    assert lengths[m // 2] == lengths[m // 2 - 1] and lengths[-1] == m and lengths.count(m) > 3
 
 
 def test_quasi_newton_rosenbrock():
@@ -485,7 +512,7 @@ def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
         return build(theta, stacked)
 
     def counted(cpass, stacked, target):
-        gradients.append(len(cpass.gates))
+        gradients.append(len(cpass.angles))
         return gradient(cpass, stacked, target)
 
     monkeypatch.setattr(optimkit, "circuit_pass", built)
@@ -680,13 +707,14 @@ def _xx_interior_case(stop_below):
 
 def test_concatenated_without_stop_below_is_unchanged():
     # values of the search with stop_below None, recorded when the quasi-Newton
-    # step began to take an Armijo unit step above LBFGS_MEMORY parameters
+    # direction took the compact L-BFGS form and the gradient the closed-form
+    # Euler derivatives
     omega, res, diag = _xx_interior_case(None)
     assert omega[0] == 100.0
-    assert res.best_cost == 4.651834473179406e-14
+    assert res.best_cost == 4.618527782440651e-14
     assert diag["sweeps"] == 2
     assert diag["outer_evaluations"] == 24
-    assert diag["outer_history"] == [4.651834473179406e-14, 4.651834473179406e-14]
+    assert diag["outer_history"] == [4.618527782440651e-14, 4.618527782440651e-14]
     assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
 
 
@@ -804,13 +832,13 @@ def test_interval_search_is_deterministic_and_rejects_bad_input():
 
 
 # (float.hex of the AGI, iterations, sha256 of the angles' bytes), recorded
-# when the quasi-Newton step began to take an Armijo unit step above
-# LBFGS_MEMORY parameters without the parabola trial
+# when the quasi-Newton direction took the compact L-BFGS form and the
+# gradient the closed-form Euler derivatives
 _PINNED = {
-    "cnot_from_cr": ("0x1.31f7ec5c60000p-18", 120,
-                     "3e1a36f7f9d5abd086ecfa1c95014a6ca60237862b439f91f48002cf865e7632"),
-    "syndrome": ("0x1.3645a986deb94p-1", 25,
-                 "12f7c403aa4cfb6387648c35213b29c0a5dd05bcdbd968ee3001edb07ad5a1cf"),
+    "cnot_from_cr": ("0x1.31f8000340000p-18", 120,
+                     "ce9026b78619cdf661bf068778d42350557fb37f9b1040fed075f0e884aa4b68"),
+    "syndrome": ("0x1.3645a987abb0cp-1", 25,
+                 "5237ebaa04d7ba581e01db12a332c8f0ee294470ae9ac196b603f913b4afb8cb"),
 }
 
 
