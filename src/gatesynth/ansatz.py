@@ -16,10 +16,12 @@ The cost depends on U only through tau = Tr(T^dag U), which is linear in
 each single-qubit gate. Its gradient differentiates tau against each
 layer's environment post_i @ T^dag @ pre_i, in closed form in each Euler
 angle: the adjoint method of GRAPE (Khaneja et al., J. Magn. Reson. 172,
-296 (2005)). A measured cost, such as 1 - dfe_estimate(build_circuit(theta,
-sources), ...), has no tau; it is trigonometric in each angle with period
-pi, so the parameter-shift rule gives its exact derivative as the
-difference of two costs shifted by +/- pi/4 (no finite differencing).
+296 (2005)). The last environment is T^dag U itself, so one product T^dag U
+per circuit gives both its cost and its gradient. A measured cost, such as
+1 - dfe_estimate(build_circuit(theta, sources), ...), has no tau; it is
+trigonometric in each angle with period pi, so the parameter-shift rule
+gives its exact derivative as the difference of two costs shifted by
++/- pi/4 (no finite differencing).
 """
 
 from functools import lru_cache
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import agi
+from .channels import agi, agi_from_traces
 from .numkit import dagger, kron_qubits
 
 PARAMETER_SHIFT = np.pi / 4
@@ -102,12 +104,6 @@ def circuit_pass(theta, sources):
     return CircuitPass(theta, layers, ahead)
 
 
-def pass_costs(cpass, target):
-    """Array of the infidelity of each circuit of a CircuitPass against the
-    (D, D) target; row b equals agi_cost of problem b alone."""
-    return agi(target, cpass.ahead[:, -1])
-
-
 @lru_cache(maxsize=8)
 def _trace_index(n):
     """Flat indices into a (2^n, 2^n) matrix W, shape (2^(n-1), n, 2, 2):
@@ -130,10 +126,14 @@ def _trace_index(n):
 _PAULI_PARTS = np.array([[0, 0, 1], [1, 1, 0], [1, -1, 0], [0, 0, -1]], dtype=complex)
 
 
-def pass_gradients(cpass, sources, target):
-    """Exact gradients (B, d+1, n, 3) of the infidelity of each circuit of
-    a CircuitPass, with its stacked sources (B, d, D, D), against the
-    (D, D) target; row b equals parameter_shift_gradient of problem b alone.
+def pass_costs_and_gradients(cpass, sources, target):
+    """The infidelities (B,) and their exact gradients (B, d+1, n, 3) of the
+    circuits of a CircuitPass, with its stacked sources (B, d, D, D), against
+    the (D, D) target: row b of each equals agi_cost and
+    parameter_shift_gradient of problem b alone.
+
+    The last layer environment is T^dag U, so the costs are the closed form
+    of channels.agi on its traces, with no second product T^dag U.
 
     Write U = pre_i @ L_i @ post_i and W_i = post_i @ T^dag @ pre_i @ L_i,
     so tau = Tr(T^dag U) = Tr(W_i). Replacing qubit j's gate g in L_i by its
@@ -160,6 +160,7 @@ def pass_gradients(cpass, sources, target):
     envs = np.empty_like(ahead)
     for i, b in enumerate(reversed(behind)):
         np.matmul(b, ahead[:, i], out=envs[:, i])
+    costs = agi_from_traces(envs[:, -1].trace(axis1=-2, axis2=-1), dim)
     tau = envs[:, 0].trace(axis1=-2, axis2=-1)
 
     entries = envs.reshape(count * depth1, dim * dim)[:, _trace_index(n)]
@@ -170,7 +171,7 @@ def pass_gradients(cpass, sources, target):
     twice = 2.0 * angles.T[1:]
     (cb, cc), (sb, sc) = np.cos(twice), np.sin(twice)
     grad = np.array((cb * vx + sb * (sc * vy + cc * vz), cc * vy - sc * vz, vx)).T
-    return -2.0 * grad / (dim * (dim + 1))
+    return costs, -2.0 * grad / (dim * (dim + 1))
 
 
 def build_circuit(theta, sources):
@@ -190,13 +191,13 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
     With `cost` given (a callable of the full theta tensor), each component
     is cost(theta_ijk + PARAMETER_SHIFT) - cost(theta_ijk - PARAMETER_SHIFT),
     which equals the derivative exactly for the shift of pi/4; a measured
-    cost gets its matching gradient this way. Without `cost` it is
-    pass_gradients for a batch of one.
+    cost gets its matching gradient this way. Without `cost` it is the
+    gradient of pass_costs_and_gradients for a batch of one.
     """
     theta, stacked = _one_problem(theta, sources, target)
     if cost is None:
         stacked = stacked[None]
-        return pass_gradients(circuit_pass(theta[None], stacked), stacked, target)[0]
+        return pass_costs_and_gradients(circuit_pass(theta[None], stacked), stacked, target)[1][0]
     grad = np.zeros_like(theta)
     for idx in np.ndindex(theta.shape):
         tp = theta.copy()

@@ -1,7 +1,8 @@
 """Pauli algebra, average gate fidelity, and Pauli transfer matrices.
 
 agi, the closed-form average gate infidelity of Pedersen, Moller and Molmer
-(Phys. Lett. A 367, 47 (2007)), scores one unitary or a stack of them.
+(Phys. Lett. A 367, 47 (2007)), scores one unitary or a stack of them;
+agi_from_traces applies the same formula to traces a caller already holds.
 
 A Pauli string is a row of letter codes I=0, X=1, Y=2, Z=3 (the rows of the
 read-only PAULI_STACK), qubit 1 first, or for pauli_matrix a label over {I, X,
@@ -71,13 +72,18 @@ def agi(u, v):
     """Average gate infidelity 1 - (|Tr u^dag v|^2/D + 1)/(D + 1) of the (D, D)
     unitary v, or of each of a stack v (..., D, D), against u: a float, or an
     array of the stack's batch shape whose entries are bitwise the one-unitary
-    calls. abs() is taken per element, as numpy's vectorized complex abs can
-    differ from the scalar one in the last bit."""
+    calls (agi_from_traces applies the closed form)."""
     u, v = np.asarray(u), np.asarray(v)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or v.shape[-2:] != u.shape:
         raise ValueError(f"need u (D, D) and v (..., D, D), got {u.shape} and {v.shape}")
-    d = u.shape[0]
-    tau = (dagger(u) @ v).trace(axis1=-2, axis2=-1)
+    return agi_from_traces((dagger(u) @ v).trace(axis1=-2, axis2=-1), u.shape[0])
+
+
+def agi_from_traces(tau, d):
+    """The closed form of agi from the traces tau = Tr u^dag v of (D, D)
+    unitaries, d = D: a float for a 0-d tau, else an array of its shape.
+    abs() is taken per element, as numpy's vectorized complex abs can differ
+    from the scalar one in the last bit."""
     # rounding can push the overlap |tau|^2 a few ulp past its exact ceiling D^2
     agis = [1.0 - min(1.0, (abs(t) ** 2 / d + 1.0) / (d + 1.0)) for t in tau.flat]
     return np.array(agis).reshape(tau.shape) if tau.ndim else agis[0]

@@ -5,22 +5,23 @@ sampled estimate over single-shot measurement settings.
 
 A plan entry pairs an input Pauli sigma_j with an output Pauli sigma_i
 where the target's transfer matrix R_ij does not vanish. Every estimate
-starts from one exact expectation table of the channel U,
+reads exact expectations of the channel U,
 
     E[e, k] = <psi_jk| U^dag sigma_i U |psi_jk>,
 
-over the plan entries e = (i, j) and the D product eigenstates psi_jk of
-sigma_j. The plan keeps the distinct eigenbases S_b of its input Paulis,
+at cells (e, k) of plan entries e = (i, j) and the D product eigenstates
+psi_jk of sigma_j. The sampled mode first draws the settings' entries and
+eigenstates as arrays, then evaluates only the distinct cells they name
+and draws the single-shot outcomes at the Born probabilities (1 + E) / 2;
+the full-support mode asks for every cell and sums the eigenvalue-weighted
+rows. The plan keeps the distinct eigenbases S_b of its input Paulis,
 tensor products of per-letter eigenvector matrices: I and Z letters share
-theirs, so there are at most 3^n. The table visits the entries grouped
-by basis, in blocks, and takes U @ S_b for the bases of each block only.
-A Pauli string is a signed permutation, so sigma_i U S_b is U S_b with
-its rows gathered and signed; one column-wise inner product per block of
-entries then gives the table's rows. The full-support mode
-sums its eigenvalue-weighted rows; the sampled mode draws the settings'
-entries, eigenstates and single-shot outcomes as arrays and reads the
-Born probabilities (1 + E) / 2 from the table. `simulate_expectation`
-remains as the exact per-setting reference.
+theirs, so there are at most 3^n. The cells are visited with their entries
+grouped by basis, in blocks, and U @ S_b is taken for the bases of each
+block only. A Pauli string is a signed permutation, so sigma_i U S_b is
+U S_b with its rows gathered and signed; one inner product of two gathered
+columns per cell then gives E[e, k]. `simulate_expectation` remains as the
+exact per-setting reference.
 """
 
 import math
@@ -67,7 +68,7 @@ class DfePlan:
     bases, shape (b, D, D), the distinct eigenvector matrices of the input
     Paulis, states as columns; basis_index, shape (m,), each entry's
     row of bases; and order, shape (m,), the entries sorted stably by
-    basis_index, the order in which the expectation table visits them.
+    basis_index, the order in which an estimate visits their cells.
     """
 
     dim: int
@@ -152,25 +153,36 @@ def dfe_plan(r_target):
     )
 
 
-def _expectation_table(u, plan):
+def _expectations(u, plan, entries, states):
     """Exact expectations E[e, k] of entry e's output Pauli on u applied to
-    the k-th eigenstate of its input Pauli, shape (m, D), in blocks of
-    numkit.block_length entries taken in plan.order, so that each block
-    evolves only its own contiguous range of bases and its (block, D, D)
-    transients stay in cache."""
+    the k-th eigenstate of its input Pauli, for the cells (e, k) =
+    (entries[c], states[c]), in an array shaped like entries. Each distinct
+    cell is evaluated once. The cells are visited in plan.order,
+    numkit.block_length entries a block: a block evolves only the bases of
+    its own cells' entries, u @ S_b, and reads each cell's column of u S_b
+    and of sigma_i u S_b, the column's entries gathered and signed."""
     u = np.asarray(u, dtype=complex)
-    table = np.empty(plan.eigenvalues.shape)
-    step = block_length(plan.dim)
-    for start in range(0, len(plan.targets), step):
-        rows = plan.order[start:start + step]
+    dim, count = plan.dim, len(plan.targets)
+    rank = np.empty(count, dtype=np.intp)  # each entry's position in plan.order
+    rank[plan.order] = np.arange(count)
+    cells, inverse = np.unique(rank[entries] * dim + states, return_inverse=True)
+    values = np.empty(len(cells))
+    step = block_length(dim)
+    bounds = np.searchsorted(cells, np.arange(0, count + step, step) * dim)
+    row_offsets = dim * np.arange(dim)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        position, ks = np.divmod(cells[lo:hi], dim)
+        rows = plan.order[position]
         index = plan.basis_index[rows]
-        evolved = u @ plan.bases[index[0]:index[-1] + 1]
-        index = index - index[0]
-        phi = evolved[index]
-        # sigma_i phi: the rows of phi gathered and signed
-        sigma_phi = plan.out_phase[rows, :, None] * evolved[index[:, None], plan.out_perm[rows]]
-        table[rows] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
-    return table
+        evolved = (u @ plan.bases[index[0]:index[-1] + 1]).reshape(-1)
+        # flat offset of each cell's column k in its evolved basis
+        column = ((index - index[0]) * dim * dim + ks)[:, None]
+        phi = evolved[column + row_offsets]
+        sigma_phi = plan.out_phase[rows] * evolved[column + dim * plan.out_perm[rows]]
+        values[lo:hi] = np.einsum("ea,ea->e", phi.conj(), sigma_phi).real
+    return values[inverse]
 
 
 def _check_target(r_target, plan):
@@ -204,9 +216,10 @@ def dfe_estimate(u_actual, r_target, plan, cfg=None, rng=None):
     if cfg is not None and rng is None:
         raise ValueError("sampled mode needs an rng")
     _check_target(r_target, plan)
-    table = _expectation_table(u_actual, plan)
 
     if cfg is None:
+        cells = np.divmod(np.arange(plan.eigenvalues.size), dim)
+        table = _expectations(u_actual, plan, *cells).reshape(plan.eigenvalues.shape)
         measured = (plan.eigenvalues * table).sum(axis=1) / dim
         ratio = np.sum(plan.targets * measured) / dim**2
         return float((dim * ratio + 1.0) / (dim + 1.0))
@@ -215,7 +228,7 @@ def dfe_estimate(u_actual, r_target, plan, cfg=None, rng=None):
     draws = rng.choice(len(plan.targets), size=settings, p=plan.probs)
     ks = rng.integers(dim, size=settings)
     # one +-1 outcome per setting at the Born probability (1 + E) / 2
-    born = np.clip(0.5 * (1.0 + table[draws, ks]), 0.0, 1.0)
+    born = np.clip(0.5 * (1.0 + _expectations(u_actual, plan, draws, ks)), 0.0, 1.0)
     outcomes = 2.0 * rng.binomial(1, born) - 1.0
     mean_ratio = np.mean(plan.eigenvalues[draws, ks] * outcomes / plan.targets[draws])
     return float((dim * mean_ratio + 1.0) / (dim + 1.0))

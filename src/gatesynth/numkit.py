@@ -12,7 +12,7 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 # working-set budget of the blocked kernels (channels.ptm, the DFE expectation
-# table): bytes of one (block, D, D) complex transient, so that the few a
+# kernel): bytes of one (block, D, D) complex transient, so that the few a
 # block holds stay in a core's 2 MB L2 cache; 16 matrices at D = 32
 BLOCK_BYTES = 2**18
 

@@ -20,10 +20,11 @@ bounded Brent around its best point).
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
 vqgo_batch, the one loop that serves design points, runs many such
 designs of one target in lockstep: a round is one stacked circuit pass
-that gives every point its cost and its gradient, so in vqgo each
-point's gradient is computed with its cost, and ngev counts the ones the
-descent used. vqgo is its batch of one. concatenated_optimize wraps vqgo
-in an outer derivative-free search over source-drive amplitudes.
+and one kernel call that gives every point its cost and its gradient from
+one product T^dag U per point, so in vqgo each point's gradient is
+computed with its cost, and ngev counts the ones the descent used. vqgo
+is its batch of one. concatenated_optimize wraps vqgo in an outer
+derivative-free search over source-drive amplitudes.
 minimize_quasi_newton descends a measured cost with its shift-rule
 gradient, ansatz.parameter_shift_gradient(..., cost=).
 """
@@ -37,8 +38,7 @@ import numpy as np
 
 from .ansatz import (
     circuit_pass,
-    pass_costs,
-    pass_gradients,
+    pass_costs_and_gradients,
     random_params,
     stack_sources,
     wrap_angles,
@@ -435,8 +435,8 @@ def vqgo_batch(target, sources, cfgs):
     design alone, and [] for no designs.
 
     Each round is one circuit_pass over the points of every active design,
-    from which pass_costs and pass_gradients give each point its cost and
-    its gradient; the pass is dropped before the next round. A point's
+    from which one pass_costs_and_gradients call gives each point its cost
+    and its gradient; the pass is dropped before the next round. A point's
     gradient is computed with its cost, and the descent uses it only if it
     accepts the point, so ngev counts the gradients used. A design that
     finishes drops out.
@@ -460,8 +460,8 @@ def vqgo_batch(target, sources, cfgs):
     while active:
         theta = np.concatenate([points[b] for b in active]).reshape(len(active), d + 1, n, 3)
         cpass = circuit_pass(theta, rows)
-        costs = pass_costs(cpass, target)
-        gradients = pass_gradients(cpass, rows, target).reshape(len(active), -1)
+        costs, gradients = pass_costs_and_gradients(cpass, rows, target)
+        gradients = gradients.reshape(len(active), -1)
         del cpass  # it holds every row of the round
         running = []
         for b, cost, gradient in zip(active, costs, gradients):

@@ -1,7 +1,8 @@
 """Exact references the tests compare the package against. Each restates,
 one item at a time, what gatesynth computes in array form: Pauli labels
 and the dense Pauli basis, per-label eigenbases and measured transfer-matrix
-entries, a plan's entries as labelled tuples, single Euler gates and
+entries, a plan's entries as labelled tuples, the whole DFE expectation
+table and the estimates read from it, single Euler gates and
 layers, the exact gradient with one einsum partial trace per qubit and
 matmul derivative factors, the L-BFGS direction by the two-loop
 recursion, the Makhlin local invariants, canonical
@@ -20,8 +21,8 @@ from gatesynth.analysis import MAGIC
 from gatesynth.ansatz import _euler_factors
 from gatesynth.channels import PAULI_LETTERS, PAULI_STACK, pauli_codes, pauli_matrix
 from gatesynth.dfe import simulate_expectation
-from gatesynth.numkit import (dagger, derive_rng, expm_hermitian, is_unitary, kron_qubits,
-                              qubit_count)
+from gatesynth.numkit import (block_length, dagger, derive_rng, expm_hermitian, is_unitary,
+                              kron_qubits, qubit_count)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -101,6 +102,46 @@ def plan_entries(plan):
     return tuple(zip(*labels, plan.targets.tolist(), weights.tolist()))
 
 
+def expectation_table(u, plan):
+    """Exact expectations E[e, k] of entry e's output Pauli on u applied to
+    the k-th eigenstate of its input Pauli, shape (m, D), in blocks of
+    numkit.block_length entries taken in plan.order, so that each block
+    evolves only its own contiguous range of bases and its (block, D, D)
+    transients stay in cache."""
+    u = np.asarray(u, dtype=complex)
+    table = np.empty(plan.eigenvalues.shape)
+    step = block_length(plan.dim)
+    for start in range(0, len(plan.targets), step):
+        rows = plan.order[start:start + step]
+        index = plan.basis_index[rows]
+        evolved = u @ plan.bases[index[0]:index[-1] + 1]
+        index = index - index[0]
+        phi = evolved[index]
+        # sigma_i phi: the rows of phi gathered and signed
+        sigma_phi = plan.out_phase[rows, :, None] * evolved[index[:, None], plan.out_perm[rows]]
+        table[rows] = np.einsum("eak,eak->ek", phi.conj(), sigma_phi).real
+    return table
+
+
+def dfe_estimate_from_table(u, plan, cfg=None, rng=None):
+    """dfe.dfe_estimate with every expectation read from expectation_table:
+    the full-support estimate, or with cfg the sampled one, which draws its
+    entries, eigenstates and single shots from rng in that order."""
+    dim = plan.dim
+    table = expectation_table(u, plan)
+    if cfg is None:
+        measured = (plan.eigenvalues * table).sum(axis=1) / dim
+        ratio = np.sum(plan.targets * measured) / dim**2
+        return float((dim * ratio + 1.0) / (dim + 1.0))
+    settings = cfg.num_settings()
+    draws = rng.choice(len(plan.targets), size=settings, p=plan.probs)
+    ks = rng.integers(dim, size=settings)
+    born = np.clip(0.5 * (1.0 + table[draws, ks]), 0.0, 1.0)
+    outcomes = 2.0 * rng.binomial(1, born) - 1.0
+    mean_ratio = np.mean(plan.eigenvalues[draws, ks] * outcomes / plan.targets[draws])
+    return float((dim * mean_ratio + 1.0) / (dim + 1.0))
+
+
 def euler_gate(t0, t1, t2):
     """exp(-i*t0*sx) @ exp(-i*t1*sy) @ exp(-i*t2*sx)."""
     rx0, ry1, rx2 = _euler_factors(np.array([t0, t1, t2], dtype=float))
@@ -118,9 +159,9 @@ _MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
 
 
 def pass_gradients(cpass, sources, target):
-    """ansatz.pass_gradients with one einsum partial trace per qubit and the
-    derivative factors h = g^dag @ dg as 2x2 products of the Euler factors
-    of the pass's angles with -i*sx and -i*sy."""
+    """The gradients of ansatz.pass_costs_and_gradients with one einsum
+    partial trace per qubit and the derivative factors h = g^dag @ dg as 2x2
+    products of the Euler factors of the pass's angles with -i*sx and -i*sy."""
     angles, layers, ahead = cpass
     rx0, ry1, rx2 = _euler_factors(angles)
     gates = rx0 @ ry1 @ rx2

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatesynth import ansatz
-from gatesynth.channels import CNOT, agf_unitary
+from gatesynth.channels import CNOT, agf_unitary, agi
 from gatesynth.devices import four_cr_gate, load_device, syndrome_target
 from gatesynth.numkit import derive_rng, haar_unitary, is_unitary
 from reference import build_layer, euler_gate, pass_gradients
@@ -171,8 +171,7 @@ def test_batched_pass_rows_equal_single_problems_bitwise(n, d, batch):
     sources = [[haar_unitary(dim, rng) for _ in range(d)] for _ in range(batch)]
     stacked = np.array(sources, dtype=complex).reshape(batch, d, dim, dim)
     cpass = ansatz.circuit_pass(theta, stacked)
-    costs = ansatz.pass_costs(cpass, target)
-    grads = ansatz.pass_gradients(cpass, stacked, target)
+    costs, grads = ansatz.pass_costs_and_gradients(cpass, stacked, target)
     assert grads.shape == theta.shape
     for b in range(batch):
         alone = ansatz.parameter_shift_gradient(theta[b], sources[b], target)
@@ -210,8 +209,8 @@ def test_gathered_gradient_kernel_is_the_einsum_kernel_bitwise(n):
                     prefix = cpass.ahead[:, i] @ sources[:, i] @ cpass.layers[:, i + 1]
                     assert cpass.ahead[:, i + 1].tobytes() == prefix.tobytes()
                 for target in (haar_unitary(dim, rng), perm):
-                    gap = ansatz.pass_gradients(cpass, sources, target) - pass_gradients(
-                        cpass, sources, target)
+                    gap = ansatz.pass_costs_and_gradients(cpass, sources, target)[1] - (
+                        pass_gradients(cpass, sources, target))
                     assert np.abs(gap).max() <= GRADIENT_ROUNDING, (d, batch)
 
 
@@ -229,8 +228,28 @@ def test_pass_gradients_rows_are_bitwise_batch_invariant(n):
                                dtype=complex).reshape(batch, d, dim, dim)
             for theta in (rng.uniform(0.0, 2 * np.pi, size=shape),
                           rng.choice([0.0, np.pi / 2], size=shape)):
-                grads = ansatz.pass_gradients(ansatz.circuit_pass(theta, sources), sources, target)
+                cpass = ansatz.circuit_pass(theta, sources)
+                grads = ansatz.pass_costs_and_gradients(cpass, sources, target)[1]
                 for b in range(batch):
                     one = theta[b:b + 1], sources[b:b + 1]
-                    alone = ansatz.pass_gradients(ansatz.circuit_pass(*one), one[1], target)
+                    alone = ansatz.pass_costs_and_gradients(ansatz.circuit_pass(*one), one[1],
+                                                            target)[1]
                     assert grads[b].tobytes() == alone[0].tobytes(), (d, batch, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_round_costs_are_agi_of_the_circuits_bitwise(n):
+    # the round kernel reads each cost from the trace of its own T^dag U, the
+    # product channels.agi forms from the pass's circuits
+    rng = derive_rng(33, n)
+    dim = 2**n
+    target = haar_unitary(dim, rng)
+    for d in range(3):
+        for batch in (1, 3, 16):
+            theta = rng.uniform(0.0, 2 * np.pi, size=(batch, d + 1, n, 3))
+            sources = np.array([[haar_unitary(dim, rng) for _ in range(d)] for _ in range(batch)],
+                               dtype=complex).reshape(batch, d, dim, dim)
+            cpass = ansatz.circuit_pass(theta, sources)
+            costs = ansatz.pass_costs_and_gradients(cpass, sources, target)[0]
+            assert costs.shape == (batch,)
+            assert costs.tobytes() == agi(target, cpass.ahead[:, -1]).tobytes(), (d, batch)

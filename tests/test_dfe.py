@@ -16,12 +16,21 @@ from gatesynth.numkit import derive_rng, haar_unitary
 from reference import (
     HADAMARD,
     LETTER_EIGENSYSTEM,
+    dfe_estimate_from_table,
+    expectation_table,
     pauli_eigenbasis,
     pauli_label,
     pauli_labels,
     plan_entries,
     ptm_entry_measured,
 )
+
+
+def _table(u, plan):
+    """The whole expectation table E[e, k], shape (m, D), from the kernel
+    asked for every cell, as the full-support estimate asks for it."""
+    entries, states = np.divmod(np.arange(plan.eigenvalues.size), plan.dim)
+    return dfe._expectations(u, plan, entries, states).reshape(plan.eigenvalues.shape)
 
 
 def test_eigenbasis_z_and_x():
@@ -229,7 +238,7 @@ def test_expectation_table_matches_per_setting_reference(n, seed):
     channel = haar_unitary(2**n, rng)
     plan = dfe.dfe_plan(ptm(target))
     dim = 2**n
-    table = dfe._expectation_table(channel, plan)
+    table = _table(channel, plan)
     assert table.shape == plan.eigenvalues.shape == (len(plan_entries(plan)), dim)
     # per input label: the D eigenstate projectors rho_k, evolved as U rho_k U^dag
     prepared = {}
@@ -287,8 +296,9 @@ def test_estimates_are_pinned_bitwise():
 
 
 def test_sampled_estimate_evolves_one_block_of_bases_at_a_time():
-    # the syndrome plan has 243 bases, a 4 MB stack at D = 32; an estimate evolves
-    # only the bases of one block of entries at a time, taken in plan.order
+    # the syndrome plan has 243 bases, a 4 MB stack at D = 32; an estimate takes
+    # its drawn cells in plan.order, one block of entries at a time, and evolves
+    # only the bases of that block's drawn entries
     r = ptm(syndrome_target())
     plan = dfe.dfe_plan(r)
     assert plan.bases.nbytes > 3_900_000 and not plan.order.flags.writeable
@@ -302,6 +312,50 @@ def test_sampled_estimate_evolves_one_block_of_bases_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_sampled_estimate_at_the_syndrome_budget_keeps_no_table():
+    # 8,000 settings draw about 7,100 of the syndrome plan's 32,768 cells; the
+    # estimate evaluates only those, with no (m, D) table and no (block, D, D)
+    # column stacks
+    r = ptm(syndrome_target())
+    plan = dfe.dfe_plan(r)
+    v = haar_unitary(32, derive_rng(54))
+    cfg = dfe.DfeSamplingConfig(eps_fail=0.05, delta_acc=0.05)
+    assert cfg.num_settings() == 8000
+    tracemalloc.start()
+    try:
+        dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(54, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_250_000
+
+
+_BITWISE_TARGETS = {1: lambda: haar_unitary(2, derive_rng(55, 1)),
+                    2: lambda: haar_unitary(4, derive_rng(55, 2)),
+                    3: lambda: haar_unitary(8, derive_rng(55, 3)),
+                    5: syndrome_target}
+
+
+@pytest.mark.parametrize("budget", [(0.2, 0.2), (0.05, 0.05)])
+@pytest.mark.parametrize("n", sorted(_BITWISE_TARGETS))
+def test_drawn_cells_and_estimates_are_the_whole_tables_bitwise(n, budget):
+    # Haar targets and the syndrome plan: each drawn cell, the sampled estimate
+    # and the full-support estimate equal those read from the whole table
+    r = ptm(_BITWISE_TARGETS[n]())
+    plan = dfe.dfe_plan(r)
+    cfg = dfe.DfeSamplingConfig(*budget)
+    for seed in range(3):
+        v = haar_unitary(2**n, derive_rng(56, n, seed))
+        table = expectation_table(v, plan)
+        rng = derive_rng(57, n, seed)
+        draws = rng.choice(len(plan.targets), size=cfg.num_settings(), p=plan.probs)
+        ks = rng.integers(plan.dim, size=cfg.num_settings())
+        assert dfe._expectations(v, plan, draws, ks).tobytes() == table[draws, ks].tobytes()
+        sampled = dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(57, n, seed))
+        assert sampled.hex() == dfe_estimate_from_table(v, plan, cfg, derive_rng(57, n, seed)).hex()
+        assert dfe.dfe_estimate(v, r, plan).hex() == dfe_estimate_from_table(v, plan).hex()
 
 
 def test_sampled_estimate_follows_drawn_settings():
@@ -356,7 +410,7 @@ def test_blocked_kernels_do_not_depend_on_block_length(monkeypatch, target):
         monkeypatch.setattr(numkit, "BLOCK_BYTES", budget)
         r = ptm(u)
         plan = dfe.dfe_plan(r)
-        outputs.append((r.tobytes(), dfe._expectation_table(v, plan).tobytes(),
+        outputs.append((r.tobytes(), _table(v, plan).tobytes(),
                         float.hex(dfe.dfe_estimate(v, r, plan)),
                         float.hex(dfe.dfe_estimate(v, r, plan, cfg=cfg, rng=derive_rng(52, 2)))))
     assert outputs[0] == outputs[1] == outputs[2]

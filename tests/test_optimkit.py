@@ -162,7 +162,12 @@ def test_non_finite_gradient_during_descent_is_rejected(monkeypatch):
     grad = _nan_after_first_call(lambda x: 2 * x)
     with pytest.raises(ValueError, match="^non-finite gradient during descent$"):
         optimkit.minimize_quasi_newton(lambda x: float(x @ x), grad, np.array([1.0, -2.0]))
-    monkeypatch.setattr(optimkit, "pass_gradients", _nan_after_first_call(optimkit.pass_gradients))
+    kernel, gradients = optimkit.pass_costs_and_gradients, _nan_after_first_call(lambda g: g)
+
+    def nan_kernel(*args):
+        costs, grads = kernel(*args)
+        return costs, gradients(grads)
+    monkeypatch.setattr(optimkit, "pass_costs_and_gradients", nan_kernel)
     cfg = optimkit.OptimizerConfig(restarts=2, max_iterations=50)
     with pytest.raises(ValueError, match="^restart 0: non-finite gradient during descent$"):
         optimkit.vqgo(CNOT, [CNOT], cfg=cfg)
@@ -499,13 +504,14 @@ def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
 
 
 def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
-    # each round is one circuit pass and one pass_gradients over every active design,
-    # so a design takes part in as many rounds as it asks for points (the costs of its
-    # restarts and its final cost), and the batch runs as many as its hungriest design
+    # each round is one circuit pass and one pass_costs_and_gradients over every active
+    # design, so a design takes part in as many rounds as it asks for points (the costs of
+    # its restarts and its final cost), and the batch runs as many as its hungriest design
     pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
     sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0, 120.0)]
     cfgs = [optimkit.OptimizerConfig(restarts=2, max_iterations=40, seed=k) for k in range(3)]
-    build, gradient, passes, gradients = optimkit.circuit_pass, optimkit.pass_gradients, [], []
+    build, gradient, passes, gradients = (optimkit.circuit_pass,
+                                          optimkit.pass_costs_and_gradients, [], [])
 
     def built(theta, stacked):
         passes.append(len(theta))
@@ -516,7 +522,7 @@ def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
         return gradient(cpass, stacked, target)
 
     monkeypatch.setattr(optimkit, "circuit_pass", built)
-    monkeypatch.setattr(optimkit, "pass_gradients", counted)
+    monkeypatch.setattr(optimkit, "pass_costs_and_gradients", counted)
     batch = optimkit.vqgo_batch(CNOT, sources, cfgs)
     points = [sum(run["nfev"] for run in res.restart_diagnostics) + 1 for res in batch]
     assert len(set(points)) > 1
