@@ -488,7 +488,8 @@ def concatenated_optimize(
     first amplitude whose inner cost is under it: that sweep stops there
     and no further sweep runs (the same meaning stop_below has for vqgo's
     restarts). Inner runs reuse the same cfg.seed, so the outer landscape
-    is deterministic and results are cached per amplitude.
+    is deterministic and results are cached per amplitude vector, keyed on
+    its exact floats: the returned result was built at the returned omega*.
 
     Returns (omega*, inner OptimizationResult at omega*, diagnostics) with
     diagnostics = {outer_evaluations, sweeps, outer_history, inner_runs,
@@ -510,7 +511,7 @@ def concatenated_optimize(
 
     def outer_cost(w):
         nonlocal hits
-        key = tuple(np.round(w, 10))
+        key = tuple(np.asarray(w, dtype=float).tolist())
         if key in cache:
             hits += 1
         else:
@@ -536,7 +537,7 @@ def concatenated_optimize(
         if prev is not None and abs(prev - fs) < cfg.cost_tolerance:
             break
         prev = fs
-    result = cache[tuple(np.round(x, 10))]
+    result = cache[tuple(x.tolist())]
     diagnostics = {
         "outer_evaluations": evals,
         "sweeps": sweeps,

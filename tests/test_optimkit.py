@@ -724,6 +724,26 @@ def test_concatenated_without_stop_below_is_unchanged():
     assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
 
 
+def test_concatenated_returns_the_design_built_at_its_amplitude(monkeypatch):
+    # two evaluations 1e-11 apart, which a cache keyed on amplitudes rounded
+    # to 10 decimals answered with one design; the search returns the second
+    def search(f, x0, bounds, max_evaluations, stop_below=None):
+        near = np.asarray(x0, dtype=float) + 1e-11
+        f(np.asarray(x0, dtype=float))
+        return near, f(near), {"iterations": 2}
+
+    def design(target, sources, cfg=None):
+        return optimkit.OptimizationResult(np.array(sources[0]), 0.5, 1, True, 0, [0.5])
+
+    monkeypatch.setattr(optimkit, "minimize_derivative_free", search)
+    monkeypatch.setattr(optimkit, "vqgo", design)
+    omega, res, diag = optimkit.concatenated_optimize(
+        np.eye(2), lambda w: [w.copy()], [50.0], outer_maxiter=4, max_sweeps=1)
+    assert omega[0] == 50.0 + 1e-11 and omega[0] != 50.0
+    assert res.best_params.tobytes() == omega.tobytes()
+    assert (diag["inner_runs"], diag["cache_hits"]) == (2, 0)
+
+
 def test_concatenated_stop_below_ends_the_search():
     full = _xx_interior_case(None)[2]
     omega, res, diag = _xx_interior_case(1e-5)
