@@ -16,12 +16,14 @@ The cost depends on U only through tau = Tr(T^dag U), which is linear in
 each single-qubit gate. Its gradient differentiates tau against each
 layer's environment post_i @ T^dag @ pre_i, in closed form in each Euler
 angle: the adjoint method of GRAPE (Khaneja et al., J. Magn. Reson. 172,
-296 (2005)). The last environment is T^dag U itself, so one product T^dag U
-per circuit gives both its cost and its gradient. A measured cost, such as
-1 - dfe_estimate(build_circuit(theta, sources), ...), has no tau; it is
-trigonometric in each angle with period pi, so the parameter-shift rule
-gives its exact derivative as the difference of two costs shifted by
-+/- pi/4 (no finite differencing).
+296 (2005)). As there, each step propagator S_{i+1} @ L_{i+1} is formed
+once for both sweeps, and the last environment is T^dag U itself, so a
+circuit's cost and gradient take 4d + 1 products of D x D matrices.
+
+A measured cost, such as 1 - dfe_estimate(build_circuit(theta, sources),
+...), has no tau; it is trigonometric in each angle with period pi, so the
+parameter-shift rule gives its exact derivative as the difference of two
+costs shifted by +/- pi/4 (no finite differencing).
 """
 
 from functools import lru_cache
@@ -39,14 +41,14 @@ def _euler_factors(angles):
     """exp(-i*t0*sx), exp(-i*t1*sy) and exp(-i*t2*sx) for angles of shape
     (..., 3), each of shape (..., 2, 2)."""
     c, s = np.cos(angles), np.sin(angles)
-    rx = np.empty(angles.shape + (2, 2), dtype=complex)
-    rx[..., 0, 0] = rx[..., 1, 1] = c
-    rx[..., 0, 1] = rx[..., 1, 0] = -1j * s
+    rx = np.empty(angles.shape[:-1] + (2, 2, 2), dtype=complex)  # t0 and t2
+    rx[..., 0, 0] = rx[..., 1, 1] = c[..., ::2]
+    rx[..., 0, 1] = rx[..., 1, 0] = -1j * s[..., ::2]
     ry = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
     ry[..., 0, 0] = ry[..., 1, 1] = c[..., 1]
     ry[..., 0, 1] = -s[..., 1]
     ry[..., 1, 0] = s[..., 1]
-    return rx[..., 0, :, :], ry, rx[..., 2, :, :]
+    return rx[..., 0, :, :], ry, rx[..., 1, :, :]
 
 
 def wrap_angles(theta):
@@ -83,11 +85,12 @@ def _one_problem(theta, sources, target=None):
 
 class CircuitPass(NamedTuple):
     """The forward pass over B stacked problems: the angles (B, d+1, n, 3),
-    the layers L_i and the prefix products ahead[:, i] = L_0 @ S_1 @ L_1
-    @ ... @ S_i @ L_i, each (B, d+1, D, D). ahead[:, -1] holds the circuits."""
+    the step products steps[:, i] = S_{i+1} @ L_{i+1}, (B, d, D, D), and the
+    prefix products ahead[:, 0] = L_0 and ahead[:, i+1] = ahead[:, i] @
+    steps[:, i], (B, d+1, D, D). ahead[:, -1] holds the circuits."""
 
     angles: np.ndarray
-    layers: np.ndarray
+    steps: np.ndarray
     ahead: np.ndarray
 
 
@@ -96,12 +99,11 @@ def circuit_pass(theta, sources):
     sources (B, d, D, D). Each problem's arrays are bit-for-bit those of
     building it alone: every step is elementwise or one product per matrix."""
     rx0, ry1, rx2 = _euler_factors(theta)
-    layers = kron_qubits(rx0 @ ry1 @ rx2)
-    ahead = np.empty_like(layers)
-    ahead[:, 0] = layers[:, 0]
-    for i in range(sources.shape[1]):
-        np.matmul(ahead[:, i] @ sources[:, i], layers[:, i + 1], out=ahead[:, i + 1])
-    return CircuitPass(theta, layers, ahead)
+    ahead = kron_qubits(rx0 @ ry1 @ rx2)  # the layers, until each prefix overwrites one
+    steps = sources @ ahead[:, 1:]
+    for i in range(steps.shape[1]):
+        np.matmul(ahead[:, i], steps[:, i], out=ahead[:, i + 1])
+    return CircuitPass(theta, steps, ahead)
 
 
 @lru_cache(maxsize=8)
@@ -128,9 +130,9 @@ _PAULI_PARTS = np.array([[0, 0, 1], [1, 1, 0], [1, -1, 0], [0, 0, -1]], dtype=co
 
 def pass_costs_and_gradients(cpass, sources, target):
     """The infidelities (B,) and their exact gradients (B, d+1, n, 3) of the
-    circuits of a CircuitPass, with its stacked sources (B, d, D, D), against
-    the (D, D) target: row b of each equals agi_cost and
-    parameter_shift_gradient of problem b alone.
+    circuits of a CircuitPass against the (D, D) target: row b of each equals
+    agi_cost and parameter_shift_gradient of problem b alone. The pass's steps
+    hold its stacked sources (B, d, D, D), so `sources` is not read.
 
     The last layer environment is T^dag U, so the costs are the closed form
     of channels.agi on its traces, with no second product T^dag U.
@@ -149,17 +151,17 @@ def pass_costs_and_gradients(cpass, sources, target):
     All n partial traces are one gather of W's entries through _trace_index
     and one sum over its term axis, which np.add.reduce adds term by term in
     (p, q) order, as it is not the innermost axis. Every later step is
-    elementwise or a sum of two entries, so no row's bits depend on B.
+    elementwise, a sum of two entries or one product per matrix, so no row's
+    bits depend on B.
     """
-    angles, layers, ahead = cpass
+    angles, steps, ahead = cpass
     count, depth1, n = angles.shape[:3]
     dim = 2**n
-    behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
+    behind = np.empty_like(ahead)  # behind[:, i] = post_i @ T^dag, post_d = 1
+    behind[:, -1] = dagger(target)
     for i in range(depth1 - 2, -1, -1):
-        behind.append(sources[:, i] @ layers[:, i + 1] @ behind[-1])
-    envs = np.empty_like(ahead)
-    for i, b in enumerate(reversed(behind)):
-        np.matmul(b, ahead[:, i], out=envs[:, i])
+        np.matmul(steps[:, i], behind[:, i + 1], out=behind[:, i])
+    envs = behind @ ahead
     costs = agi_from_traces(envs[:, -1].trace(axis1=-2, axis2=-1), dim)
     tau = envs[:, 0].trace(axis1=-2, axis2=-1)
 

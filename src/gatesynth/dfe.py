@@ -160,7 +160,8 @@ def _expectations(u, plan, entries, states):
     cell is evaluated once. The cells are visited in plan.order,
     numkit.block_length entries a block: a block evolves only the bases of
     its own cells' entries, u @ S_b, and reads each cell's column of u S_b
-    and of sigma_i u S_b, the column's entries gathered and signed."""
+    and of sigma_i u S_b, the column's entries gathered and signed. A block
+    that holds every cell of its entries gathers each entry's rows once."""
     u = np.asarray(u, dtype=complex)
     dim, count = plan.dim, len(plan.targets)
     rank = np.empty(count, dtype=np.intp)  # each entry's position in plan.order
@@ -174,11 +175,17 @@ def _expectations(u, plan, entries, states):
         if lo == hi:
             continue
         position, ks = np.divmod(cells[lo:hi], dim)
-        rows = plan.order[position]
+        whole = (hi - lo) % dim == 0 and np.array_equal(position[::dim], position[dim - 1::dim])
+        rows = plan.order[position[::dim] if whole else position]
         index = plan.basis_index[rows]
-        evolved = (u @ plan.bases[index[0]:index[-1] + 1]).reshape(-1)
-        # flat offset of each cell's column k in its evolved basis
-        column = ((index - index[0]) * dim * dim + ks)[:, None]
+        evolved = u @ plan.bases[index[0]:index[-1] + 1]
+        index = index - index[0]
+        if whole:
+            sigma_phi = plan.out_phase[rows, :, None] * evolved[index[:, None], plan.out_perm[rows]]
+            values[lo:hi] = np.einsum("eak,eak->ek", evolved[index].conj(), sigma_phi).real.ravel()
+            continue
+        evolved = evolved.reshape(-1)
+        column = (index * dim * dim + ks)[:, None]  # flat offset of each cell's column k
         phi = evolved[column + row_offsets]
         sigma_phi = plan.out_phase[rows] * evolved[column + dim * plan.out_perm[rows]]
         values[lo:hi] = np.einsum("ea,ea->e", phi.conj(), sigma_phi).real

@@ -242,15 +242,8 @@ def _quasi_newton_steps(x0, cfg):
             break
     else:
         nit = cfg.max_iterations
-    diagnostics = {
-        "iterations": nit,
-        "converged": reason in ("grad_tol", "cost_tol"),
-        "reason": reason,
-        "nfev": nfev,
-        "ngev": ngev,
-        "cost_history": cost_history,
-    }
-    return x, fx, diagnostics
+    return x, fx, {"iterations": nit, "converged": reason in ("grad_tol", "cost_tol"),
+                   "reason": reason, "nfev": nfev, "ngev": ngev, "cost_history": cost_history}
 
 
 def least_evaluations(n):
@@ -459,12 +452,10 @@ def vqgo_batch(target, sources, cfgs):
     rows = stacked  # the sources of the active designs
     while active:
         theta = np.concatenate([points[b] for b in active]).reshape(len(active), d + 1, n, 3)
-        cpass = circuit_pass(theta, rows)
-        costs, gradients = pass_costs_and_gradients(cpass, rows, target)
-        gradients = gradients.reshape(len(active), -1)
-        del cpass  # it holds every row of the round
+        # the pass, which holds every row of the round, is dropped with the round
+        costs, gradients = pass_costs_and_gradients(circuit_pass(theta, rows), rows, target)
         running = []
-        for b, cost, gradient in zip(active, costs, gradients):
+        for b, cost, gradient in zip(active, costs, gradients.reshape(len(active), -1)):
             try:
                 points[b] = steps[b].send((cost, lambda g=gradient: g))
                 running.append(b)
@@ -537,12 +528,6 @@ def concatenated_optimize(
         if prev is not None and abs(prev - fs) < cfg.cost_tolerance:
             break
         prev = fs
-    result = cache[tuple(x.tolist())]
-    diagnostics = {
-        "outer_evaluations": evals,
-        "sweeps": sweeps,
-        "outer_history": history,
-        "inner_runs": len(cache),
-        "cache_hits": hits,
-    }
-    return x, result, diagnostics
+    return x, cache[tuple(x.tolist())], {"outer_evaluations": evals, "sweeps": sweeps,
+                                         "outer_history": history, "inner_runs": len(cache),
+                                         "cache_hits": hits}

@@ -161,10 +161,13 @@ _MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
 def pass_gradients(cpass, sources, target):
     """The gradients of ansatz.pass_costs_and_gradients with one einsum
     partial trace per qubit and the derivative factors h = g^dag @ dg as 2x2
-    products of the Euler factors of the pass's angles with -i*sx and -i*sy."""
-    angles, layers, ahead = cpass
+    products of the Euler factors of the pass's angles with -i*sx and -i*sy.
+    It rebuilds the layers from the angles and forms its own backward chain
+    post_i @ T^dag, one environment at a time, without the pass's steps."""
+    angles, _, ahead = cpass
     rx0, ry1, rx2 = _euler_factors(angles)
     gates = rx0 @ ry1 @ rx2
+    layers = kron_qubits(gates)
     count, depth1, n = gates.shape[:3]
     dim = 2**n
     behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag

@@ -206,12 +206,35 @@ def test_gathered_gradient_kernel_is_the_einsum_kernel_bitwise(n):
             for theta in angles:
                 cpass = ansatz.circuit_pass(theta, sources)
                 for i in range(d):
-                    prefix = cpass.ahead[:, i] @ sources[:, i] @ cpass.layers[:, i + 1]
+                    prefix = cpass.ahead[:, i] @ cpass.steps[:, i]
                     assert cpass.ahead[:, i + 1].tobytes() == prefix.tobytes()
                 for target in (haar_unitary(dim, rng), perm):
                     gap = ansatz.pass_costs_and_gradients(cpass, sources, target)[1] - (
                         pass_gradients(cpass, sources, target))
                     assert np.abs(gap).max() <= GRADIENT_ROUNDING, (d, batch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_environments_are_the_per_environment_products_bitwise(n):
+    # the round kernel takes all d + 1 environments post_i @ T^dag @ pre_i @ L_i
+    # in one stacked product; each is bitwise the product of its own two matrices
+    rng = derive_rng(34, n)
+    dim = 2**n
+    target = haar_unitary(dim, rng)
+    for d in range(4):
+        for batch in (1, 3, 16):
+            theta = rng.uniform(0.0, 2 * np.pi, size=(batch, d + 1, n, 3))
+            sources = np.array([[haar_unitary(dim, rng) for _ in range(d)] for _ in range(batch)],
+                               dtype=complex).reshape(batch, d, dim, dim)
+            _, steps, ahead = ansatz.circuit_pass(theta, sources)
+            behind = np.empty_like(ahead)
+            behind[:, -1] = target.conj().T
+            for i in range(d - 1, -1, -1):
+                behind[:, i] = steps[:, i] @ behind[:, i + 1]
+            envs = behind @ ahead
+            for b in range(batch):
+                for i in range(d + 1):
+                    assert envs[b, i].tobytes() == (behind[b, i] @ ahead[b, i]).tobytes(), (d, b, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -712,15 +712,14 @@ def _xx_interior_case(stop_below):
 
 
 def test_concatenated_without_stop_below_is_unchanged():
-    # values of the search with stop_below None, recorded when the quasi-Newton
-    # direction took the compact L-BFGS form and the gradient the closed-form
-    # Euler derivatives
+    # values of the search with stop_below None, recorded when the circuit
+    # pass formed each step product S_i @ L_i once for both propagator chains
     omega, res, diag = _xx_interior_case(None)
     assert omega[0] == 100.0
-    assert res.best_cost == 4.618527782440651e-14
+    assert res.best_cost == 4.651834473179406e-14
     assert diag["sweeps"] == 2
     assert diag["outer_evaluations"] == 24
-    assert diag["outer_history"] == [4.618527782440651e-14, 4.618527782440651e-14]
+    assert diag["outer_history"] == [4.651834473179406e-14, 4.651834473179406e-14]
     assert diag["inner_runs"] + diag["cache_hits"] == diag["outer_evaluations"]
 
 
@@ -858,13 +857,13 @@ def test_interval_search_is_deterministic_and_rejects_bad_input():
 
 
 # (float.hex of the AGI, iterations, sha256 of the angles' bytes), recorded
-# when the quasi-Newton direction took the compact L-BFGS form and the
-# gradient the closed-form Euler derivatives
+# when the circuit pass formed each step product S_i @ L_i once for both
+# propagator chains
 _PINNED = {
-    "cnot_from_cr": ("0x1.31f8000340000p-18", 120,
-                     "ce9026b78619cdf661bf068778d42350557fb37f9b1040fed075f0e884aa4b68"),
-    "syndrome": ("0x1.3645a987abb0cp-1", 25,
-                 "5237ebaa04d7ba581e01db12a332c8f0ee294470ae9ac196b603f913b4afb8cb"),
+    "cnot_from_cr": ("0x1.31f7f23600000p-18", 120,
+                     "9f838c71d143bc4913499913b0241208acdf62ced80b2d1cff61455a710f0776"),
+    "syndrome": ("0x1.3645a9930ec0ap-1", 25,
+                 "7674d163d92da8325f6252500d7767fe49367c8daf3c60739a25696ee2eb57e1"),
 }
 
 
