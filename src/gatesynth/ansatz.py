@@ -27,7 +27,6 @@ costs shifted by +/- pi/4 (no finite differencing).
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,27 +82,19 @@ def _one_problem(theta, sources, target=None):
     return theta, stack_sources(sources, dim)
 
 
-class CircuitPass(NamedTuple):
-    """The forward pass over B stacked problems: the angles (B, d+1, n, 3),
-    the step products steps[:, i] = S_{i+1} @ L_{i+1}, (B, d, D, D), and the
-    prefix products ahead[:, 0] = L_0 and ahead[:, i+1] = ahead[:, i] @
-    steps[:, i], (B, d+1, D, D). ahead[:, -1] holds the circuits."""
-
-    angles: np.ndarray
-    steps: np.ndarray
-    ahead: np.ndarray
-
-
 def circuit_pass(theta, sources):
-    """Build B circuits at once from theta (B, d+1, n, 3) and stacked
-    sources (B, d, D, D). Each problem's arrays are bit-for-bit those of
-    building it alone: every step is elementwise or one product per matrix."""
+    """The forward chain of B circuits from theta (B, d+1, n, 3) and stacked
+    sources (B, d, D, D): the step products steps[:, i] = S_{i+1} @ L_{i+1},
+    (B, d, D, D), and the prefix products ahead[:, 0] = L_0 and ahead[:, i+1]
+    = ahead[:, i] @ steps[:, i], (B, d+1, D, D), whose last holds the
+    circuits. Each problem's arrays are bit-for-bit those of building it
+    alone: every step is elementwise or one product per matrix."""
     rx0, ry1, rx2 = _euler_factors(theta)
     ahead = kron_qubits(rx0 @ ry1 @ rx2)  # the layers, until each prefix overwrites one
     steps = sources @ ahead[:, 1:]
     for i in range(steps.shape[1]):
         np.matmul(ahead[:, i], steps[:, i], out=ahead[:, i + 1])
-    return CircuitPass(theta, steps, ahead)
+    return steps, ahead
 
 
 @lru_cache(maxsize=8)
@@ -128,11 +119,12 @@ def _trace_index(n):
 _PAULI_PARTS = np.array([[0, 0, 1], [1, 1, 0], [1, -1, 0], [0, 0, -1]], dtype=complex)
 
 
-def pass_costs_and_gradients(cpass, sources, target):
+def pass_costs_and_gradients(theta, sources, target):
     """The infidelities (B,) and their exact gradients (B, d+1, n, 3) of the
-    circuits of a CircuitPass against the (D, D) target: row b of each equals
-    agi_cost and parameter_shift_gradient of problem b alone. The pass's steps
-    hold its stacked sources (B, d, D, D), so `sources` is not read.
+    B circuits of theta (B, d+1, n, 3) and stacked sources (B, d, D, D)
+    against the (D, D) target: row b of each equals agi_cost and
+    parameter_shift_gradient of problem b alone. The circuits' forward chain
+    is circuit_pass's and lives only for the call.
 
     The last layer environment is T^dag U, so the costs are the closed form
     of channels.agi on its traces, with no second product T^dag U.
@@ -154,8 +146,8 @@ def pass_costs_and_gradients(cpass, sources, target):
     elementwise, a sum of two entries or one product per matrix, so no row's
     bits depend on B.
     """
-    angles, steps, ahead = cpass
-    count, depth1, n = angles.shape[:3]
+    steps, ahead = circuit_pass(theta, sources)
+    count, depth1, n = theta.shape[:3]
     dim = 2**n
     behind = np.empty_like(ahead)  # behind[:, i] = post_i @ T^dag, post_d = 1
     behind[:, -1] = dagger(target)
@@ -168,9 +160,9 @@ def pass_costs_and_gradients(cpass, sources, target):
     entries = envs.reshape(count * depth1, dim * dim)[:, _trace_index(n)]
     reduced = np.add.reduce(entries, axis=1).reshape(-1, 4)  # rows (R00, R01, R10, R11)
     # transposed to (3, n, d+1, B), so the Pauli and Euler axes unpack
-    paulis = ((reduced @ _PAULI_PARTS).reshape(angles.shape) * np.conj(tau)[:, None, None, None]).T
+    paulis = ((reduced @ _PAULI_PARTS).reshape(theta.shape) * np.conj(tau)[:, None, None, None]).T
     vx, vy, vz = paulis[0].imag, paulis[1].real, paulis[2].imag
-    twice = 2.0 * angles.T[1:]
+    twice = 2.0 * theta.T[1:]
     (cb, cc), (sb, sc) = np.cos(twice), np.sin(twice)
     grad = np.array((cb * vx + sb * (sc * vy + cc * vz), cc * vy - sc * vz, vx)).T
     return costs, -2.0 * grad / (dim * (dim + 1))
@@ -179,7 +171,7 @@ def pass_costs_and_gradients(cpass, sources, target):
 def build_circuit(theta, sources):
     """Full circuit unitary for a parameter tensor and source gate list."""
     theta, sources = _one_problem(theta, sources)
-    return circuit_pass(theta[None], sources[None]).ahead[0, -1]
+    return circuit_pass(theta[None], sources[None])[1][0, -1]
 
 
 def agi_cost(theta, sources, target):
@@ -198,8 +190,7 @@ def parameter_shift_gradient(theta, sources, target, cost=None):
     """
     theta, stacked = _one_problem(theta, sources, target)
     if cost is None:
-        stacked = stacked[None]
-        return pass_costs_and_gradients(circuit_pass(theta[None], stacked), stacked, target)[1][0]
+        return pass_costs_and_gradients(theta[None], stacked[None], target)[1][0]
     grad = np.zeros_like(theta)
     for idx in np.ndindex(theta.shape):
         tp = theta.copy()

@@ -75,9 +75,7 @@ def _fmt_list(xs):
 
 
 def _parse_list(s):
-    if not s:
-        return np.array([])
-    return np.array([float(tok) for tok in s.split(";")])
+    return np.array([float(tok) for tok in s.split(";")] if s else [])
 
 
 def _config_hash(obj):
@@ -520,31 +518,37 @@ def cmd_single_optimize(cfg, workers):
 # --------------------------------------------------------------------- verify
 
 def _verify_sweep(sweep, cfg):
-    """--verify's (row check, row keys, row name) of a sweep config. check(row)
+    """--verify's (row check, row keys, row name, columns) of a sweep config. check(row)
     gives its (method, eps, t_ns), and its phase (phi_rad, "" read as 0) and AGI
     as stated and as recomputed; an eps no case of cfg gets its case built once."""
     cases, signs, keys = _read_sweep(sweep, cfg)[:3]
     case = functools.cache(lambda value: cases[value] if value in cases else sweep.case(cfg, value))
 
     def check(row):  # an unreadable row, or a method its command never writes, raises
-        theta = _parse_list(row["theta"])
         if row["method"] not in sweep.methods:
             raise ValueError(f"method {row['method']!r} is not one of {', '.join(sweep.methods)}")
+        for key in ("restarts", "iterations"):
+            if not (row[key].isascii() and row[key].isdigit()):
+                raise ValueError(f"{key} must be an integer >= 0, got {row[key]!r}")
+        if row["converged"] not in ("true", "false"):
+            raise ValueError(f"converged must be true or false, got {row['converged']!r}")
+        if row["method"] == "tpcx" and row["theta"]:
+            raise ValueError(f"a tpcx row's theta must be empty, got {row['theta']!r}")
         eps, t, agi = (float(row[key]) for key in ("eps", "t_ns", "agi"))
         omegas, pair = _parse_list(row["omega_mhz"]), case(eps)
         if row["method"] == "tpcx":
             recomputed = sweep.baseline(pair, omegas[0], t)
         else:
-            theta = theta.reshape(len(signs) + 1, sweep.qubits, 3)
+            theta = _parse_list(row["theta"]).reshape(len(signs) + 1, sweep.qubits, 3)
             recomputed = agi_cost(theta, _sources(sweep, pair, omegas, t, signs), sweep.target)
         phi = float(_case_cells(eps, pair)[1] or 0)  # "" for a device
         return (row["method"], eps, t), (float(row["phi_rad"] or 0), agi), (phi, recomputed)
 
-    return check, keys, "{} eps {:g} t_ns {:g}"
+    return check, keys, "{} eps {:g} t_ns {:g}", SWEEP_COLUMNS
 
 
 def _verify_cartan(cfg):
-    """--verify's (row check, row keys, row name) of a cartan-map config. check(row)
+    """--verify's (row check, row keys, row name, columns) of a cartan-map config. check(row)
     gives its coordinates, and its best_agf and entangling_power stated and recomputed."""
     _, signs, _, keys = _read_cartan(cfg)
 
@@ -555,7 +559,7 @@ def _verify_cartan(cfg):
         recomputed = 1.0 - agi_cost(theta, [gate] * len(signs), CNOT), entangling_power(gate)
         return key, (float(row["best_agf"]), float(row["entangling_power"])), recomputed
 
-    return check, keys, "c_x {:g} c_y {:g} c_z {:g}"
+    return check, keys, "c_x {:g} c_y {:g} c_z {:g}", CARTAN_COLUMNS
 
 
 # each CSV command's defaults and its --verify reading of a config
@@ -572,12 +576,19 @@ def verify_artifact(path):
     its config gives ((method, eps, t) or the grid point); returns the number of
     mismatches, each bad value or missing, repeated or unexpected row being one.
     The header config, read by its command's reader, must match the seed and
-    config_hash lines; an unreadable header or row is a located config error."""
-    lines = list(io.StringIO(read_text(path)))
+    config_hash lines; an unreadable header, column row or row is a located
+    config error, and so is a JSON report, which --verify does not check."""
+    text = read_text(path)
+    lines = list(io.StringIO(text))
     meta = dict(ln[1:].strip().partition(": ")[::2] for ln in lines if ln.startswith("#"))
-    rows = list(csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval=""))
+    reader = csv.DictReader([ln for ln in lines if not ln.startswith("#")], restval="")
+    rows = list(reader)
     if "command" not in meta or "config" not in meta:
-        raise ConfigError(f"{path}: missing command/config metadata")
+        try:  # a JSON report, which holds its record as keys
+            command = json.loads(text)["command"]
+        except (KeyError, TypeError, ValueError, RecursionError):
+            raise ConfigError(f"{path}: missing command/config metadata") from None
+        raise ConfigError(f"{path}: cannot verify artifacts of command {command!r}")
     try:
         header = json.loads(meta["config"])
     except (ValueError, RecursionError) as exc:  # malformed, or past a parser limit
@@ -589,17 +600,22 @@ def verify_artifact(path):
     defaults, verifier = _VERIFIERS[meta["command"]]
     try:
         cfg = merge_config(header, defaults)
-        check, keys, name = verifier(cfg)
+        check, keys, name, columns = verifier(cfg)
         if meta.get("config_hash") != (digest := _config_hash(header)):  # header as parsed
             raise ConfigError(f"config_hash {meta.get('config_hash')} is not the config's {digest}")
         if meta.get("seed") != (seed := canonical_json(cfg["seed"])):
             raise ConfigError(f"seed {meta.get('seed')} is not the config's seed {seed}")
     except ConfigError as exc:
         raise ConfigError(f"{path}: config header: {exc}") from exc
+    if reader.fieldnames != columns:
+        raise ConfigError(f"{path}: column row {','.join(reader.fieldnames or [])!r} "
+                          f"is not {','.join(columns)!r}")
     missing = set(keys)
     mismatches = 0
     for idx, row in enumerate(rows):
         try:
+            if None in row:  # DictReader's key for the cells past the header's
+                raise ValueError(f"cells past the {len(columns)} columns: {row[None]}")
             key, stated, recomputed = check(row)
         except (IndexError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: row {idx}: {exc}") from exc

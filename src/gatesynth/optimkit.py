@@ -19,11 +19,11 @@ bounded Brent around its best point).
 
 vqgo runs multistart gradient descent on the circuit-infidelity cost;
 vqgo_batch, the one loop that serves design points, runs many such
-designs of one target in lockstep: a round is one stacked circuit pass
-and one kernel call that gives every point its cost and its gradient from
-one product T^dag U per point, so in vqgo each point's gradient is
-computed with its cost, and ngev counts the ones the descent used. vqgo
-is its batch of one. concatenated_optimize wraps vqgo in an outer
+designs of one target in lockstep: a round is one kernel call,
+ansatz.pass_costs_and_gradients, that gives every point its cost and its
+gradient from one product T^dag U per point, so in vqgo each point's
+gradient is computed with its cost, and ngev counts the ones the descent
+used. vqgo is its batch of one. concatenated_optimize wraps vqgo in an outer
 derivative-free search over source-drive amplitudes.
 minimize_quasi_newton descends a measured cost with its shift-rule
 gradient, ansatz.parameter_shift_gradient(..., cost=).
@@ -36,13 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .ansatz import (
-    circuit_pass,
-    pass_costs_and_gradients,
-    random_params,
-    stack_sources,
-    wrap_angles,
-)
+from .ansatz import pass_costs_and_gradients, random_params, stack_sources, wrap_angles
 from .inputs import ConfigError, read
 from .numkit import derive_rng, qubit_count
 
@@ -427,12 +421,11 @@ def vqgo_batch(target, sources, cfgs):
     cfgs[b]. Returns the B results, each bitwise the one vqgo gives for its
     design alone, and [] for no designs.
 
-    Each round is one circuit_pass over the points of every active design,
-    from which one pass_costs_and_gradients call gives each point its cost
-    and its gradient; the pass is dropped before the next round. A point's
-    gradient is computed with its cost, and the descent uses it only if it
-    accepts the point, so ngev counts the gradients used. A design that
-    finishes drops out.
+    Each round is one pass_costs_and_gradients call over the points of every
+    active design, which gives each point its cost and its gradient. A
+    point's gradient is computed with its cost, and the descent uses it only
+    if it accepts the point, so ngev counts the gradients used. A design
+    that finishes drops out.
     """
     target = np.asarray(target)
     dim = target.shape[0]
@@ -452,8 +445,7 @@ def vqgo_batch(target, sources, cfgs):
     rows = stacked  # the sources of the active designs
     while active:
         theta = np.concatenate([points[b] for b in active]).reshape(len(active), d + 1, n, 3)
-        # the pass, which holds every row of the round, is dropped with the round
-        costs, gradients = pass_costs_and_gradients(circuit_pass(theta, rows), rows, target)
+        costs, gradients = pass_costs_and_gradients(theta, rows, target)
         running = []
         for b, cost, gradient in zip(active, costs, gradients.reshape(len(active), -1)):
             try:

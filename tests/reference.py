@@ -158,24 +158,26 @@ _MINUS_I_SX = np.array([[0, -1j], [-1j, 0]])
 _MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
 
 
-def pass_gradients(cpass, sources, target):
+def pass_gradients(angles, sources, target):
     """The gradients of ansatz.pass_costs_and_gradients with one einsum
     partial trace per qubit and the derivative factors h = g^dag @ dg as 2x2
-    products of the Euler factors of the pass's angles with -i*sx and -i*sy.
-    It rebuilds the layers from the angles and forms its own backward chain
-    post_i @ T^dag, one environment at a time, without the pass's steps."""
-    angles, _, ahead = cpass
+    products of the Euler factors of the angles (B, d+1, n, 3) with -i*sx and
+    -i*sy. It builds the layers from the angles, the prefixes pre_i @ L_i and
+    the backward chain post_i @ T^dag from the stacked sources (B, d, D, D),
+    and takes one environment at a time."""
     rx0, ry1, rx2 = _euler_factors(angles)
     gates = rx0 @ ry1 @ rx2
     layers = kron_qubits(gates)
     count, depth1, n = gates.shape[:3]
     dim = 2**n
+    ahead = [layers[:, 0]]  # ahead[i] = pre_i @ L_i
     behind = [dagger(target)]  # behind[-1 - i] = post_i @ T^dag
-    for i in range(depth1 - 2, -1, -1):
-        behind.append(sources[:, i] @ layers[:, i + 1] @ behind[-1])
-    envs = np.empty_like(ahead)
-    for i, b in enumerate(reversed(behind)):
-        envs[:, i] = b @ ahead[:, i]
+    for i in range(depth1 - 1):
+        ahead.append(ahead[-1] @ (sources[:, i] @ layers[:, i + 1]))
+        behind.append(sources[:, -1 - i] @ layers[:, -1 - i] @ behind[-1])
+    envs = np.empty_like(layers)
+    for i, (b, a) in enumerate(zip(reversed(behind), ahead)):
+        envs[:, i] = b @ a
     tau = envs[:, 0].trace(axis1=-2, axis2=-1)
 
     reduced = np.empty((count, depth1, n, 2, 2), dtype=complex)

@@ -822,6 +822,13 @@ def _tamper(text, row_index, column, value):
     ("cnot-sweep", 3, "eps", "-1", "eps must be a finite number >= 0"),
     ("cnot-sweep", 3, "method", "foo", "method 'foo' is not one of tpcx, vqgo"),
     ("syndrome-sweep", 0, "method", "tpcx", "method 'tpcx' is not one of vqgo"),
+    # the cells --verify does not recompute must still have their written form
+    ("cnot-sweep", 3, "restarts", "x", "restarts must be an integer >= 0, got 'x'"),
+    ("cnot-sweep", 3, "iterations", "-1", "iterations must be an integer >= 0, got '-1'"),
+    ("syndrome-sweep", 0, "restarts", "1.0", "restarts must be an integer >= 0, got '1.0'"),
+    ("cnot-sweep", 3, "converged", "nan", "converged must be true or false, got 'nan'"),
+    ("cnot-sweep", 0, "converged", "", "converged must be true or false, got ''"),
+    ("cnot-sweep", 0, "theta", "nan", "a tpcx row's theta must be empty, got 'nan'"),
 ])
 def test_verify_rejects_malformed_rows(tmp_path, capsys, artifacts, command, row_index,
                                        column, value, message):
@@ -890,6 +897,44 @@ def _edit_rows(text, edit):
     header = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
     return "".join(header + body[:1] + edit(body[1:]))
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("cnot-sweep", "restarts,iterations,converged", "foo,bar,baz"),
+    ("cnot-sweep", "iterations,converged,theta", "iterations,converged"),
+    ("cartan-map", "best_agf,theta", "best_agf,theta,extra"),
+])
+def test_verify_rejects_a_column_row_not_its_commands(tmp_path, capsys, artifacts, command,
+                                                      old, new):
+    out = tmp_path / "art.csv"
+    text = artifacts[command]
+    out.write_text(text.replace(old, new, 1))
+    columns = next(ln for ln in text.splitlines() if not ln.startswith("#"))
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: {out}: column row "
+                                       f"{columns.replace(old, new)!r} is not {columns!r}\n")
+
+
+@pytest.mark.parametrize("command, row_index", [("cnot-sweep", 2), ("cartan-map", 0)])
+def test_verify_rejects_a_row_with_a_surplus_cell(tmp_path, capsys, artifacts, command,
+                                                  row_index):
+    out = tmp_path / "art.csv"
+    out.write_text(_edit_rows(artifacts[command], lambda rows: [
+        row.replace("\n", ",1\n") if k == row_index else row for k, row in enumerate(rows)]))
+    assert cli.main(["--verify", str(out)]) == 1
+    columns = len(cli.CARTAN_COLUMNS if command == "cartan-map" else cli.SWEEP_COLUMNS)
+    assert capsys.readouterr().err == (
+        f"config error: {out}: row {row_index}: cells past the {columns} columns: ['1']\n")
+
+
+def test_verify_names_the_command_of_a_json_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    cfg = _write(tmp_path / "c.json", TINY_SINGLE)
+    assert cli.main(["single-optimize", "--config", cfg, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {out}: cannot verify artifacts of command 'single_optimize'\n")
 
 
 def test_verify_of_an_untouched_sweep_reads_no_mismatch(tmp_path, capsys, artifacts):

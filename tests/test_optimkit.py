@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from gatesynth import cli, devices, optimkit
+from gatesynth import ansatz, cli, devices, optimkit
 from gatesynth.analysis import cartan_coordinates
 from gatesynth.ansatz import (
     agi_cost,
@@ -484,17 +484,17 @@ def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
     # the short design's included, is still alive when the next round's pass is built
     pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
     short_sources, long_sources = ([cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0))
-    build = optimkit.circuit_pass
+    build = ansatz.circuit_pass
     made, calls = [], []  # weakrefs to each pass's arrays; per call (short row in it, alive)
 
     def tracked(theta, sources):
         short = any(np.array_equal(s, short_sources) for s in sources)
         calls.append((short, sum(ref() is not None for ref in made)))
-        cpass = build(theta, sources)
-        made.append(weakref.ref(cpass.ahead))
-        return cpass
+        steps, ahead = build(theta, sources)
+        made.append(weakref.ref(ahead))
+        return steps, ahead
 
-    monkeypatch.setattr(optimkit, "circuit_pass", tracked)
+    monkeypatch.setattr(ansatz, "circuit_pass", tracked)
     cfgs = [optimkit.OptimizerConfig(restarts=1, max_iterations=m, seed=3) for m in (1, 60)]
     short, long = optimkit.vqgo_batch(CNOT, [short_sources, long_sources], cfgs)
     assert short.iterations_used == 1 and long.iterations_used > 10
@@ -504,24 +504,24 @@ def test_vqgo_batch_releases_a_finished_designs_passes(monkeypatch):
 
 
 def test_vqgo_batch_answers_every_designs_gradient_in_one_round(monkeypatch):
-    # each round is one circuit pass and one pass_costs_and_gradients over every active
-    # design, so a design takes part in as many rounds as it asks for points (the costs of
+    # each round is one pass_costs_and_gradients over every active design, which builds one
+    # circuit pass, so a design takes part in as many rounds as it asks for points (the costs of
     # its restarts and its final cost), and the batch runs as many as its hungriest design
     pair = CrossResonancePair(200.0, 5.0, 0.1, np.pi / 4)
     sources = [[cr_gate(pair, DriveSpec(60.0, t))] * 2 for t in (40.0, 75.0, 120.0)]
     cfgs = [optimkit.OptimizerConfig(restarts=2, max_iterations=40, seed=k) for k in range(3)]
-    build, gradient, passes, gradients = (optimkit.circuit_pass,
+    build, gradient, passes, gradients = (ansatz.circuit_pass,
                                           optimkit.pass_costs_and_gradients, [], [])
 
     def built(theta, stacked):
         passes.append(len(theta))
         return build(theta, stacked)
 
-    def counted(cpass, stacked, target):
-        gradients.append(len(cpass.angles))
-        return gradient(cpass, stacked, target)
+    def counted(theta, stacked, target):
+        gradients.append(len(theta))
+        return gradient(theta, stacked, target)
 
-    monkeypatch.setattr(optimkit, "circuit_pass", built)
+    monkeypatch.setattr(ansatz, "circuit_pass", built)
     monkeypatch.setattr(optimkit, "pass_costs_and_gradients", counted)
     batch = optimkit.vqgo_batch(CNOT, sources, cfgs)
     points = [sum(run["nfev"] for run in res.restart_diagnostics) + 1 for res in batch]
