@@ -82,15 +82,6 @@ def _config_hash(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def _inline_file(cfg, key):
-    """Replace a file path held in cfg[key] by the file's JSON contents, so
-    an artifact's config (and its hash) holds the data itself and --verify
-    needs no other file."""
-    if isinstance(cfg[key], str):
-        cfg[key] = read_json(cfg[key], f"{key}: ")
-    return cfg[key]
-
-
 def merge_config(user, defaults, where=""):
     """A JSON object `user` (a config) merged over a copy of per-command defaults; a key
     the defaults lack is a config error after `where`, so typos fail loudly."""
@@ -198,8 +189,8 @@ class Sweep:
     """One sweep command's problem, read by its run, pool jobs and --verify:
     `target` from CR drives. A value of cfg[cases_key] (eps column) is a case;
     case(cfg, value) builds its pair or device, source(case, omegas, t) evolves
-    it. baseline(pair, omega, t): echoed-CR CNOT AGI (method tpcx), an array of
-    them for an array of amplitudes."""
+    it. baseline(pair, omega, t) builds the echoed-CR gate (method tpcx, scored
+    by its AGI to `target`), a stack of them for an array of amplitudes."""
 
     target: np.ndarray
     cases_key: str
@@ -304,9 +295,11 @@ def _sweep(sweep, cfg, workers):
     for case_idx, (value, case) in enumerate(cases.items()):
         cells = _case_cells(value, case)
         if sweep.baseline is not None:
-            omega_b, _, _ = minimize_on_interval(lambda w: sweep.baseline(case, w, t_opt), lo, hi)
+            omega_b, _, _ = minimize_on_interval(
+                lambda w: agi(sweep.target, sweep.baseline(case, w, t_opt)), lo, hi)
             rows += [["tpcx", *cells, _fmt(omega_b), _fmt(t),
-                      _fmt(sweep.baseline(case, omega_b, t)), "0", "0", "true", ""] for t in times]
+                      _fmt(agi(sweep.target, sweep.baseline(case, omega_b, t))),
+                      "0", "0", "true", ""] for t in times]
         w_v, res_v, diag_v = concatenated_optimize(
             sweep.target, lambda w, c=case: _sources(sweep, c, w, t_opt, signs),
             cfg=replace(opt, seed=derive_seed(opt.seed, 1, case_idx)), **search)
@@ -353,8 +346,8 @@ CNOT_SWEEP_DEFAULTS = {
 
 
 def _cnot_case(cfg, eps):
-    """`pair` (an object, or a file path read into cfg) with eps and phi_rad."""
-    raw = _inline_file(cfg, "pair")
+    """`pair` (an object) with eps and phi_rad."""
+    raw = cfg["pair"]
     if isinstance(raw, dict) and raw.keys() & {"eps", "phi_rad"}:
         raise ConfigError(f"pair must hold only delta_mhz and g_mhz, got {canonical_json(raw)}")
     return replace(pair_from_dict(raw, "pair."), eps=eps, phi=read(cfg, "phi_rad"))
@@ -364,13 +357,7 @@ def _cnot_source(pair, omegas, t):
     return cr_gate(pair, DriveSpec(float(omegas[0]), t))
 
 
-def _tpcx_agi(pair, omega, t):
-    """agi(CNOT, tpcx(pair, omega, t)): one AGI, or an array of them for an array
-    of amplitudes, each bitwise the call on its amplitude alone."""
-    return agi(CNOT, tpcx(pair, omega, t))
-
-
-CNOT_SWEEP = Sweep(CNOT, "eps_cases", _cnot_case, _cnot_source, baseline=_tpcx_agi)
+CNOT_SWEEP = Sweep(CNOT, "eps_cases", _cnot_case, _cnot_source, baseline=tpcx)
 
 
 def cmd_cnot_sweep(cfg, workers):
@@ -392,9 +379,9 @@ SYNDROME_SWEEP_DEFAULTS = {
 
 
 def _syndrome_case(cfg, scale):
-    """`device` (an object with a `pairs` list, a file path read into cfg, or
-    null for the packaged fixture) with each pair's eps multiplied by scale."""
-    raw = _inline_file(cfg, "device")
+    """`device` (an object with a `pairs` list, or null for the packaged
+    fixture) with each pair's eps multiplied by scale."""
+    raw = cfg["device"]
     if raw is None:
         raw = read_json(resources.files(__package__) / "fixtures" / "syndrome_device.json")
     device = device_from_dict(raw, "device.")
@@ -522,6 +509,7 @@ def _verify_sweep(sweep, cfg):
     gives its (method, eps, t_ns), and its phase (phi_rad, "" read as 0) and AGI
     as stated and as recomputed; an eps no case of cfg gets its case built once."""
     cases, signs, keys = _read_sweep(sweep, cfg)[:3]
+    amplitudes = sweep.qubits - 1
     case = functools.cache(lambda value: cases[value] if value in cases else sweep.case(cfg, value))
 
     def check(row):  # an unreadable row, or a method its command never writes, raises
@@ -534,15 +522,18 @@ def _verify_sweep(sweep, cfg):
             raise ValueError(f"converged must be true or false, got {row['converged']!r}")
         if row["method"] == "tpcx" and row["theta"]:
             raise ValueError(f"a tpcx row's theta must be empty, got {row['theta']!r}")
-        eps, t, agi = (float(row[key]) for key in ("eps", "t_ns", "agi"))
+        eps, t, stated = (float(row[key]) for key in ("eps", "t_ns", "agi"))
         omegas, pair = _parse_list(row["omega_mhz"]), case(eps)
+        if omegas.size != amplitudes:
+            raise ValueError(f"omega_mhz must hold {amplitudes} amplitude{'s' * (amplitudes > 1)}, "
+                             f"got {row['omega_mhz']!r}")
         if row["method"] == "tpcx":
-            recomputed = sweep.baseline(pair, omegas[0], t)
+            recomputed = agi(sweep.target, sweep.baseline(pair, omegas[0], t))
         else:
             theta = _parse_list(row["theta"]).reshape(len(signs) + 1, sweep.qubits, 3)
             recomputed = agi_cost(theta, _sources(sweep, pair, omegas, t, signs), sweep.target)
         phi = float(_case_cells(eps, pair)[1] or 0)  # "" for a device
-        return (row["method"], eps, t), (float(row["phi_rad"] or 0), agi), (phi, recomputed)
+        return (row["method"], eps, t), (float(row["phi_rad"] or 0), stated), (phi, recomputed)
 
     return check, keys, "{} eps {:g} t_ns {:g}", SWEEP_COLUMNS
 
@@ -560,14 +551,6 @@ def _verify_cartan(cfg):
         return key, (float(row["best_agf"]), float(row["entangling_power"])), recomputed
 
     return check, keys, "c_x {:g} c_y {:g} c_z {:g}", CARTAN_COLUMNS
-
-
-# each CSV command's defaults and its --verify reading of a config
-_VERIFIERS = {
-    "cnot_sweep": (CNOT_SWEEP_DEFAULTS, functools.partial(_verify_sweep, CNOT_SWEEP)),
-    "syndrome_sweep": (SYNDROME_SWEEP_DEFAULTS, functools.partial(_verify_sweep, SYNDROME_SWEEP)),
-    "cartan_map": (CARTAN_MAP_DEFAULTS, _verify_cartan),
-}
 
 
 def verify_artifact(path):
@@ -595,9 +578,10 @@ def verify_artifact(path):
         raise ConfigError(f"{path}: config header: {exc}") from exc
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: config header must be a JSON object")
-    if meta["command"] not in _VERIFIERS:
+    entry = next((e for e in _COMMANDS.values() if e[0] == meta["command"] and e[4]), None)
+    if entry is None:
         raise ConfigError(f"{path}: cannot verify artifacts of command {meta['command']!r}")
-    defaults, verifier = _VERIFIERS[meta["command"]]
+    _, defaults, _, _, verifier = entry
     try:
         cfg = merge_config(header, defaults)
         check, keys, name, columns = verifier(cfg)
@@ -638,13 +622,17 @@ def verify_artifact(path):
 
 # ----------------------------------------------------------------------- main
 
+# each CLI command: (the artifact's command, config defaults, run(cfg, workers),
+# default output, --verify reader of a header config or None)
 _COMMANDS = {
-    "cnot-sweep": ("cnot_sweep", CNOT_SWEEP_DEFAULTS, cmd_cnot_sweep, "cnot_sweep.csv"),
+    "cnot-sweep": ("cnot_sweep", CNOT_SWEEP_DEFAULTS, cmd_cnot_sweep, "cnot_sweep.csv",
+                   functools.partial(_verify_sweep, CNOT_SWEEP)),
     "syndrome-sweep": ("syndrome_sweep", SYNDROME_SWEEP_DEFAULTS, cmd_syndrome_sweep,
-                       "syndrome_sweep.csv"),
-    "cartan-map": ("cartan_map", CARTAN_MAP_DEFAULTS, cmd_cartan_map, "cartan_map.csv"),
+                       "syndrome_sweep.csv", functools.partial(_verify_sweep, SYNDROME_SWEEP)),
+    "cartan-map": ("cartan_map", CARTAN_MAP_DEFAULTS, cmd_cartan_map, "cartan_map.csv",
+                   _verify_cartan),
     "single-optimize": ("single_optimize", SINGLE_OPTIMIZE_DEFAULTS, cmd_single_optimize,
-                        "single_optimize.json"),
+                        "single_optimize.json", None),
 }
 
 
@@ -679,7 +667,7 @@ def main(argv=None):
             return 1
         if args.workers < 1:
             raise ConfigError(f"--workers must be an integer >= 1, got {args.workers}")
-        command, defaults, fn, default_output = _COMMANDS[args.command]
+        command, defaults, fn, default_output, _ = _COMMANDS[args.command]
         user = {} if args.config is None else read_json(args.config)
         if not isinstance(user, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
@@ -688,8 +676,11 @@ def main(argv=None):
             cfg["seed"] = args.seed
         output = args.output or default_output
         _check_output(output)
+        for key in ("pair", "device"):  # a file path, so the artifact holds the data itself
+            if isinstance(cfg.get(key), str):
+                cfg[key] = read_json(cfg[key], f"{key}: ")
         result = fn(cfg, args.workers)
-        meta = _base_meta(command, cfg)  # after fn, which reads files into cfg
+        meta = _base_meta(command, cfg)
         if command == "single_optimize":
             with open(output, "w") as fh:
                 json.dump({**meta, **result}, fh, indent=2, sort_keys=True)

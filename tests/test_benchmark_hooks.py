@@ -36,6 +36,8 @@ def test_tracing_hooks_record_spans(tmp_path):
         }))
         assert cli.main(["cnot-sweep", "--config", str(cfg),
                          "--output", str(tmp_path / "out.csv")]) == 0
+        # with the cnot-sweep entry of cli._COMMANDS rebuilt around the traced command
+        assert cli.main(["--verify", str(tmp_path / "out.csv")]) == 0
         res = optimkit.vqgo(CNOT, [CNOT], cfg=optimkit.OptimizerConfig(restarts=1, seed=1))
         optimkit.minimize_quasi_newton(lambda x: float(x @ x), lambda x: 2 * x, np.ones(3))
     finally:
@@ -43,6 +45,7 @@ def test_tracing_hooks_record_spans(tmp_path):
     assert (optimkit.vqgo, optimkit.minimize_quasi_newton, cli.cmd_cnot_sweep) == originals
     spans = tracing.Spans(tracer)
     assert spans.calls("cli.cmd_cnot_sweep") == 1
+    assert spans.calls("cli.verify_artifact") == 1
     assert spans.calls("optimkit.concatenated_optimize") == 1
     # the outer search's inner designs and the direct call
     assert spans.calls("optimkit.vqgo") >= 2

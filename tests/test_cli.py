@@ -118,8 +118,9 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, monkeypatch):
     def never_run(cfg, workers):
         raise AssertionError("the command ran before its output was checked")
 
-    command, defaults, _, output = cli._COMMANDS["cartan-map"]
-    monkeypatch.setitem(cli._COMMANDS, "cartan-map", (command, defaults, never_run, output))
+    command, defaults, _, output, verifier = cli._COMMANDS["cartan-map"]
+    monkeypatch.setitem(cli._COMMANDS, "cartan-map",
+                        (command, defaults, never_run, output, verifier))
     cfg = _write(tmp_path / "c.json", TINY_CARTAN)
     for out in (tmp_path / "missing_dir" / "out.csv", tmp_path):
         assert cli.main(["cartan-map", "--config", cfg, "--output", str(out)]) == 2
@@ -496,7 +497,7 @@ _TINY = {"cnot-sweep": TINY_CNOT, "syndrome-sweep": TINY_SYNDROME,
 
 
 def test_bad_values_cover_every_config_key():
-    for command, (_, defaults, _, _) in cli._COMMANDS.items():
+    for command, (_, defaults, _, _, _) in cli._COMMANDS.items():
         assert {key for c, key, _, _ in _BAD_VALUES if c == command} == set(defaults)
 
 
@@ -818,7 +819,12 @@ def _tamper(text, row_index, column, value):
     ("cartan-map", 2, "best_agf", "", "could not convert string to float: ''"),
     ("cnot-sweep", 3, "theta", "1;2", "cannot reshape array of size 2"),
     ("cnot-sweep", 3, "t_ns", "x", "could not convert string to float: 'x'"),
-    ("cnot-sweep", 0, "omega_mhz", "", "index 0 is out of bounds"),
+    ("cnot-sweep", 0, "omega_mhz", "", "omega_mhz must hold 1 amplitude, got ''"),
+    # a surplus or missing amplitude, which no case's source would read
+    ("cnot-sweep", 0, "omega_mhz", "100;1", "omega_mhz must hold 1 amplitude, got '100;1'"),
+    ("cnot-sweep", 3, "omega_mhz", "100;1", "omega_mhz must hold 1 amplitude, got '100;1'"),
+    ("syndrome-sweep", 0, "omega_mhz", "80;80;80",
+     "omega_mhz must hold 4 amplitudes, got '80;80;80'"),
     ("cnot-sweep", 3, "eps", "-1", "eps must be a finite number >= 0"),
     ("cnot-sweep", 3, "method", "foo", "method 'foo' is not one of tpcx, vqgo"),
     ("syndrome-sweep", 0, "method", "tpcx", "method 'tpcx' is not one of vqgo"),
@@ -1046,7 +1052,7 @@ def test_verify_recomputes_every_stated_value_exactly(artifacts, command, method
     # recomputed value is the stated one to the bit, not just within VERIFY_ATOL
     text = artifacts[command]
     header = json.loads(re.search(r"^# config: (.*)$", text, flags=re.M).group(1))
-    defaults, verifier = cli._VERIFIERS[command.replace("-", "_")]
+    _, defaults, _, _, verifier = cli._COMMANDS[command]
     check = verifier(cli.merge_config(header, defaults))[0]
     rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
     assert {row.get("method") for row in rows} == methods
@@ -1070,6 +1076,28 @@ def test_verify_reads_the_header_config_by_its_commands_rules(tmp_path, capsys, 
     out.write_text(_with_config(artifacts[command], edit))
     assert cli.main(["--verify", str(out)]) == 1
     assert capsys.readouterr() == ("", f"config error: {out}: config header: {message}\n")
+
+
+@pytest.mark.parametrize("command, key, message", [
+    ("cnot-sweep", "pair", "pair must be an object with keys from delta_mhz, g_mhz, eps, phi_rad"),
+    ("syndrome-sweep", "device", "device must be an object with a pairs list"),
+])
+def test_verify_reads_no_file_a_header_names(tmp_path, capsys, artifacts, command, key, message):
+    # a run reads a pair or device file into its config; a header holds the data itself
+    from importlib import resources
+
+    fixture = resources.files("gatesynth").joinpath("fixtures", "syndrome_device.json")
+    data = {"pair": cli.CNOT_SWEEP_DEFAULTS["pair"], "device": json.loads(fixture.read_text())}
+    path = _write(tmp_path / f"{key}.json", data[key])
+    text = _with_config(artifacts[command], lambda cfg: cfg.update({key: path}))
+    header = json.loads(re.search(r"^# config: (.*)$", text, flags=re.M).group(1))
+    text = re.sub(r"^# config_hash: \w+$", f"# config_hash: {cli._config_hash(header)}", text,
+                  flags=re.M)
+    out = tmp_path / "art.csv"
+    out.write_text(text)
+    assert cli.main(["--verify", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"config error: {out}: config header: {message}, got {json.dumps(path)}\n")
 
 
 def test_verify_rejects_a_header_value_with_the_runs_message(tmp_path, capsys, artifacts):
